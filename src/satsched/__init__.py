@@ -21,9 +21,10 @@ from .compute import (AGX, BUILTIN_PLATFORMS, NANO, Platform, batch_law,
                       energy, mean_exec_time, power)
 from .config import (DEFAULT_CONFIG, Scenario, default_config, load_config,
                      load_scenario, merge_config, resolve)
-from .errors import (ConfigError, DomainError, EstimationError,
-                     InfeasibleBudgetError, InfeasibleConstraintError,
-                     InfeasibleLinkError, SatschedError)
+from .errors import (ConfigError, ConvergenceError, DomainError,
+                     EstimationError, InfeasibleBudgetError,
+                     InfeasibleConstraintError, InfeasibleLinkError,
+                     SatschedError)
 from .estimation import (ExecSample, FrequencyModel, SubsetReplicate,
                          SubsetStudyResult, draw_subset, estimate_bsp_moments,
                          fit_frequency_model, fit_moment_model,
@@ -48,7 +49,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AGX", "BACKEND", "BIT_GENERATORS", "BUILTIN_PLATFORMS", "CommLegs",
-    "ConfigError", "DEFAULT_CONFIG", "DomainError", "EARTH_RADIUS_M",
+    "ConfigError", "ConvergenceError", "DEFAULT_CONFIG", "DomainError",
+    "EARTH_RADIUS_M",
     "EstimationError", "ExecSample", "FrequencyModel", "FrequencySolution",
     "GammaFitResult", "GammaLaw", "GroundTruth", "InfeasibleBudgetError",
     "InfeasibleConstraintError", "InfeasibleLinkError", "IslPath",

@@ -74,7 +74,6 @@ DEFAULT_CONFIG = {
             "n_images": 56,
             "image_sigma": 0.15,
             "variance_model": "structural",
-            "dense_grid_points": 513,
         },
         "fit": {
             "n_frequencies": 8,
@@ -195,7 +194,6 @@ class Scenario:
     gt_n_images: int
     gt_image_sigma: float
     gt_variance_model: str
-    gt_dense_points: int
     fit_n_frequencies: int
     fit_degree: int
     fig3_n_img: dict
@@ -352,7 +350,6 @@ def resolve(cfg: dict) -> Scenario:
         raise ConfigError(
             "experiment.ground_truth.variance_model: must be 'structural' "
             f"or 'constant', got {variance_model!r}")
-    dense_points = _int(cfg, "experiment.ground_truth.dense_grid_points", lo=2)
 
     degree = _int(cfg, "experiment.fit.degree", lo=1)
     n_freq = _int(cfg, "experiment.fit.n_frequencies", lo=degree + 1)
@@ -378,7 +375,7 @@ def resolve(cfg: dict) -> Scenario:
         bit_generator=bit_gen, elevation_deg=elevation,
         elevation_sweep_deg=sweep, gt_cv=cv, gt_n_images=n_images,
         gt_image_sigma=image_sigma, gt_variance_model=variance_model,
-        gt_dense_points=dense_points, fit_n_frequencies=n_freq,
+        fit_n_frequencies=n_freq,
         fit_degree=degree, fig3_n_img=fig3_n_img,
         fig3_sample_sizes=tuple(int(s) for s in sizes),
         fig3_k_replicates=k_reps, fig4_n_img_max=fig4_max,

@@ -14,6 +14,11 @@ class EstimationError(SatschedError):
     rank-deficient design, or a model that violates its own constraints)."""
 
 
+class ConvergenceError(SatschedError):
+    """A numeric kernel used up its iteration cap before reaching its
+    tolerance, so no value within the documented accuracy exists to return."""
+
+
 class InfeasibleLinkError(SatschedError):
     """The radio link cannot deliver the payload (block error rate at or
     above one, so the retransmission process never terminates)."""

@@ -27,8 +27,8 @@ from .errors import (DomainError, EstimationError, InfeasibleBudgetError,
 from .estimation import fit_frequency_model, sample_size_study
 from .numerics import GammaLaw, ks_statistic
 from .rand import NS_GROUND_TRUTH, stream
-from .scheduler import (LatencyBudget, MomentModel, processing_budget,
-                        select_and_price)
+from .scheduler import (GRID_POINTS_DEFAULT, LatencyBudget, MomentModel,
+                        processing_budget, select_and_price)
 
 try:
     from importlib.metadata import PackageNotFoundError
@@ -65,6 +65,10 @@ class GroundTruth:
       ``cv_at_fmax`` at f_max.
     * "constant": coefficient of variation fixed at ``cv_at_fmax`` across
       the whole range (per-image shape is 1/cv^2 everywhere).
+
+    ``planner_grid_hz`` is the planner's pre-scan grid (GRID_POINTS_DEFAULT
+    points over the platform range) and ``planner_grid_shapes`` the pooled
+    shapes on it, solved once at construction; both are read-only.
     """
 
     platform: Platform
@@ -72,9 +76,8 @@ class GroundTruth:
     variance_model: str
     work_multipliers: np.ndarray
     log_multiplier_gap: float
-    dense_grid_hz: np.ndarray
-    dense_shapes: np.ndarray
-    dense_scales: np.ndarray
+    planner_grid_hz: np.ndarray
+    planner_grid_shapes: np.ndarray
     provenance: dict
 
     @property
@@ -122,8 +125,12 @@ class GroundTruth:
         Solves ln(a) - digamma(a) = [ln(a_img) - digamma(a_img)] + gap,
         where the gap is -mean(ln multiplier) >= 0. Heterogeneity across
         images widens the pooled law, so the pooled shape never exceeds the
-        per-image one.
+        per-image one. Called with the planner grid, returns the shapes
+        solved at construction.
         """
+        if (isinstance(f_hz, np.ndarray)
+                and np.array_equal(f_hz, self.planner_grid_hz)):
+            return self.planner_grid_shapes
         ab = self.image_shape_at(f_hz)
         gap = self.log_multiplier_gap
         if gap == 0.0:
@@ -168,7 +175,6 @@ def synthesize_ground_truth(platform: Platform, cv: float, n_images: int,
                             rng: np.random.Generator,
                             image_sigma: float = 0.15,
                             variance_model: str = "structural",
-                            dense_points: int = 513,
                             provenance: dict = None) -> GroundTruth:
     """Build the synthetic workload for one platform.
 
@@ -198,15 +204,15 @@ def synthesize_ground_truth(platform: Platform, cv: float, n_images: int,
         platform=platform, cv_at_fmax=float(cv),
         variance_model=variance_model, work_multipliers=mult,
         log_multiplier_gap=gap,
-        dense_grid_hz=np.empty(0), dense_shapes=np.empty(0),
-        dense_scales=np.empty(0),
+        planner_grid_hz=np.empty(0), planner_grid_shapes=np.empty(0),
         provenance=dict(provenance or {}))
-    grid = np.linspace(platform.f_min_hz, platform.f_max_hz, int(dense_points))
-    shapes = np.asarray(gt.shape_at(grid), dtype=np.float64)
-    scales = np.asarray(gt.scale_at(grid), dtype=np.float64)
-    object.__setattr__(gt, "dense_grid_hz", grid)
-    object.__setattr__(gt, "dense_shapes", shapes)
-    object.__setattr__(gt, "dense_scales", scales)
+    # the same linspace call as the planner's pre-scan, so the arrays match
+    grid = np.linspace(platform.f_min_hz, platform.f_max_hz, GRID_POINTS_DEFAULT)
+    shapes = np.array(gt.shape_at(grid), dtype=np.float64)
+    grid.flags.writeable = False
+    shapes.flags.writeable = False
+    object.__setattr__(gt, "planner_grid_hz", grid)
+    object.__setattr__(gt, "planner_grid_shapes", shapes)
     return gt
 
 
@@ -219,7 +225,6 @@ def ground_truth_for(scenario: Scenario, platform_index: int) -> GroundTruth:
         platform, scenario.gt_cv, scenario.gt_n_images, rng,
         image_sigma=scenario.gt_image_sigma,
         variance_model=scenario.gt_variance_model,
-        dense_points=scenario.gt_dense_points,
         provenance={
             "root_seed": scenario.seed,
             "bit_generator": scenario.bit_generator,

@@ -7,10 +7,15 @@ algorithms on plain numpy, selected once at import time:
 * numba importable and ``SATSCHED_DISABLE_NUMBA`` unset -> "numba" backend
 * otherwise -> "numpy" backend
 
-Array variants in the numpy backend advance per-lane iterations under an
-active mask and freeze lanes once converged, so both backends execute the
-same per-element arithmetic. ``benchmarks/bench_kernels.py`` times the two
-paths against each other.
+Array variants in the numpy backend iterate all lanes together and drop each
+lane from the working arrays once it converges; a lane's own arithmetic is
+the one it would follow alone, so results do not depend on which other
+lanes share the call. The scalar kernels serve single evaluations, where a
+one-lane array call would cost about a hundred times more.
+
+The incomplete-gamma kernels raise :class:`~satsched.errors.ConvergenceError`
+when an evaluation uses up ``_MAX_ITER`` steps, instead of returning the
+partial sum.
 
 Everything here is a pure function. Argument validation lives one level up
 in :mod:`satsched.numerics`; kernels assume in-domain inputs.
@@ -20,6 +25,8 @@ import math
 import os
 
 import numpy as np
+
+from .errors import ConvergenceError
 
 try:
     from numba import njit as _numba_njit
@@ -37,6 +44,7 @@ _CONV_EPS = 1e-16
 _LOG_TINY = -745.0  # below this exp() underflows float64
 _FPMIN = 1e-300
 _INV_SQRT2 = 0.7071067811865476
+_CDF_CAP_MSG = "incomplete gamma did not converge within the iteration cap"
 
 _lgamma_vec = np.vectorize(math.lgamma, otypes=[np.float64])
 
@@ -101,6 +109,8 @@ def reg_lower_gamma(a: float, x: float) -> float:
             total += term
             if abs(term) < abs(total) * _CONV_EPS:
                 break
+        else:
+            raise ConvergenceError(_CDF_CAP_MSG)
         logp = a * math.log(x) - x - math.lgamma(a)
         if logp < _LOG_TINY:
             return 0.0
@@ -127,6 +137,8 @@ def reg_lower_gamma(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _CONV_EPS:
             break
+    else:
+        raise ConvergenceError(_CDF_CAP_MSG)
     logp = a * math.log(x) - x - math.lgamma(a)
     if logp < _LOG_TINY:
         q = 0.0
@@ -259,46 +271,62 @@ if NUMBA_ENABLED:
 else:
 
     def _series_lanes(a, x):
+        # idx maps the working arrays back to lanes; a lane leaves them on
+        # the step it converges
+        out = np.empty(a.shape[0], dtype=np.float64)
+        idx = np.arange(a.shape[0])
+        xw = x
         ap = a.copy()
         term = 1.0 / a
         total = term.copy()
-        active = np.ones(a.shape[0], dtype=bool)
         for _ in range(_MAX_ITER):
-            ap[active] += 1.0
-            term[active] = term[active] * (x[active] / ap[active])
-            total[active] += term[active]
-            active &= ~(np.abs(term) < np.abs(total) * _CONV_EPS)
-            if not active.any():
-                break
+            ap += 1.0
+            term = term * (xw / ap)
+            total += term
+            done = np.abs(term) < np.abs(total) * _CONV_EPS
+            if done.any():
+                out[idx[done]] = total[done]
+                keep = ~done
+                idx, xw, ap, term, total = (idx[keep], xw[keep], ap[keep],
+                                            term[keep], total[keep])
+                if idx.size == 0:
+                    break
+        else:
+            raise ConvergenceError(_CDF_CAP_MSG)
         logp = a * np.log(x) - x - _lgamma_vec(a)
-        val = np.where(logp < _LOG_TINY, 0.0, total * np.exp(np.maximum(logp, _LOG_TINY)))
+        val = np.where(logp < _LOG_TINY, 0.0, out * np.exp(np.maximum(logp, _LOG_TINY)))
         return np.minimum(val, 1.0)
 
     def _cf_lanes(a, x):
+        out = np.empty(a.shape[0], dtype=np.float64)
+        idx = np.arange(a.shape[0])
+        aw = a
         b = x + 1.0 - a
         c = np.full(a.shape[0], 1.0 / _FPMIN)
         d = 1.0 / b
         h = d.copy()
-        active = np.ones(a.shape[0], dtype=bool)
         for i in range(1, _MAX_ITER + 1):
-            an = -float(i) * (float(i) - a)
-            b2 = b + 2.0
-            d2 = an * d + b2
-            d2 = np.where(np.abs(d2) < _FPMIN, _FPMIN, d2)
-            c2 = b2 + an / c
-            c2 = np.where(np.abs(c2) < _FPMIN, _FPMIN, c2)
-            d2 = 1.0 / d2
-            delta = d2 * c2
-            h2 = h * delta
-            b = np.where(active, b2, b)
-            d = np.where(active, d2, d)
-            c = np.where(active, c2, c)
-            h = np.where(active, h2, h)
-            active &= ~(np.abs(delta - 1.0) < _CONV_EPS)
-            if not active.any():
-                break
+            an = -float(i) * (float(i) - aw)
+            b = b + 2.0
+            d = an * d + b
+            d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
+            c = b + an / c
+            c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
+            d = 1.0 / d
+            delta = d * c
+            h = h * delta
+            done = np.abs(delta - 1.0) < _CONV_EPS
+            if done.any():
+                out[idx[done]] = h[done]
+                keep = ~done
+                idx, aw, b, c, d, h = (idx[keep], aw[keep], b[keep], c[keep],
+                                       d[keep], h[keep])
+                if idx.size == 0:
+                    break
+        else:
+            raise ConvergenceError(_CDF_CAP_MSG)
         logp = a * np.log(x) - x - _lgamma_vec(a)
-        return np.where(logp < _LOG_TINY, 0.0, np.exp(np.maximum(logp, _LOG_TINY)) * h)
+        return np.where(logp < _LOG_TINY, 0.0, np.exp(np.maximum(logp, _LOG_TINY)) * out)
 
     def reg_lower_gamma_arr(a, x):
         a = np.ascontiguousarray(a, dtype=np.float64)

@@ -68,6 +68,11 @@ def gamma_cdf(t, shape, scale):
 
     Any of the three arguments may be an ndarray; they broadcast together
     and an array comes back. All-scalar input returns a float.
+
+    Raises:
+        ConvergenceError: an evaluation needs more steps than the kernels'
+            iteration cap, as happens for shapes of about 1e4 and above with
+            t/scale near the shape.
     """
     if any(isinstance(v, np.ndarray) for v in (t, shape, scale)):
         t_b, a_b, s_b = np.broadcast_arrays(

@@ -11,7 +11,9 @@ probability at least rho_th. Two planners share one solver skeleton:
 
 Both scan a frequency grid for the lowest feasible cell and bisect the
 feasibility boundary; neither assumes the constraint is monotone in f, since
-polynomial shape/scale fits need not be.
+polynomial shape/scale fits need not be. The scan evaluates the whole grid
+as one array; each bisection probe is a single float, so it takes the
+scalar kernels, which cost far less than a one-element array call.
 """
 
 import math
@@ -124,20 +126,21 @@ def _check_common(n_img, rho_th, budget):
     return int(n_img), rho_th
 
 
-def _boundary_search(achieved_vec, rho_th: float, f_min_hz: float,
+def _boundary_search(achieved, rho_th: float, f_min_hz: float,
                      f_max_hz: float, grid_points: int,
                      what: str) -> FrequencySolution:
     """Lowest f in [f_min, f_max] with achieved(f) >= rho_th.
 
-    ``achieved_vec`` maps a 1-d frequency array to the reliability-like
-    score of each point. One vectorized pre-scan over the grid locates the
-    lowest feasible cell; bisection then pins the boundary. Feasibility is
-    never assumed monotone in f.
+    ``achieved`` maps a 1-d frequency array to the reliability-like score of
+    each point, and a float to the score of that point. One vectorized
+    pre-scan over the grid locates the lowest feasible cell; bisection with
+    float probes then pins the boundary. Feasibility is never assumed
+    monotone in f.
     """
     if not f_min_hz < f_max_hz:
         raise DomainError(f"need f_min < f_max, got [{f_min_hz!r}, {f_max_hz!r}]")
     grid = np.linspace(f_min_hz, f_max_hz, int(grid_points))
-    scores = np.asarray(achieved_vec(grid), dtype=np.float64)
+    scores = np.asarray(achieved(grid), dtype=np.float64)
     flags = scores >= rho_th
     feasible_idx = np.flatnonzero(flags)
     if feasible_idx.size == 0:
@@ -146,10 +149,6 @@ def _boundary_search(achieved_vec, rho_th: float, f_min_hz: float,
             achievable_reliability=float(scores[-1]))
     first = int(feasible_idx[0])
     non_monotone = not bool(flags[first:].all())
-
-    def achieved_scalar(f_hz: float) -> float:
-        return float(achieved_vec(np.array([f_hz], dtype=np.float64))[0])
-
     if first == 0:
         return FrequencySolution(frequency_hz=float(f_min_hz),
                                  predicted_reliability=float(scores[0]),
@@ -159,12 +158,12 @@ def _boundary_search(achieved_vec, rho_th: float, f_min_hz: float,
     tol = _BISECT_REL_TOL * (f_max_hz - f_min_hz)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if achieved_scalar(mid) >= rho_th:
+        if achieved(mid) >= rho_th:
             hi = mid
         else:
             lo = mid
     return FrequencySolution(frequency_hz=hi,
-                             predicted_reliability=achieved_scalar(hi),
+                             predicted_reliability=float(achieved(hi)),
                              non_monotone=non_monotone)
 
 
@@ -187,17 +186,24 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
     n_img, rho_th = _check_common(n_img, rho_th, budget)
     t_proc = budget.t_proc_s
 
-    def achieved_vec(f_arr: np.ndarray) -> np.ndarray:
-        shape = np.asarray(model.shape_at(f_arr), dtype=np.float64)
-        scale = np.asarray(model.scale_at(f_arr), dtype=np.float64)
+    def achieved(f_hz):
+        if not isinstance(f_hz, np.ndarray):
+            shape = float(model.shape_at(f_hz))
+            scale = float(model.scale_at(f_hz))
+            if not (math.isfinite(shape) and math.isfinite(scale)
+                    and shape > 0.0 and scale > 0.0):
+                return 0.0
+            return gamma_cdf(t_proc, n_img * shape, scale)
+        shape = np.asarray(model.shape_at(f_hz), dtype=np.float64)
+        scale = np.asarray(model.scale_at(f_hz), dtype=np.float64)
         ok = (np.isfinite(shape) & np.isfinite(scale)
               & (shape > 0.0) & (scale > 0.0))
-        out = np.zeros(f_arr.shape[0], dtype=np.float64)
+        out = np.zeros(f_hz.shape[0], dtype=np.float64)
         if ok.any():
             out[ok] = gamma_cdf(t_proc, n_img * shape[ok], scale[ok])
         return out
 
-    return _boundary_search(achieved_vec, rho_th, platform.f_min_hz,
+    return _boundary_search(achieved, rho_th, platform.f_min_hz,
                             platform.f_max_hz, grid_points,
                             "gamma quantile constraint")
 
@@ -216,18 +222,28 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
     n_img, rho_th = _check_common(n_img, rho_th, budget)
     t_proc = budget.t_proc_s
 
-    def achieved_vec(f_arr: np.ndarray) -> np.ndarray:
-        m = n_img * np.asarray(moments.mean_fn(f_arr), dtype=np.float64)
-        v = n_img * np.asarray(moments.variance_fn(f_arr), dtype=np.float64)
+    def achieved(f_hz):
+        if not isinstance(f_hz, np.ndarray):
+            m = n_img * float(moments.mean_fn(f_hz))
+            v = n_img * float(moments.variance_fn(f_hz))
+            slack = t_proc - m
+            if not (math.isfinite(m) and math.isfinite(v) and slack > 0.0
+                    and v >= 0.0):
+                return 0.0
+            if v == 0.0:
+                return 1.0  # variance-free mean-crossing limit
+            return 1.0 - v / (v + slack * slack)
+        m = n_img * np.asarray(moments.mean_fn(f_hz), dtype=np.float64)
+        v = n_img * np.asarray(moments.variance_fn(f_hz), dtype=np.float64)
         slack = t_proc - m
         ok = np.isfinite(m) & np.isfinite(v) & (slack > 0.0) & (v >= 0.0)
-        out = np.zeros(f_arr.shape[0], dtype=np.float64)
+        out = np.zeros(f_hz.shape[0], dtype=np.float64)
         pos = ok & (v > 0.0)
         out[pos] = 1.0 - v[pos] / (v[pos] + slack[pos] * slack[pos])
         out[ok & (v == 0.0)] = 1.0  # variance-free mean-crossing limit
         return out
 
-    return _boundary_search(achieved_vec, rho_th, platform.f_min_hz,
+    return _boundary_search(achieved, rho_th, platform.f_min_hz,
                             platform.f_max_hz, grid_points,
                             "cantelli moment bound")
 

@@ -1,12 +1,14 @@
 """Frequency planning: budget decomposition, the batch-quantile solver, the
 two-moment (Cantelli) benchmark, and pricing of either plan under the truth."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import satsched as ss
+from satsched import kernels
 from satsched.errors import (DomainError, InfeasibleBudgetError,
                              InfeasibleConstraintError)
 
@@ -289,6 +291,36 @@ def test_pricing_ignores_planner_model(gt_nano, nano, zenith_budget):
     assert sel.reliability == pytest.approx(
         float(ss.gamma_cdf(zenith_budget.t_proc_s, law.shape, law.scale)),
         rel=1e-12)
+
+
+def test_plan_kernel_work_gate(monkeypatch, gt_nano, nano, zenith_budget):
+    """Both planners read the pooled shapes on their pre-scan grid from the
+    ground truth and bisect with scalar kernels: no array shape solve, and
+    one array CDF call (the gamma pre-scan) for the pair of plans."""
+    calls = {"solve_gamma_shape_arr": 0, "reg_lower_gamma_arr": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(kernels, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    for method in ("gamma", "cantelli"):
+        sel = ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano)
+        assert sel.frequency_hz > nano.f_min_hz  # the bisection ran
+    assert calls["solve_gamma_shape_arr"] == 0
+    assert calls["reg_lower_gamma_arr"] <= 1
+
+
+def test_planner_grid_shapes_are_a_fresh_solve(gt_nano, nano):
+    grid = np.linspace(nano.f_min_hz, nano.f_max_hz, ss.scheduler.GRID_POINTS_DEFAULT)
+    assert np.array_equal(gt_nano.planner_grid_hz, grid)
+    assert gt_nano.shape_at(grid) is gt_nano.planner_grid_shapes
+    uncached = dataclasses.replace(gt_nano, planner_grid_hz=np.empty(0),
+                                   planner_grid_shapes=np.empty(0))
+    assert np.array_equal(gt_nano.planner_grid_shapes, uncached.shape_at(grid))
+    for arr in (gt_nano.planner_grid_hz, gt_nano.planner_grid_shapes):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
 
 
 def test_unknown_method_rejected(gt_nano, nano, zenith_budget):
