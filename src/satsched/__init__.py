@@ -5,11 +5,10 @@ under cubic DVFS power) GPU clock that still meets a probabilistic
 end-to-end latency deadline for on-board image processing, accounting for
 the radio legs: finite-blocklength ARQ uplink, optional inter-satellite
 relaying, and a deterministic downlink.
-
-Numeric hot paths compile with numba when it is installed; set
-SATSCHED_DISABLE_NUMBA=1 to force the pure-numpy fallback. ``BACKEND``
-names the active path.
 """
+
+# set before the submodules load: harness records it in every *_meta.json
+__version__ = "0.1.0"
 
 from .channel import (EARTH_RADIUS_M, SPEED_OF_LIGHT, IslPath, LinkGeometry,
                       LinkParams, OfdmGrid, db_to_linear,
@@ -34,7 +33,7 @@ from .harness import (CommLegs, GroundTruth, budget_from_legs, comm_legs,
                       fit_frequency_grid, fit_report, ground_truth_for,
                       ingest_samples_csv, run_fig3, run_fig4, run_fig5,
                       synthesize_ground_truth)
-from .kernels import BACKEND, NUMBA_ENABLED
+from .kernels import BACKEND
 from .numerics import (GammaFitResult, GammaLaw, Polynomial, fit_gamma_mle,
                        gamma_cdf, gamma_quantile, ks_statistic,
                        normal_quantile, polyfit, q_function, sample_gamma)
@@ -45,8 +44,6 @@ from .scheduler import (FrequencySolution, LatencyBudget, MomentModel,
                         PricedSelection, processing_budget, select_and_price,
                         solve_cantelli_frequency, solve_optimal_frequency)
 
-__version__ = "0.1.0"
-
 __all__ = [
     "AGX", "BACKEND", "BIT_GENERATORS", "BUILTIN_PLATFORMS", "CommLegs",
     "ConfigError", "ConvergenceError", "DEFAULT_CONFIG", "DomainError",
@@ -56,7 +53,7 @@ __all__ = [
     "InfeasibleConstraintError", "InfeasibleLinkError", "IslPath",
     "LatencyBudget", "LinkGeometry", "LinkParams", "MomentModel", "NANO",
     "NS_BATCH_SWEEP", "NS_ELEVATION_SWEEP", "NS_GROUND_TRUTH",
-    "NS_SUBSET_STUDY", "NUMBA_ENABLED", "OfdmGrid", "Platform", "Polynomial",
+    "NS_SUBSET_STUDY", "OfdmGrid", "Platform", "Polynomial",
     "PricedSelection", "SPEED_OF_LIGHT", "SatschedError", "Scenario",
     "SubsetReplicate", "SubsetStudyResult", "batch_law", "budget_from_legs",
     "child_seed", "comm_legs",

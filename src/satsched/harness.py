@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
+from . import __version__, kernels
 from .channel import (LinkGeometry, downlink_delay, expected_uplink_delay,
                       fbl_error_probability, isl_round_trip, slant_range, snr)
 from .compute import Platform
@@ -29,17 +29,6 @@ from .numerics import GammaLaw, ks_statistic
 from .rand import NS_GROUND_TRUTH, stream
 from .scheduler import (GRID_POINTS_DEFAULT, LatencyBudget, MomentModel,
                         processing_budget, select_and_price)
-
-try:
-    from importlib.metadata import PackageNotFoundError
-    from importlib.metadata import version as _dist_version
-
-    try:
-        _VERSION = _dist_version("satsched")
-    except PackageNotFoundError:
-        _VERSION = "unknown"
-except ImportError:
-    _VERSION = "unknown"
 
 _METHODS = ("gamma", "cantelli")
 
@@ -325,7 +314,7 @@ def _write_meta(path: str, figure: str, scenario: Scenario) -> str:
         "seed": scenario.seed,
         "bit_generator": scenario.bit_generator,
         "backend": kernels.BACKEND,
-        "package_version": _VERSION,
+        "package_version": __version__,
         "config": scenario.raw,
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:

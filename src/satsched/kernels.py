@@ -1,17 +1,15 @@
-"""Low-level numeric kernels with optional JIT compilation.
+"""Low-level numeric kernels on plain Python floats and numpy arrays.
 
-The hot loops (regularized incomplete gamma, digamma-family Newton solves,
-quantile inversion) run either as numba-compiled machine code or as the same
-algorithms on plain numpy, selected once at import time:
+The hot loops are the regularized incomplete gamma, the digamma-family
+Newton solve for the pooled Gamma shape, and quantile inversion. Each has a
+scalar kernel for single evaluations and, where the planner batches, an
+array variant; a one-lane array call would cost about a hundred times more
+than the scalar kernel.
 
-* numba importable and ``SATSCHED_DISABLE_NUMBA`` unset -> "numba" backend
-* otherwise -> "numpy" backend
-
-Array variants in the numpy backend iterate all lanes together and drop each
-lane from the working arrays once it converges; a lane's own arithmetic is
-the one it would follow alone, so results do not depend on which other
-lanes share the call. The scalar kernels serve single evaluations, where a
-one-lane array call would cost about a hundred times more.
+Array variants iterate all lanes together and drop each lane from the
+working arrays once it converges; a lane's own arithmetic is the one it
+would follow alone, so results do not depend on which other lanes share the
+call.
 
 The incomplete-gamma kernels raise :class:`~satsched.errors.ConvergenceError`
 when an evaluation uses up ``_MAX_ITER`` steps, instead of returning the
@@ -22,22 +20,12 @@ in :mod:`satsched.numerics`; kernels assume in-domain inputs.
 """
 
 import math
-import os
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-try:
-    from numba import njit as _numba_njit
-
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-_DISABLE = os.environ.get("SATSCHED_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-NUMBA_ENABLED = _HAVE_NUMBA and not _DISABLE
-BACKEND = "numba" if NUMBA_ENABLED else "numpy"
+BACKEND = "numpy"
 
 _MAX_ITER = 600
 _CONV_EPS = 1e-16
@@ -49,19 +37,11 @@ _CDF_CAP_MSG = "incomplete gamma did not converge within the iteration cap"
 _lgamma_vec = np.vectorize(math.lgamma, otypes=[np.float64])
 
 
-def _jit(fn):
-    if NUMBA_ENABLED:
-        return _numba_njit(cache=True, nogil=True)(fn)
-    return fn
-
-
-@_jit
 def q_func(x: float) -> float:
     # Gaussian tail probability P(Z > x)
     return 0.5 * math.erfc(x * _INV_SQRT2)
 
 
-@_jit
 def norm_ppf_approx(p: float) -> float:
     # Acklam rational approximation to the standard normal quantile.
     # |relative error| < 1.2e-9; callers polish when they need more.
@@ -93,7 +73,6 @@ def norm_ppf_approx(p: float) -> float:
                + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0)
 
 
-@_jit
 def reg_lower_gamma(a: float, x: float) -> float:
     # Regularized lower incomplete gamma P(a, x).
     # Power series for x < a + 1, Lentz continued fraction otherwise.
@@ -152,7 +131,6 @@ def reg_lower_gamma(a: float, x: float) -> float:
     return p
 
 
-@_jit
 def digamma(x: float) -> float:
     # recurrence up to x >= 10, then the asymptotic series
     r = 0.0
@@ -164,7 +142,6 @@ def digamma(x: float) -> float:
         1.0 / 12.0 - f * (1.0 / 120.0 - f * (1.0 / 252.0 - f * (1.0 / 240.0 - f * (1.0 / 132.0)))))
 
 
-@_jit
 def trigamma(x: float) -> float:
     r = 0.0
     while x < 15.0:
@@ -175,7 +152,6 @@ def trigamma(x: float) -> float:
         0.5 + (1.0 / x) * (1.0 / 6.0 - f * (1.0 / 30.0 - f * (1.0 / 42.0 - f * (1.0 / 30.0)))))
 
 
-@_jit
 def solve_gamma_shape(s: float):
     # Solve ln(a) - digamma(a) = s for a > 0 (s > 0).
     # Returns (shape, iterations, converged 0/1).
@@ -196,7 +172,6 @@ def solve_gamma_shape(s: float):
     return a, 100, 0
 
 
-@_jit
 def gamma_quantile_unit(p: float, a: float) -> float:
     # Inverse of P(a, .) at probability p, unit scale.
     # Wilson-Hilferty start, bracketed Newton afterwards.
@@ -242,150 +217,132 @@ def gamma_quantile_unit(p: float, a: float) -> float:
 # array variants
 
 
-if NUMBA_ENABLED:
-
-    @_numba_njit(cache=True, nogil=True)
-    def reg_lower_gamma_arr(a, x):
-        out = np.empty(a.shape[0], dtype=np.float64)
-        for i in range(a.shape[0]):
-            out[i] = reg_lower_gamma(a[i], x[i])
-        return out
-
-    @_numba_njit(cache=True, nogil=True)
-    def digamma_arr(x):
-        out = np.empty(x.shape[0], dtype=np.float64)
-        for i in range(x.shape[0]):
-            out[i] = digamma(x[i])
-        return out
-
-    @_numba_njit(cache=True, nogil=True)
-    def solve_gamma_shape_arr(s):
-        out = np.empty(s.shape[0], dtype=np.float64)
-        ok = np.empty(s.shape[0], dtype=np.bool_)
-        for i in range(s.shape[0]):
-            a, _, conv = solve_gamma_shape(s[i])
-            out[i] = a
-            ok[i] = conv == 1
-        return out, ok
-
-else:
-
-    def _series_lanes(a, x):
-        # idx maps the working arrays back to lanes; a lane leaves them on
-        # the step it converges
-        out = np.empty(a.shape[0], dtype=np.float64)
-        idx = np.arange(a.shape[0])
-        xw = x
-        ap = a.copy()
-        term = 1.0 / a
-        total = term.copy()
-        for _ in range(_MAX_ITER):
-            ap += 1.0
-            term = term * (xw / ap)
-            total += term
-            done = np.abs(term) < np.abs(total) * _CONV_EPS
-            if done.any():
-                out[idx[done]] = total[done]
-                keep = ~done
-                idx, xw, ap, term, total = (idx[keep], xw[keep], ap[keep],
-                                            term[keep], total[keep])
-                if idx.size == 0:
-                    break
-        else:
-            raise ConvergenceError(_CDF_CAP_MSG)
-        logp = a * np.log(x) - x - _lgamma_vec(a)
-        val = np.where(logp < _LOG_TINY, 0.0, out * np.exp(np.maximum(logp, _LOG_TINY)))
-        return np.minimum(val, 1.0)
-
-    def _cf_lanes(a, x):
-        out = np.empty(a.shape[0], dtype=np.float64)
-        idx = np.arange(a.shape[0])
-        aw = a
-        b = x + 1.0 - a
-        c = np.full(a.shape[0], 1.0 / _FPMIN)
-        d = 1.0 / b
-        h = d.copy()
-        for i in range(1, _MAX_ITER + 1):
-            an = -float(i) * (float(i) - aw)
-            b = b + 2.0
-            d = an * d + b
-            d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-            c = b + an / c
-            c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-            d = 1.0 / d
-            delta = d * c
-            h = h * delta
-            done = np.abs(delta - 1.0) < _CONV_EPS
-            if done.any():
-                out[idx[done]] = h[done]
-                keep = ~done
-                idx, aw, b, c, d, h = (idx[keep], aw[keep], b[keep], c[keep],
-                                       d[keep], h[keep])
-                if idx.size == 0:
-                    break
-        else:
-            raise ConvergenceError(_CDF_CAP_MSG)
-        logp = a * np.log(x) - x - _lgamma_vec(a)
-        return np.where(logp < _LOG_TINY, 0.0, np.exp(np.maximum(logp, _LOG_TINY)) * out)
-
-    def reg_lower_gamma_arr(a, x):
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        out = np.zeros(a.shape[0], dtype=np.float64)
-        pos = x > 0.0
-        ser = pos & (x < a + 1.0)
-        if ser.any():
-            out[ser] = _series_lanes(a[ser], x[ser])
-        cfm = pos & ~ser
-        if cfm.any():
-            q = _cf_lanes(a[cfm], x[cfm])
-            out[cfm] = np.clip(1.0 - q, 0.0, 1.0)
-        return out
-
-    def digamma_arr(x):
-        x = np.array(x, dtype=np.float64, copy=True)
-        r = np.zeros_like(x)
-        m = x < 10.0
-        while m.any():
-            r[m] -= 1.0 / x[m]
-            x[m] += 1.0
-            m = x < 10.0
-        f = 1.0 / (x * x)
-        return r + np.log(x) - 0.5 / x - f * (
-            1.0 / 12.0 - f * (1.0 / 120.0 - f * (1.0 / 252.0 - f * (1.0 / 240.0 - f * (1.0 / 132.0)))))
-
-    def _trigamma_arr(x):
-        x = np.array(x, dtype=np.float64, copy=True)
-        r = np.zeros_like(x)
-        m = x < 15.0
-        while m.any():
-            r[m] += 1.0 / (x[m] * x[m])
-            x[m] += 1.0
-            m = x < 15.0
-        f = 1.0 / (x * x)
-        return r + 1.0 / x + f * (
-            0.5 + (1.0 / x) * (1.0 / 6.0 - f * (1.0 / 30.0 - f * (1.0 / 42.0 - f * (1.0 / 30.0)))))
-
-    def solve_gamma_shape_arr(s):
-        s = np.ascontiguousarray(s, dtype=np.float64)
-        a = (3.0 - s + np.sqrt((s - 3.0) * (s - 3.0) + 24.0 * s)) / (12.0 * s)
-        a = np.where(a <= 0.0, 1e-8, a)
-        conv = np.zeros(s.shape[0], dtype=bool)
-        for _ in range(100):
-            h = np.log(a) - digamma_arr(a) - s
-            conv |= np.abs(h) < 1e-12
-            active = ~conv
-            if not active.any():
+def _series_lanes(a, x):
+    # idx maps the working arrays back to lanes; a lane leaves them on
+    # the step it converges
+    out = np.empty(a.shape[0], dtype=np.float64)
+    idx = np.arange(a.shape[0])
+    xw = x
+    ap = a.copy()
+    term = 1.0 / a
+    total = term.copy()
+    for _ in range(_MAX_ITER):
+        ap += 1.0
+        term = term * (xw / ap)
+        total += term
+        done = np.abs(term) < np.abs(total) * _CONV_EPS
+        if done.any():
+            out[idx[done]] = total[done]
+            keep = ~done
+            idx, xw, ap, term, total = (idx[keep], xw[keep], ap[keep],
+                                        term[keep], total[keep])
+            if idx.size == 0:
                 break
-            hp = 1.0 / a - _trigamma_arr(a)
-            a_new = a - h / hp
-            a_new = np.where(a_new <= 0.0, 0.5 * a, a_new)
-            a = np.where(active, a_new, a)
-        return a, conv
+    else:
+        raise ConvergenceError(_CDF_CAP_MSG)
+    logp = a * np.log(x) - x - _lgamma_vec(a)
+    val = np.where(logp < _LOG_TINY, 0.0, out * np.exp(np.maximum(logp, _LOG_TINY)))
+    return np.minimum(val, 1.0)
+
+
+def _cf_lanes(a, x):
+    out = np.empty(a.shape[0], dtype=np.float64)
+    idx = np.arange(a.shape[0])
+    aw = a
+    b = x + 1.0 - a
+    c = np.full(a.shape[0], 1.0 / _FPMIN)
+    d = 1.0 / b
+    h = d.copy()
+    for i in range(1, _MAX_ITER + 1):
+        an = -float(i) * (float(i) - aw)
+        b = b + 2.0
+        d = an * d + b
+        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
+        c = b + an / c
+        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
+        d = 1.0 / d
+        delta = d * c
+        h = h * delta
+        done = np.abs(delta - 1.0) < _CONV_EPS
+        if done.any():
+            out[idx[done]] = h[done]
+            keep = ~done
+            idx, aw, b, c, d, h = (idx[keep], aw[keep], b[keep], c[keep],
+                                   d[keep], h[keep])
+            if idx.size == 0:
+                break
+    else:
+        raise ConvergenceError(_CDF_CAP_MSG)
+    logp = a * np.log(x) - x - _lgamma_vec(a)
+    return np.where(logp < _LOG_TINY, 0.0, np.exp(np.maximum(logp, _LOG_TINY)) * out)
+
+
+def reg_lower_gamma_arr(a, x):
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    out = np.zeros(a.shape[0], dtype=np.float64)
+    pos = x > 0.0
+    ser = pos & (x < a + 1.0)
+    if ser.any():
+        out[ser] = _series_lanes(a[ser], x[ser])
+    cfm = pos & ~ser
+    if cfm.any():
+        q = _cf_lanes(a[cfm], x[cfm])
+        out[cfm] = np.clip(1.0 - q, 0.0, 1.0)
+    return out
+
+
+def digamma_arr(x):
+    x = np.array(x, dtype=np.float64, copy=True)
+    r = np.zeros_like(x)
+    m = x < 10.0
+    while m.any():
+        r[m] -= 1.0 / x[m]
+        x[m] += 1.0
+        m = x < 10.0
+    f = 1.0 / (x * x)
+    return r + np.log(x) - 0.5 / x - f * (
+        1.0 / 12.0 - f * (1.0 / 120.0 - f * (1.0 / 252.0 - f * (1.0 / 240.0 - f * (1.0 / 132.0)))))
+
+
+def _trigamma_arr(x):
+    x = np.array(x, dtype=np.float64, copy=True)
+    r = np.zeros_like(x)
+    m = x < 15.0
+    while m.any():
+        r[m] += 1.0 / (x[m] * x[m])
+        x[m] += 1.0
+        m = x < 15.0
+    f = 1.0 / (x * x)
+    return r + 1.0 / x + f * (
+        0.5 + (1.0 / x) * (1.0 / 6.0 - f * (1.0 / 30.0 - f * (1.0 / 42.0 - f * (1.0 / 30.0)))))
+
+
+def solve_gamma_shape_arr(s):
+    s = np.ascontiguousarray(s, dtype=np.float64)
+    a = (3.0 - s + np.sqrt((s - 3.0) * (s - 3.0) + 24.0 * s)) / (12.0 * s)
+    a = np.where(a <= 0.0, 1e-8, a)
+    conv = np.zeros(s.shape[0], dtype=bool)
+    for _ in range(100):
+        h = np.log(a) - digamma_arr(a) - s
+        conv |= np.abs(h) < 1e-12
+        active = ~conv
+        if not active.any():
+            break
+        hp = 1.0 / a - _trigamma_arr(a)
+        a_new = a - h / hp
+        a_new = np.where(a_new <= 0.0, 0.5 * a, a_new)
+        a = np.where(active, a_new, a)
+    return a, conv
 
 
 def warm_up() -> None:
-    """Trigger JIT compilation of every kernel (no-op on the numpy path)."""
+    """Call every kernel once on small in-domain inputs.
+
+    Callers that time steady-state work call it first, so first calls fall
+    outside their timed loop; the kernels keep no state, so it changes no
+    later result.
+    """
     reg_lower_gamma(2.0, 1.0)
     reg_lower_gamma(2.0, 5.0)
     digamma(1.5)

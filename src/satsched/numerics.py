@@ -2,8 +2,7 @@
 
 This module is domain-free: it knows nothing about links, GPUs, or deadlines.
 Everything downstream (channel, compute, estimation, scheduler) builds on the
-functions here. Heavy inner loops are delegated to :mod:`satsched.kernels`,
-which compiles them with numba when available.
+functions here. Heavy inner loops are delegated to :mod:`satsched.kernels`.
 """
 
 import math

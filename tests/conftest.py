@@ -1,4 +1,4 @@
-"""Shared fixtures: warmed kernels, default scenario, ground truths.
+"""Shared fixtures: default scenario, ground truths, subset studies.
 
 Session-scoped so the synthetic ground truths and the zenith budget are
 built once; every value derived from them is deterministic (fixed seed in
@@ -8,14 +8,6 @@ the default config).
 import pytest
 
 import satsched as ss
-from satsched import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # first call into a numba kernel pays the JIT/cache-load cost; do it
-    # here so per-test wall-clock budgets measure steady state
-    kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

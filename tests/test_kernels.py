@@ -73,8 +73,6 @@ def _reg_lower_gamma_frozen(a, x):
     return out
 
 
-@pytest.mark.skipif(kernels.BACKEND != "numpy",
-                    reason="lane compaction is the numpy backend's")
 def test_compacted_lanes_match_lane_frozen_reference():
     rng = np.random.default_rng(20260816)
     n = 4000
