@@ -213,9 +213,6 @@ class UplinkDelayPmf:
     probabilities: np.ndarray
     truncated_mass: float
 
-    def atoms(self):
-        return list(zip(self.delays.tolist(), self.probabilities.tolist()))
-
 
 def uplink_delay_pmf(grid: OfdmGrid, eps: float, d_m: float,
                      max_attempts: int = 10_000) -> UplinkDelayPmf:

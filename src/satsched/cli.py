@@ -34,22 +34,33 @@ EXIT_INFEASIBLE = 2
 EXIT_NUMERICAL = 3
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # shared flags live on a parent so they parse before or after the
-    # subcommand name
+def _shared_flags(defaults: bool) -> argparse.ArgumentParser:
+    # the subcommands' copy has no defaults (SUPPRESS), so a flag given
+    # before the subcommand name is not overwritten by the copy's default
+    def default(value):
+        return value if defaults else argparse.SUPPRESS
+
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
+    common.add_argument("--config", metavar="PATH", default=default(None),
                         help="JSON config; defaults apply where omitted")
     common.add_argument("--seed", type=int, metavar="U64",
+                        default=default(None),
                         help="override experiment.seed")
-    common.add_argument("--out", metavar="DIR", default=".",
+    common.add_argument("--out", metavar="DIR", default=default("."),
                         help="output directory (default: current)")
-    common.add_argument("--format", choices=["csv"], default="csv",
+    common.add_argument("--format", choices=["csv"], default=default("csv"),
                         help="output format for experiment tables")
+    return common
+
+
+def build_parser() -> argparse.ArgumentParser:
+    # shared flags parse before or after the subcommand name; given on both
+    # sides, the one after it wins
+    common = _shared_flags(defaults=False)
 
     parser = argparse.ArgumentParser(
         prog="satsched",
-        parents=[common],
+        parents=[_shared_flags(defaults=True)],
         description="Energy-minimal GPU frequency planning for on-board "
                     "satellite image processing under a probabilistic "
                     "end-to-end deadline.")

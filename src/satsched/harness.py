@@ -10,6 +10,7 @@ re-running a figure with the same seed yields byte-identical files.
 """
 
 import csv
+import functools
 import json
 import math
 import os
@@ -31,6 +32,18 @@ from .scheduler import (GRID_POINTS_DEFAULT, LatencyBudget, MomentModel,
                         processing_budget, select_and_price)
 
 _METHODS = ("gamma", "cantelli")
+
+
+@functools.lru_cache(maxsize=256)
+def _pooled_shape(image_shape: float, gap: float) -> float:
+    # one scalar pooled-shape solve; a bisection probe asks for the shape
+    # and the scale (and the moments for mean and variance) at one clock,
+    # so the cache lets them share it
+    s = math.log(image_shape) - kernels.digamma(image_shape) + gap
+    solved, _, ok = kernels.solve_gamma_shape(s)
+    if not ok:
+        raise EstimationError("pooled-shape solve failed to converge")
+    return solved
 
 
 @dataclass(frozen=True)
@@ -131,11 +144,7 @@ class GroundTruth:
             if not np.all(conv):
                 raise EstimationError("pooled-shape solve failed to converge")
             return solved.reshape(ab.shape)
-        s = math.log(ab) - kernels.digamma(float(ab)) + gap
-        solved, _, ok = kernels.solve_gamma_shape(s)
-        if not ok:
-            raise EstimationError("pooled-shape solve failed to converge")
-        return solved
+        return _pooled_shape(float(ab), gap)
 
     def scale_at(self, f_hz):
         """Pooled-fit scale, fixed so the pooled mean is exact."""

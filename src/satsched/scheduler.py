@@ -14,6 +14,13 @@ feasibility boundary; neither assumes the constraint is monotone in f, since
 polynomial shape/scale fits need not be. The scan evaluates the whole grid
 as one array; each bisection probe is a single float, so it takes the
 scalar kernels, which cost far less than a one-element array call.
+
+The scan needs one flag per grid point (score >= rho_th), plus the scores
+of the two end points, which errors and solutions report. The Gamma
+planner's scan therefore screens first: a closed-form bracket of the CDF
+settles most points, which get the stand-in score 1.0 or 0.0, and only the
+points in doubt and the end points get the exact CDF. Bisection probes and
+the reported reliability are always exact.
 """
 
 import math
@@ -22,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .compute import Platform, batch_law, energy
 from .errors import (DomainError, InfeasibleBudgetError,
                      InfeasibleConstraintError)
@@ -31,6 +39,9 @@ GRID_POINTS_DEFAULT = 2048
 # bisection stops when the bracket shrinks below this fraction of the span;
 # well under the 1e-4-span tightness that callers verify
 _BISECT_REL_TOL = 1e-9
+# a closed-form bracket settles a pre-scan lane only when it clears rho_th by
+# this much, far above the rounding of the bracket and of the exact CDF
+_SCREEN_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -136,6 +147,11 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
     pre-scan over the grid locates the lowest feasible cell; bisection with
     float probes then pins the boundary. Feasibility is never assumed
     monotone in f.
+
+    Array scores need only be exact at the two end points; elsewhere a
+    stand-in on the right side of rho_th will do. So the returned
+    reliability is the last feasible probe's score, or a fresh float
+    evaluation when bisection never moved the feasible end.
     """
     if not f_min_hz < f_max_hz:
         raise DomainError(f"need f_min < f_max, got [{f_min_hz!r}, {f_max_hz!r}]")
@@ -155,16 +171,42 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
                                  non_monotone=non_monotone)
     lo = float(grid[first - 1])  # infeasible
     hi = float(grid[first])      # feasible
+    hi_score = None  # the pre-scan score at hi may be a stand-in
     tol = _BISECT_REL_TOL * (f_max_hz - f_min_hz)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if achieved(mid) >= rho_th:
-            hi = mid
+        score = achieved(mid)
+        if score >= rho_th:
+            hi, hi_score = mid, score
         else:
             lo = mid
+    if hi_score is None:
+        hi_score = achieved(hi)
     return FrequencySolution(frequency_hz=hi,
-                             predicted_reliability=float(achieved(hi)),
+                             predicted_reliability=float(hi_score),
                              non_monotone=non_monotone)
+
+
+def _screened_cdf(t_proc: float, shape, scale, rho_th: float):
+    """Batch CDF at t_proc per lane where it decides the flag CDF >= rho_th.
+
+    A closed-form bracket of each lane's CDF
+    (:func:`~satsched.kernels.reg_lower_gamma_bounds`) settles most lanes:
+    one whose lower bound is at least rho_th + _SCREEN_MARGIN gets the
+    stand-in score 1.0, one whose upper bound is below rho_th - margin gets
+    0.0. The other lanes, lanes with shape < 1, and the first and last lane
+    get the exact CDF. So ``scores >= rho_th`` equals the exact flags on
+    every lane, and only the end lanes' scores are exact values for sure.
+    """
+    lo, hi = kernels.reg_lower_gamma_bounds(shape, t_proc / scale)
+    sure_in = lo >= rho_th + _SCREEN_MARGIN
+    sure_out = hi < rho_th - _SCREEN_MARGIN
+    doubt = ~(sure_in | sure_out)
+    doubt[0] = doubt[-1] = True
+    out = np.where(sure_in, 1.0, 0.0)
+    if doubt.any():
+        out[doubt] = gamma_cdf(t_proc, shape[doubt], scale[doubt])
+    return out
 
 
 def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
@@ -178,6 +220,11 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
     CDF(t_proc) >= rho_th under that batch law. Frequencies where the model
     evaluates to nonpositive parameters count as infeasible rather than
     erroring, so damaged fits degrade gracefully.
+
+    The grid pre-scan scores points with :func:`_screened_cdf`: a point
+    whose CDF bracket clears rho_th gets the stand-in score 1.0 or 0.0, the
+    rest the exact CDF. The flags, and so the answer, are those of the
+    exact CDF on every point.
 
     Raises:
         InfeasibleConstraintError: even f_max misses the quantile; the error
@@ -200,7 +247,8 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
               & (shape > 0.0) & (scale > 0.0))
         out = np.zeros(f_hz.shape[0], dtype=np.float64)
         if ok.any():
-            out[ok] = gamma_cdf(t_proc, n_img * shape[ok], scale[ok])
+            out[ok] = _screened_cdf(t_proc, n_img * shape[ok], scale[ok],
+                                    rho_th)
         return out
 
     return _boundary_search(achieved, rho_th, platform.f_min_hz,

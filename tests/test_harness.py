@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import satsched as ss
+from satsched import cli, kernels
 from satsched.errors import DomainError, InfeasibleBudgetError
 
 _CLI = "import sys; from satsched.cli import main; sys.exit(main())"
@@ -243,6 +244,26 @@ def test_fig3_reruns_byte_identical(reduced_scenario, tmp_path):
         lo, hi = float(r[5]), float(r[6])
         assert lo <= float(r[2]) <= hi  # mean between min and max
         assert lo <= float(r[3]) <= float(r[4]) <= hi
+
+
+def test_fig3_exact_cdf_lanes_gate(monkeypatch, tmp_path):
+    """The pre-scan screen leaves few exact CDF lanes per fitted-model plan
+    (2048 per replicate without it); reduced k_replicates, full ladder."""
+    lanes = []
+    arr_cdf = kernels.reg_lower_gamma_arr
+
+    def counted(a, x):
+        lanes.append(a.shape[0])
+        return arr_cdf(a, x)
+
+    monkeypatch.setattr(kernels, "reg_lower_gamma_arr", counted)
+    scenario = ss.resolve(ss.merge_config(
+        {"experiment": {"fig3": {"k_replicates": 2}}}))
+    out = ss.run_fig3(scenario, str(tmp_path))
+    replicates = sum(len(res.replicates) for study in out["results"].values()
+                     for res in study)
+    assert replicates == 2 * len(scenario.fig3_sample_sizes) * 2
+    assert sum(lanes) / replicates <= 64
 
 
 def test_meta_sidecar_is_self_describing(reduced_scenario, tmp_path):
@@ -517,3 +538,58 @@ def test_cli_fig3_writes_outputs(tmp_path):
     assert (out_dir / "fig3_replicates.csv").exists()
     assert (out_dir / "fig3_summary.csv").exists()
     assert (out_dir / "fig3_meta.json").exists()
+
+
+def test_cli_shared_flags_parse_on_either_side(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": {"t_e2e_s": 0.6}}\n')
+    shared = ["--config", str(cfg), "--seed", "9"]
+    parser = cli.build_parser()
+    before = parser.parse_args(shared + ["--out", "d", "fig4"])
+    after = parser.parse_args(["fig4"] + shared + ["--out", "d"])
+    assert vars(before) == vars(after)
+    assert (before.config, before.seed, before.out) == (str(cfg), 9, "d")
+
+    outs = []
+    for side, argv in (("before", shared + ["--out", "before", "fig4"]),
+                       ("after", ["fig4"] + shared + ["--out", "after"])):
+        res = _run_cli(*argv, cwd=str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        outs.append(tmp_path / side)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "fig4.csv" in names
+    _, mismatch, errors = filecmp.cmpfiles(outs[0], outs[1], names,
+                                           shallow=False)
+    assert not mismatch and not errors
+    meta = json.loads((outs[0] / "fig4_meta.json").read_text())
+    assert meta["seed"] == 9
+    assert meta["config"]["experiment"]["t_e2e_s"] == 0.6
+
+
+def test_cli_plan_at_large_batch_shape(tmp_path):
+    """Grid shapes of about 1e6: the screen settles the lanes near x = a that
+    the exact kernel cannot evaluate, and the plan is tight under scipy."""
+    special = pytest.importorskip("scipy.special")
+    user = {"experiment": {"ground_truth": {"cv": 0.002, "image_sigma": 0}}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(user))
+    res = _run_cli("plan", "--config", str(cfg), "--platform", "agx",
+                   "--n-img", "8", cwd=str(tmp_path))
+    assert res.returncode == 0, res.stderr
+
+    scenario = ss.resolve(ss.merge_config(user))
+    agx = scenario.platform_named("agx")
+    gt = ss.ground_truth_for(scenario, 1)
+    budget = ss.budget_from_legs(scenario,
+                                 ss.comm_legs(scenario, scenario.elevation_deg))
+    sel = ss.select_and_price("gamma", gt, budget, 8, scenario.rho_th, agx)
+    assert f"{sel.frequency_hz / 1e9:.6f}" in res.stdout
+
+    def reliability(f_hz):
+        return special.gammainc(8 * gt.shape_at(f_hz),
+                                budget.t_proc_s / gt.scale_at(f_hz))
+
+    assert reliability(sel.frequency_hz) >= scenario.rho_th
+    delta = 1e-4 * (agx.f_max_hz - agx.f_min_hz)
+    assert reliability(sel.frequency_hz - delta) < scenario.rho_th

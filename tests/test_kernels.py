@@ -1,4 +1,5 @@
-"""Incomplete-gamma kernels: lane compaction, iteration cap, large shapes.
+"""Incomplete-gamma kernels: lane compaction, iteration cap, large shapes,
+and the closed-form bracket of the planner's pre-scan screen.
 
 The lane-frozen reference below is the numpy array kernel as it was before
 converged lanes were dropped from the working arrays: every lane stays in
@@ -110,3 +111,30 @@ def test_large_shape_matches_mpmath(as_array, x):
         want = float(mpmath.gammainc(3000, 0, x, regularized=True))
     got = ss.gamma_cdf(np.array([x]) if as_array else x, 3000.0, 1.0)
     assert abs(float(np.asarray(got).ravel()[0]) - want) < 1e-12
+
+
+# ---------------------------------------------------------------- bracket
+
+# the bracket's own float rounding near 1 (a few ulps); the planner's screen
+# clears rho_th by 1e-9, far above it
+_BRACKET_ROUNDING = 1e-15
+
+
+def test_bracket_holds_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261018)
+    a = np.exp(rng.uniform(0.0, math.log(1e5), 120))
+    a[:2] = (1.0, 1e5)
+    x = np.maximum(a + rng.uniform(-8.0, 8.0, a.size) * np.sqrt(a), 1e-3)
+    lo, hi = kernels.reg_lower_gamma_bounds(a, x)
+    assert np.all(lo <= hi)
+    with mpmath.workdps(50):
+        for ai, xi, li, ui in zip(a, x, lo, hi):
+            p = float(mpmath.gammainc(ai, 0, xi, regularized=True))
+            assert li - _BRACKET_ROUNDING <= p <= ui + _BRACKET_ROUNDING, (ai, xi)
+
+
+def test_bracket_is_trivial_below_shape_one():
+    lo, hi = kernels.reg_lower_gamma_bounds(np.array([0.3, 0.99]),
+                                            np.array([0.5, 5.0]))
+    assert np.array_equal(lo, [0.0, 0.0]) and np.array_equal(hi, [1.0, 1.0])

@@ -326,3 +326,96 @@ def test_planner_grid_shapes_are_a_fresh_solve(gt_nano, nano):
 def test_unknown_method_rejected(gt_nano, nano, zenith_budget):
     with pytest.raises(DomainError):
         ss.select_and_price("median", gt_nano, zenith_budget, 2, RHO, nano)
+
+
+# ---------------------------------------------------------------- pre-scan screen
+
+def test_screened_flags_equal_exact_flags():
+    """Over random lanes, the screened scores give the exact CDF's flags;
+    settled lanes carry the stand-ins 1.0 / 0.0 and both end lanes the
+    exact CDF. A fifth of the lanes sit within 1e-12 of the rho_th quantile."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(80):
+        n = 128
+        rho_th = rng.uniform(0.01, 0.99)
+        t_proc = rng.uniform(0.05, 2.0)
+        shape = np.exp(rng.uniform(math.log(0.3), math.log(3000.0), n))
+        x = shape + rng.uniform(-6.0, 6.0, n) * np.sqrt(shape)
+        edge = rng.random(n) < 0.2
+        x[edge] = [kernels.gamma_quantile_unit(rho_th, a) * (1.0 + e)
+                   for a, e in zip(shape[edge],
+                                   rng.uniform(-1e-12, 1e-12, edge.sum()))]
+        scale = t_proc / np.maximum(x, 1e-6)
+        exact = ss.gamma_cdf(t_proc, shape, scale)
+        screened = ss.scheduler._screened_cdf(t_proc, shape, scale, rho_th)
+        assert np.array_equal(screened >= rho_th, exact >= rho_th)
+        stand_in = screened != exact
+        assert np.all((screened[stand_in] == 0.0) | (screened[stand_in] == 1.0))
+        assert screened[0] == exact[0] and screened[-1] == exact[-1]
+
+
+@pytest.mark.parametrize("offset,settled", [(0.5e-9, False), (2e-9, True)])
+def test_screen_settles_only_past_the_margin(monkeypatch, offset, settled):
+    # a bracket whose lower end clears rho_th by less than 1e-9 settles
+    # nothing; by more, every lane but the two end lanes
+    rho_th = 0.95
+    monkeypatch.setattr(kernels, "reg_lower_gamma_bounds",
+                        lambda a, x: (np.full(a.shape, rho_th + offset),
+                                      np.ones(a.shape)))
+    shape = np.full(6, 50.0)
+    scale = np.linspace(0.8, 1.2, 6) / 50.0
+    exact = ss.gamma_cdf(1.0, shape, scale)
+    screened = ss.scheduler._screened_cdf(1.0, shape, scale, rho_th)
+    want = exact.copy()
+    if settled:
+        want[1:-1] = 1.0
+    assert np.array_equal(screened, want)
+
+
+def _count_plan_work(monkeypatch):
+    """Count array CDF lanes, scalar pooled-shape solves and bisection
+    probes (scalar score calls) from here on."""
+    counts = {"cdf_lanes": 0, "shape_solves": 0, "probes": 0}
+    arr_cdf = kernels.reg_lower_gamma_arr
+    solve = kernels.solve_gamma_shape
+    search = ss.scheduler._boundary_search
+
+    def counted_cdf(a, x):
+        counts["cdf_lanes"] += a.shape[0]
+        return arr_cdf(a, x)
+
+    def counted_solve(s):
+        counts["shape_solves"] += 1
+        return solve(s)
+
+    def counted_search(achieved, *args, **kwargs):
+        def score(f_hz):
+            if not isinstance(f_hz, np.ndarray):
+                counts["probes"] += 1
+            return achieved(f_hz)
+        return search(score, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "reg_lower_gamma_arr", counted_cdf)
+    monkeypatch.setattr(kernels, "solve_gamma_shape", counted_solve)
+    monkeypatch.setattr(ss.scheduler, "_boundary_search", counted_search)
+    ss.harness._pooled_shape.cache_clear()
+    return counts
+
+
+def test_prescan_exact_lane_gate(monkeypatch, gt_nano, nano, zenith_budget):
+    counts = _count_plan_work(monkeypatch)
+    sel = ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano)
+    assert sel.frequency_hz > nano.f_min_hz
+    assert 2 <= counts["cdf_lanes"] <= 64
+
+
+@pytest.mark.parametrize("method", ["gamma", "cantelli"])
+def test_one_shape_solve_per_probe_gate(monkeypatch, method, gt_nano, nano,
+                                        zenith_budget):
+    """Shape, scale, mean and variance at one probe share one solve, and
+    pricing reuses the solve of the returned clock."""
+    counts = _count_plan_work(monkeypatch)
+    sel = ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano)
+    assert sel.frequency_hz > nano.f_min_hz
+    assert counts["probes"] >= 10
+    assert counts["shape_solves"] <= counts["probes"] + 2
