@@ -37,9 +37,8 @@ from .kernels import BACKEND
 from .numerics import (GammaFitResult, GammaLaw, Polynomial, fit_gamma_mle,
                        gamma_cdf, gamma_quantile, ks_statistic,
                        normal_quantile, polyfit, q_function, sample_gamma)
-from .rand import (BIT_GENERATORS, NS_BATCH_SWEEP, NS_ELEVATION_SWEEP,
-                   NS_GROUND_TRUTH, NS_SUBSET_STUDY, child_seed,
-                   generator_from, stream)
+from .rand import (BIT_GENERATORS, NS_GROUND_TRUTH, NS_SUBSET_STUDY,
+                   child_seed, generator_from, stream)
 from .scheduler import (FrequencySolution, LatencyBudget, MomentModel,
                         PricedSelection, processing_budget, select_and_price,
                         solve_cantelli_frequency, solve_optimal_frequency)
@@ -52,8 +51,7 @@ __all__ = [
     "GammaFitResult", "GammaLaw", "GroundTruth", "InfeasibleBudgetError",
     "InfeasibleConstraintError", "InfeasibleLinkError", "IslPath",
     "LatencyBudget", "LinkGeometry", "LinkParams", "MomentModel", "NANO",
-    "NS_BATCH_SWEEP", "NS_ELEVATION_SWEEP", "NS_GROUND_TRUTH",
-    "NS_SUBSET_STUDY", "OfdmGrid", "Platform", "Polynomial",
+    "NS_GROUND_TRUTH", "NS_SUBSET_STUDY", "OfdmGrid", "Platform", "Polynomial",
     "PricedSelection", "SPEED_OF_LIGHT", "SatschedError", "Scenario",
     "SubsetReplicate", "SubsetStudyResult", "batch_law", "budget_from_legs",
     "child_seed", "comm_legs",

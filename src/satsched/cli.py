@@ -48,8 +48,6 @@ def _shared_flags(defaults: bool) -> argparse.ArgumentParser:
                         help="override experiment.seed")
     common.add_argument("--out", metavar="DIR", default=default("."),
                         help="output directory (default: current)")
-    common.add_argument("--format", choices=["csv"], default=default("csv"),
-                        help="output format for experiment tables")
     return common
 
 

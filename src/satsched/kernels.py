@@ -2,16 +2,14 @@
 
 The hot loops are the regularized incomplete gamma, the digamma-family
 Newton solve for the pooled Gamma shape, and quantile inversion. Each has a
-scalar kernel for single evaluations and, where the planner batches, an
-array variant; a one-lane array call would cost about a hundred times more
-than the scalar kernel.
+scalar kernel for single evaluations. The incomplete gamma has one kernel:
+its array form runs the scalar kernel lane by lane, so an array call gives
+every lane the scalar kernel's bits, whatever other lanes share the call.
+The pooled-shape solve also has a numpy array variant for the planner's
+grid; a one-lane call of it would cost about a hundred times more than the
+scalar solve.
 
-Array variants iterate all lanes together and drop each lane from the
-working arrays once it converges; a lane's own arithmetic is the one it
-would follow alone, so results do not depend on which other lanes share the
-call.
-
-The incomplete-gamma kernels raise :class:`~satsched.errors.ConvergenceError`
+The incomplete-gamma kernel raises :class:`~satsched.errors.ConvergenceError`
 when an evaluation uses up ``_MAX_ITER`` steps, instead of returning the
 partial sum.
 
@@ -40,8 +38,6 @@ _FPMIN = 1e-300
 _INV_SQRT2 = 0.7071067811865476
 _HALF_LOG_2PI = 0.9189385332046727
 _CDF_CAP_MSG = "incomplete gamma did not converge within the iteration cap"
-
-_lgamma_vec = np.vectorize(math.lgamma, otypes=[np.float64])
 
 
 def q_func(x: float) -> float:
@@ -82,7 +78,13 @@ def norm_ppf_approx(p: float) -> float:
 
 def reg_lower_gamma(a: float, x: float) -> float:
     # Regularized lower incomplete gamma P(a, x).
+    return _reg_lower_gamma_lane(a, x)
+
+
+def _reg_lower_gamma_lane(a, x):
     # Power series for x < a + 1, Lentz continued fraction otherwise.
+    # The array form calls this body, not the public name, so a wrapper
+    # bound to reg_lower_gamma sees one call per array call, not per lane.
     if x <= 0.0:
         return 0.0
     if x < a + 1.0:
@@ -224,79 +226,12 @@ def gamma_quantile_unit(p: float, a: float) -> float:
 # array variants
 
 
-def _series_lanes(a, x):
-    # idx maps the working arrays back to lanes; a lane leaves them on
-    # the step it converges
-    out = np.empty(a.shape[0], dtype=np.float64)
-    idx = np.arange(a.shape[0])
-    xw = x
-    ap = a.copy()
-    term = 1.0 / a
-    total = term.copy()
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term = term * (xw / ap)
-        total += term
-        done = np.abs(term) < np.abs(total) * _CONV_EPS
-        if done.any():
-            out[idx[done]] = total[done]
-            keep = ~done
-            idx, xw, ap, term, total = (idx[keep], xw[keep], ap[keep],
-                                        term[keep], total[keep])
-            if idx.size == 0:
-                break
-    else:
-        raise ConvergenceError(_CDF_CAP_MSG)
-    logp = a * np.log(x) - x - _lgamma_vec(a)
-    val = np.where(logp < _LOG_TINY, 0.0, out * np.exp(np.maximum(logp, _LOG_TINY)))
-    return np.minimum(val, 1.0)
-
-
-def _cf_lanes(a, x):
-    out = np.empty(a.shape[0], dtype=np.float64)
-    idx = np.arange(a.shape[0])
-    aw = a
-    b = x + 1.0 - a
-    c = np.full(a.shape[0], 1.0 / _FPMIN)
-    d = 1.0 / b
-    h = d.copy()
-    for i in range(1, _MAX_ITER + 1):
-        an = -float(i) * (float(i) - aw)
-        b = b + 2.0
-        d = an * d + b
-        d = np.where(np.abs(d) < _FPMIN, _FPMIN, d)
-        c = b + an / c
-        c = np.where(np.abs(c) < _FPMIN, _FPMIN, c)
-        d = 1.0 / d
-        delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < _CONV_EPS
-        if done.any():
-            out[idx[done]] = h[done]
-            keep = ~done
-            idx, aw, b, c, d, h = (idx[keep], aw[keep], b[keep], c[keep],
-                                   d[keep], h[keep])
-            if idx.size == 0:
-                break
-    else:
-        raise ConvergenceError(_CDF_CAP_MSG)
-    logp = a * np.log(x) - x - _lgamma_vec(a)
-    return np.where(logp < _LOG_TINY, 0.0, np.exp(np.maximum(logp, _LOG_TINY)) * out)
-
-
 def reg_lower_gamma_arr(a, x):
+    # P(a, x) on 1-d arrays, the scalar kernel lane by lane
     a = np.ascontiguousarray(a, dtype=np.float64)
     x = np.ascontiguousarray(x, dtype=np.float64)
-    out = np.zeros(a.shape[0], dtype=np.float64)
-    pos = x > 0.0
-    ser = pos & (x < a + 1.0)
-    if ser.any():
-        out[ser] = _series_lanes(a[ser], x[ser])
-    cfm = pos & ~ser
-    if cfm.any():
-        q = _cf_lanes(a[cfm], x[cfm])
-        out[cfm] = np.clip(1.0 - q, 0.0, 1.0)
-    return out
+    return np.fromiter(map(_reg_lower_gamma_lane, a.tolist(), x.tolist()),
+                       np.float64, count=a.shape[0])
 
 
 def _log_chord_factor(d):

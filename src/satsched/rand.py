@@ -7,12 +7,12 @@ order or parallelism. The splitting rule is
     SeedSequence(entropy=root_seed, spawn_key=key)
 
 where ``key`` is a tuple of small integers naming the consumer. Stream
-namespaces used by the harness:
+namespaces in use:
 
-    (1, ...)  ground-truth synthesis
-    (3, ...)  subset-size study        (3, platform_idx, ns_idx, k)
-    (4, ...)  batch-size sweep
-    (5, ...)  elevation sweep
+    (1, ...)  ground-truth synthesis   (1, platform_idx)
+    (3, ...)  subset-size study        (3, platform_idx, n_s, k)
+
+where ``n_s`` is the sample-size value itself, not its grid position.
 
 The bit generator is selected by name so configs can state it explicitly.
 """
@@ -30,8 +30,6 @@ BIT_GENERATORS = {
 
 NS_GROUND_TRUTH = 1
 NS_SUBSET_STUDY = 3
-NS_BATCH_SWEEP = 4
-NS_ELEVATION_SWEEP = 5
 
 
 def child_seed(root_seed: int, *key: int) -> np.random.SeedSequence:

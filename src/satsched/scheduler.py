@@ -12,8 +12,9 @@ probability at least rho_th. Two planners share one solver skeleton:
 Both scan a frequency grid for the lowest feasible cell and bisect the
 feasibility boundary; neither assumes the constraint is monotone in f, since
 polynomial shape/scale fits need not be. The scan evaluates the whole grid
-as one array; each bisection probe is a single float, so it takes the
-scalar kernels, which cost far less than a one-element array call.
+as one array and each bisection probe is a single float. The array CDF runs
+the scalar kernel lane by lane, so the scan and the probes score a clock
+alike.
 
 The scan needs one flag per grid point (score >= rho_th), plus the scores
 of the two end points, which errors and solutions report. The Gamma
@@ -138,15 +139,14 @@ def _check_common(n_img, rho_th, budget):
 
 
 def _boundary_search(achieved, rho_th: float, f_min_hz: float,
-                     f_max_hz: float, grid_points: int,
-                     what: str) -> FrequencySolution:
+                     f_max_hz: float, what: str) -> FrequencySolution:
     """Lowest f in [f_min, f_max] with achieved(f) >= rho_th.
 
     ``achieved`` maps a 1-d frequency array to the reliability-like score of
     each point, and a float to the score of that point. One vectorized
-    pre-scan over the grid locates the lowest feasible cell; bisection with
-    float probes then pins the boundary. Feasibility is never assumed
-    monotone in f.
+    pre-scan over a GRID_POINTS_DEFAULT-point grid locates the lowest
+    feasible cell; bisection with float probes then pins the boundary.
+    Feasibility is never assumed monotone in f.
 
     Array scores need only be exact at the two end points; elsewhere a
     stand-in on the right side of rho_th will do. So the returned
@@ -155,7 +155,7 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
     """
     if not f_min_hz < f_max_hz:
         raise DomainError(f"need f_min < f_max, got [{f_min_hz!r}, {f_max_hz!r}]")
-    grid = np.linspace(f_min_hz, f_max_hz, int(grid_points))
+    grid = np.linspace(f_min_hz, f_max_hz, GRID_POINTS_DEFAULT)
     scores = np.asarray(achieved(grid), dtype=np.float64)
     flags = scores >= rho_th
     feasible_idx = np.flatnonzero(flags)
@@ -210,8 +210,7 @@ def _screened_cdf(t_proc: float, shape, scale, rho_th: float):
 
 
 def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
-                            rho_th: float, platform: Platform,
-                            grid_points: int = GRID_POINTS_DEFAULT) -> FrequencySolution:
+                            rho_th: float, platform: Platform) -> FrequencySolution:
     """Lowest clock whose batch Gamma law meets the deadline quantile.
 
     ``model`` provides shape_at(f) and scale_at(f) per image, accepting a
@@ -252,13 +251,12 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
         return out
 
     return _boundary_search(achieved, rho_th, platform.f_min_hz,
-                            platform.f_max_hz, grid_points,
-                            "gamma quantile constraint")
+                            platform.f_max_hz, "gamma quantile constraint")
 
 
 def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
-                             n_img: int, rho_th: float, platform: Platform,
-                             grid_points: int = GRID_POINTS_DEFAULT) -> FrequencySolution:
+                             n_img: int, rho_th: float,
+                             platform: Platform) -> FrequencySolution:
     """Lowest clock certified by the one-sided Chebyshev (Cantelli) bound.
 
     With batch mean m = n_img * mean(f) and batch variance v = n_img * var(f),
@@ -292,8 +290,7 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
         return out
 
     return _boundary_search(achieved, rho_th, platform.f_min_hz,
-                            platform.f_max_hz, grid_points,
-                            "cantelli moment bound")
+                            platform.f_max_hz, "cantelli moment bound")
 
 
 @dataclass(frozen=True)
@@ -309,8 +306,7 @@ class PricedSelection:
 
 def select_and_price(method: str, ground_truth, budget: LatencyBudget,
                      n_img: int, rho_th: float, platform: Platform,
-                     model=None, moments: MomentModel = None,
-                     grid_points: int = GRID_POINTS_DEFAULT) -> PricedSelection:
+                     model=None, moments: MomentModel = None) -> PricedSelection:
     """Run one planner and price its choice under the ground truth.
 
     ``method`` is "gamma" (exact quantile under ``model``, defaulting to the
@@ -321,13 +317,12 @@ def select_and_price(method: str, ground_truth, budget: LatencyBudget,
     """
     if method == "gamma":
         sol = solve_optimal_frequency(model if model is not None else ground_truth,
-                                      budget, n_img, rho_th, platform,
-                                      grid_points=grid_points)
+                                      budget, n_img, rho_th, platform)
     elif method == "cantelli":
         if moments is None:
             moments = MomentModel.from_shape_scale_model(ground_truth)
         sol = solve_cantelli_frequency(moments, budget, n_img, rho_th,
-                                       platform, grid_points=grid_points)
+                                       platform)
     else:
         raise DomainError(f"unknown method {method!r}; use 'gamma' or 'cantelli'")
     f_hz = sol.frequency_hz

@@ -1,10 +1,8 @@
-"""Incomplete-gamma kernels: lane compaction, iteration cap, large shapes,
-and the closed-form bracket of the planner's pre-scan screen.
+"""Incomplete-gamma kernels: iteration cap, large shapes, and the
+closed-form bracket of the planner's pre-scan screen.
 
-The lane-frozen reference below is the numpy array kernel as it was before
-converged lanes were dropped from the working arrays: every lane stays in
-every step and a mask keeps converged lanes from changing. The compacted
-kernel must give the same bits on every lane.
+The array form runs the scalar kernel per lane; that its results equal the
+scalar path bit for bit is checked in ``test_numerics.py``.
 """
 
 import math
@@ -15,77 +13,6 @@ import pytest
 import satsched as ss
 from satsched import kernels
 from satsched.errors import ConvergenceError
-
-_MAX_ITER = kernels._MAX_ITER
-_CONV_EPS = kernels._CONV_EPS
-_LOG_TINY = kernels._LOG_TINY
-_FPMIN = kernels._FPMIN
-
-
-def _series_lanes_frozen(a, x):
-    ap = a.copy()
-    term = 1.0 / a
-    total = term.copy()
-    active = np.ones(a.shape[0], dtype=bool)
-    for _ in range(_MAX_ITER):
-        ap[active] += 1.0
-        term[active] = term[active] * (x[active] / ap[active])
-        total[active] += term[active]
-        active &= ~(np.abs(term) < np.abs(total) * _CONV_EPS)
-        if not active.any():
-            break
-    logp = a * np.log(x) - x - kernels._lgamma_vec(a)
-    val = np.where(logp < _LOG_TINY, 0.0, total * np.exp(np.maximum(logp, _LOG_TINY)))
-    return np.minimum(val, 1.0)
-
-
-def _cf_lanes_frozen(a, x):
-    b = x + 1.0 - a
-    c = np.full(a.shape[0], 1.0 / _FPMIN)
-    d = 1.0 / b
-    h = d.copy()
-    active = np.ones(a.shape[0], dtype=bool)
-    for i in range(1, _MAX_ITER + 1):
-        an = -float(i) * (float(i) - a)
-        b2 = b + 2.0
-        d2 = an * d + b2
-        d2 = np.where(np.abs(d2) < _FPMIN, _FPMIN, d2)
-        c2 = b2 + an / c
-        c2 = np.where(np.abs(c2) < _FPMIN, _FPMIN, c2)
-        d2 = 1.0 / d2
-        delta = d2 * c2
-        h2 = h * delta
-        b = np.where(active, b2, b)
-        d = np.where(active, d2, d)
-        c = np.where(active, c2, c)
-        h = np.where(active, h2, h)
-        active &= ~(np.abs(delta - 1.0) < _CONV_EPS)
-        if not active.any():
-            break
-    logp = a * np.log(x) - x - kernels._lgamma_vec(a)
-    return np.where(logp < _LOG_TINY, 0.0, np.exp(np.maximum(logp, _LOG_TINY)) * h)
-
-
-def _reg_lower_gamma_frozen(a, x):
-    out = np.zeros(a.shape[0], dtype=np.float64)
-    ser = x < a + 1.0
-    out[ser] = _series_lanes_frozen(a[ser], x[ser])
-    out[~ser] = np.clip(1.0 - _cf_lanes_frozen(a[~ser], x[~ser]), 0.0, 1.0)
-    return out
-
-
-def test_compacted_lanes_match_lane_frozen_reference():
-    rng = np.random.default_rng(20260816)
-    n = 4000
-    a = np.exp(rng.uniform(math.log(0.3), math.log(3000.0), n))
-    # x around a, spread over a few standard deviations either side, so lanes
-    # fall in both branches and converge after very different step counts
-    x = np.maximum(a + rng.uniform(-4.0, 4.0, n) * np.sqrt(a), 1e-3)
-    ser = x < a + 1.0
-    assert ser.sum() > 1000 and (~ser).sum() > 1000
-    got = kernels.reg_lower_gamma_arr(a, x)
-    want = _reg_lower_gamma_frozen(a, x)
-    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("as_array", [False, True])
