@@ -35,7 +35,6 @@ DEFAULT_CONFIG = {
         "bandwidth_hz": 180.0e3,
         "noise_psd_dbm_hz": -176.31,
         "tx_power_ul_w": 0.2,
-        "tx_power_dl_w": 75.0,
         "gain_sat_dbi": 30.0,
         "gain_ue_dbi": 0.0,
         "pointing_loss_db": 0.3,
@@ -178,11 +177,9 @@ class Scenario:
 
     platforms: tuple
     link_ul: LinkParams
-    link_dl: LinkParams
     grid: OfdmGrid
     isl: IslPath
     altitude_m: float
-    shadow_quantile: float
     shadow_margin_db: float
     t_e2e_s: float
     rho_th: float
@@ -278,7 +275,6 @@ def resolve(cfg: dict) -> Scenario:
     bandwidth = _num(cfg, "link.bandwidth_hz", lo=0.0, open_lo=True)
     noise_psd_dbm = _num(cfg, "link.noise_psd_dbm_hz")
     p_ul = _num(cfg, "link.tx_power_ul_w", lo=0.0, open_lo=True)
-    p_dl = _num(cfg, "link.tx_power_dl_w", lo=0.0, open_lo=True)
     g_sat = db_to_linear(_num(cfg, "link.gain_sat_dbi"))
     g_ue = db_to_linear(_num(cfg, "link.gain_ue_dbi"))
     pointing = db_to_linear(_num(cfg, "link.pointing_loss_db", lo=0.0))
@@ -288,12 +284,9 @@ def resolve(cfg: dict) -> Scenario:
     altitude = _num(cfg, "link.altitude_m", lo=0.0, open_lo=True)
     noise_w = db_to_linear(noise_psd_dbm - 30.0) * bandwidth
 
-    link_common = dict(carrier_hz=carrier, pointing_loss=pointing,
-                       noise_power_w=noise_w, shadow_sigma_db=shadow_sigma)
-    link_ul = LinkParams(tx_power_w=p_ul, gain_tx=g_ue, gain_rx=g_sat,
-                         **link_common)
-    link_dl = LinkParams(tx_power_w=p_dl, gain_tx=g_sat, gain_rx=g_ue,
-                         **link_common)
+    link_ul = LinkParams(carrier_hz=carrier, tx_power_w=p_ul, gain_tx=g_ue,
+                         gain_rx=g_sat, pointing_loss=pointing,
+                         noise_power_w=noise_w, shadow_sigma_db=shadow_sigma)
 
     subcarriers = _int(cfg, "grid.subcarriers", lo=1)
     symbols_per_slot = _int(cfg, "grid.symbols_per_slot", lo=1)
@@ -369,10 +362,9 @@ def resolve(cfg: dict) -> Scenario:
                  else 0.0)
 
     return Scenario(
-        platforms=platforms, link_ul=link_ul, link_dl=link_dl, grid=grid,
-        isl=isl, altitude_m=altitude, shadow_quantile=shadow_q,
-        shadow_margin_db=margin_db, t_e2e_s=t_e2e, rho_th=rho_th, seed=seed,
-        bit_generator=bit_gen, elevation_deg=elevation,
+        platforms=platforms, link_ul=link_ul, grid=grid, isl=isl,
+        altitude_m=altitude, shadow_margin_db=margin_db, t_e2e_s=t_e2e,
+        rho_th=rho_th, seed=seed, bit_generator=bit_gen, elevation_deg=elevation,
         elevation_sweep_deg=sweep, gt_cv=cv, gt_n_images=n_images,
         gt_image_sigma=image_sigma, gt_variance_model=variance_model,
         fit_n_frequencies=n_freq,

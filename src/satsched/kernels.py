@@ -14,8 +14,9 @@ when an evaluation uses up ``_MAX_ITER`` steps, instead of returning the
 partial sum.
 
 ``reg_lower_gamma_bounds`` brackets P(a, x) in closed form (no loop, no
-lgamma) for a >= 1: tangent and chord bounds of the log-concave density,
-with Gamma(a) bracketed by Stirling-Binet. The planner's grid pre-scan uses
+lgamma): tangent and chord bounds of the log-concave density, with Gamma(a)
+bracketed by Stirling-Binet; a shape below 1 is bracketed at a + 1 and
+shifted back by the recurrence. The planner's grid pre-scan uses
 it to settle the lanes whose feasibility flag is not in doubt, and runs the
 exact kernel on the rest.
 
@@ -252,9 +253,15 @@ def reg_lower_gamma_bounds(a, x):
     # the log density across the chord.
     # Here g = x^a e^(-x) / Gamma(a), with Gamma(a) bracketed by
     # Stirling-Binet: S(a) <= Gamma(a) <= S(a) e^(1/(12a)),
-    # S(a) = sqrt(2 pi) a^(a-1/2) e^(-a). Lanes with a < 1 get [0, 1].
+    # S(a) = sqrt(2 pi) a^(a-1/2) e^(-a).
+    # A lane with a < 1 is bracketed at a + 1 and shifted back by
+    # P(a, x) = P(a+1, x) + g(a+1)/x, with g(a+1) bracketed as above.
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
+    small = a < 1.0
+    shift = small.any()  # most calls have no such lane: skip the extra passes
+    if shift:
+        a = np.where(small, a + 1.0, a)
     v = (x - a) / a
     log_g = a * (np.log1p(v) - v) + 0.5 * np.log(a) - _HALF_LOG_2PI
     am1 = a - 1.0
@@ -270,10 +277,10 @@ def reg_lower_gamma_bounds(a, x):
         tan = np.exp(log_g) / np.abs(x - am1)
     lo = np.maximum(p_lo, np.where(right, 1.0 - tan, 0.0))
     hi = np.minimum(1.0 - q_lo, np.where(right, 1.0, tan))
-    small = a < 1.0
-    lo = np.where(small, 0.0, np.clip(lo, 0.0, 1.0))
-    hi = np.where(small, 1.0, np.clip(hi, 0.0, 1.0))
-    return lo, hi
+    if shift:
+        lo[small] += np.exp(log_lo_density[small])
+        hi[small] += np.exp(log_g[small] - np.log(x[small]))
+    return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
 
 
 def digamma_arr(x):

@@ -288,13 +288,24 @@ def polyfit(xs, ys, degree: int) -> Polynomial:
             f"need at least degree+1={degree + 1} points, got {xs.size}")
     if degree > 0 and float(xs.max() - xs.min()) == 0.0:
         raise EstimationError("all abscissae identical: design matrix is singular")
+    # Polynomial.fit(xs, ys, degree).convert() on coefficient arrays, step
+    # for step, without its per-operation object overhead
+    npoly = np.polynomial.polynomial
+    domain = np.array((xs.min(), xs.max()))
+    if domain[0] == domain[1]:  # degree 0 on one abscissa
+        domain += (-1.0, 1.0)
+    off, scl = np.polynomial.polyutils.mapparms(domain, (-1.0, 1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=_RankWarning)
         try:
-            fitted = np.polynomial.Polynomial.fit(xs, ys, deg=degree)
+            window_coef = npoly.polyfit(off + scl * xs, ys, degree)
         except (_RankWarning, np.linalg.LinAlgError) as exc:
             raise EstimationError(f"polynomial fit failed: {exc}") from exc
-    coef = fitted.convert().coef
+    # Horner in the window variable off + scl * x
+    line = npoly.polyadd(off, npoly.polymul(scl, (0.0, 1.0)))
+    coef = npoly.polyadd(window_coef[-1], npoly.polymul(line, 0))
+    for c in window_coef[-2::-1]:
+        coef = npoly.polyadd(c, npoly.polymul(coef, line))
     if coef.size < degree + 1:
         coef = np.concatenate([coef, np.zeros(degree + 1 - coef.size)])
     return Polynomial(coefficients=tuple(float(c) for c in coef[:degree + 1]))

@@ -16,12 +16,11 @@ as one array and each bisection probe is a single float. The array CDF runs
 the scalar kernel lane by lane, so the scan and the probes score a clock
 alike.
 
-The scan needs one flag per grid point (score >= rho_th), plus the scores
-of the two end points, which errors and solutions report. The Gamma
-planner's scan therefore screens first: a closed-form bracket of the CDF
-settles most points, which get the stand-in score 1.0 or 0.0, and only the
-points in doubt and the end points get the exact CDF. Bisection probes and
-the reported reliability are always exact.
+The scan needs only one flag per grid point (score >= rho_th), so the score
+callbacks return flags for an array. The Gamma planner's scan screens
+first: a closed-form bracket of the CDF settles most points, and only the
+points in doubt get the exact CDF. Every reported score comes from a float
+evaluation, the same exact path the bisection probes take.
 """
 
 import math
@@ -142,36 +141,32 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
                      f_max_hz: float, what: str) -> FrequencySolution:
     """Lowest f in [f_min, f_max] with achieved(f) >= rho_th.
 
-    ``achieved`` maps a 1-d frequency array to the reliability-like score of
-    each point, and a float to the score of that point. One vectorized
+    ``achieved`` maps a float to the reliability-like score of that point,
+    and a 1-d frequency array to the flags score >= rho_th. One vectorized
     pre-scan over a GRID_POINTS_DEFAULT-point grid locates the lowest
     feasible cell; bisection with float probes then pins the boundary.
-    Feasibility is never assumed monotone in f.
-
-    Array scores need only be exact at the two end points; elsewhere a
-    stand-in on the right side of rho_th will do. So the returned
-    reliability is the last feasible probe's score, or a fresh float
-    evaluation when bisection never moved the feasible end.
+    Feasibility is never assumed monotone in f. Every score returned or
+    raised comes from a float call.
     """
     if not f_min_hz < f_max_hz:
         raise DomainError(f"need f_min < f_max, got [{f_min_hz!r}, {f_max_hz!r}]")
     grid = np.linspace(f_min_hz, f_max_hz, GRID_POINTS_DEFAULT)
-    scores = np.asarray(achieved(grid), dtype=np.float64)
-    flags = scores >= rho_th
+    flags = achieved(grid)
     feasible_idx = np.flatnonzero(flags)
     if feasible_idx.size == 0:
         raise InfeasibleConstraintError(
             f"{what}: constraint unsatisfied even at f_max = {f_max_hz:.6g} Hz",
-            achievable_reliability=float(scores[-1]))
+            achievable_reliability=float(achieved(f_max_hz)))
     first = int(feasible_idx[0])
     non_monotone = not bool(flags[first:].all())
     if first == 0:
-        return FrequencySolution(frequency_hz=float(f_min_hz),
-                                 predicted_reliability=float(scores[0]),
-                                 non_monotone=non_monotone)
+        return FrequencySolution(
+            frequency_hz=float(f_min_hz),
+            predicted_reliability=float(achieved(f_min_hz)),
+            non_monotone=non_monotone)
     lo = float(grid[first - 1])  # infeasible
     hi = float(grid[first])      # feasible
-    hi_score = None  # the pre-scan score at hi may be a stand-in
+    hi_score = None
     tol = _BISECT_REL_TOL * (f_max_hz - f_min_hz)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -187,26 +182,21 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
                              non_monotone=non_monotone)
 
 
-def _screened_cdf(t_proc: float, shape, scale, rho_th: float):
-    """Batch CDF at t_proc per lane where it decides the flag CDF >= rho_th.
+def _screened_flags(t_proc: float, shape, scale, rho_th: float):
+    """Flags CDF(t_proc) >= rho_th per lane, exact CDF only where in doubt.
 
     A closed-form bracket of each lane's CDF
     (:func:`~satsched.kernels.reg_lower_gamma_bounds`) settles most lanes:
-    one whose lower bound is at least rho_th + _SCREEN_MARGIN gets the
-    stand-in score 1.0, one whose upper bound is below rho_th - margin gets
-    0.0. The other lanes, lanes with shape < 1, and the first and last lane
-    get the exact CDF. So ``scores >= rho_th`` equals the exact flags on
-    every lane, and only the end lanes' scores are exact values for sure.
+    one whose lower bound is at least rho_th + _SCREEN_MARGIN is feasible,
+    one whose upper bound is below rho_th - margin is not. Only the other
+    lanes get the exact CDF, so the flags equal the exact ones on every lane.
     """
     lo, hi = kernels.reg_lower_gamma_bounds(shape, t_proc / scale)
-    sure_in = lo >= rho_th + _SCREEN_MARGIN
-    sure_out = hi < rho_th - _SCREEN_MARGIN
-    doubt = ~(sure_in | sure_out)
-    doubt[0] = doubt[-1] = True
-    out = np.where(sure_in, 1.0, 0.0)
+    flags = lo >= rho_th + _SCREEN_MARGIN
+    doubt = ~flags & (hi >= rho_th - _SCREEN_MARGIN)
     if doubt.any():
-        out[doubt] = gamma_cdf(t_proc, shape[doubt], scale[doubt])
-    return out
+        flags[doubt] = gamma_cdf(t_proc, shape[doubt], scale[doubt]) >= rho_th
+    return flags
 
 
 def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
@@ -220,10 +210,9 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
     evaluates to nonpositive parameters count as infeasible rather than
     erroring, so damaged fits degrade gracefully.
 
-    The grid pre-scan scores points with :func:`_screened_cdf`: a point
-    whose CDF bracket clears rho_th gets the stand-in score 1.0 or 0.0, the
-    rest the exact CDF. The flags, and so the answer, are those of the
-    exact CDF on every point.
+    The grid pre-scan flags points with :func:`_screened_flags`, which runs
+    the exact CDF only where a closed-form bracket leaves the flag in doubt;
+    the flags, and so the answer, are those of the exact CDF on every point.
 
     Raises:
         InfeasibleConstraintError: even f_max misses the quantile; the error
@@ -244,10 +233,10 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
         scale = np.asarray(model.scale_at(f_hz), dtype=np.float64)
         ok = (np.isfinite(shape) & np.isfinite(scale)
               & (shape > 0.0) & (scale > 0.0))
-        out = np.zeros(f_hz.shape[0], dtype=np.float64)
+        out = np.zeros(f_hz.shape[0], dtype=bool)
         if ok.any():
-            out[ok] = _screened_cdf(t_proc, n_img * shape[ok], scale[ok],
-                                    rho_th)
+            out[ok] = _screened_flags(t_proc, n_img * shape[ok], scale[ok],
+                                      rho_th)
         return out
 
     return _boundary_search(achieved, rho_th, platform.f_min_hz,
@@ -287,7 +276,7 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
         pos = ok & (v > 0.0)
         out[pos] = 1.0 - v[pos] / (v[pos] + slack[pos] * slack[pos])
         out[ok & (v == 0.0)] = 1.0  # variance-free mean-crossing limit
-        return out
+        return out >= rho_th
 
     return _boundary_search(achieved, rho_th, platform.f_min_hz,
                             platform.f_max_hz, "cantelli moment bound")

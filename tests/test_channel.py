@@ -92,12 +92,6 @@ def test_snr_shadow_margin_subtracts_in_db(scenario):
     assert ratio == pytest.approx(0.5, rel=1e-12)
 
 
-def test_snr_downlink_power_advantage(scenario):
-    up = ss.linear_to_db(ss.snr(scenario.link_ul, 600e3))
-    down = ss.linear_to_db(ss.snr(scenario.link_dl, 600e3))
-    assert down - up == pytest.approx(10 * math.log10(75.0 / 0.2), abs=1e-9)
-
-
 def test_link_params_validation():
     with pytest.raises(DomainError):
         ss.LinkParams(carrier_hz=2e9, tx_power_w=0.0, gain_tx=1.0, gain_rx=1.0,

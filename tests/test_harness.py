@@ -568,28 +568,31 @@ def test_cli_shared_flags_parse_on_either_side(tmp_path):
 
 
 def test_cli_plan_at_large_batch_shape(tmp_path):
-    """Grid shapes of about 1e6: the screen settles the lanes near x = a that
-    the exact kernel cannot evaluate, and the plan is tight under scipy."""
+    """Grid shapes of 4.8e5 to 2e6: the screen settles the lanes near x = a
+    that the exact kernel cannot evaluate, and the plan is tight under
+    scipy. On nano, n_img 3, f_min is one of those lanes."""
     special = pytest.importorskip("scipy.special")
     user = {"experiment": {"ground_truth": {"cv": 0.002, "image_sigma": 0}}}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(user))
-    res = _run_cli("plan", "--config", str(cfg), "--platform", "agx",
-                   "--n-img", "8", cwd=str(tmp_path))
-    assert res.returncode == 0, res.stderr
-
     scenario = ss.resolve(ss.merge_config(user))
-    agx = scenario.platform_named("agx")
-    gt = ss.ground_truth_for(scenario, 1)
     budget = ss.budget_from_legs(scenario,
                                  ss.comm_legs(scenario, scenario.elevation_deg))
-    sel = ss.select_and_price("gamma", gt, budget, 8, scenario.rho_th, agx)
-    assert f"{sel.frequency_hz / 1e9:.6f}" in res.stdout
+    for platform_idx, name, n_img in ((1, "agx", 8), (0, "nano", 3)):
+        res = _run_cli("plan", "--config", str(cfg), "--platform", name,
+                       "--n-img", str(n_img), cwd=str(tmp_path))
+        assert res.returncode == 0, res.stderr
 
-    def reliability(f_hz):
-        return special.gammainc(8 * gt.shape_at(f_hz),
-                                budget.t_proc_s / gt.scale_at(f_hz))
+        platform = scenario.platform_named(name)
+        gt = ss.ground_truth_for(scenario, platform_idx)
+        sel = ss.select_and_price("gamma", gt, budget, n_img, scenario.rho_th,
+                                  platform)
+        assert f"{sel.frequency_hz / 1e9:.6f}" in res.stdout
 
-    assert reliability(sel.frequency_hz) >= scenario.rho_th
-    delta = 1e-4 * (agx.f_max_hz - agx.f_min_hz)
-    assert reliability(sel.frequency_hz - delta) < scenario.rho_th
+        def reliability(f_hz):
+            return special.gammainc(n_img * gt.shape_at(f_hz),
+                                    budget.t_proc_s / gt.scale_at(f_hz))
+
+        assert reliability(sel.frequency_hz) >= scenario.rho_th
+        delta = 1e-4 * (platform.f_max_hz - platform.f_min_hz)
+        assert reliability(sel.frequency_hz - delta) < scenario.rho_th

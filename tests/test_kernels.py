@@ -61,7 +61,16 @@ def test_bracket_holds_against_mpmath():
             assert li - _BRACKET_ROUNDING <= p <= ui + _BRACKET_ROUNDING, (ai, xi)
 
 
-def test_bracket_is_trivial_below_shape_one():
-    lo, hi = kernels.reg_lower_gamma_bounds(np.array([0.3, 0.99]),
-                                            np.array([0.5, 5.0]))
-    assert np.array_equal(lo, [0.0, 0.0]) and np.array_equal(hi, [1.0, 1.0])
+def test_bracket_below_shape_one_holds_against_mpmath():
+    # shapes below 1 are bracketed at a + 1 and shifted back by the recurrence
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261021)
+    a = rng.uniform(0.02, 1.0, 200)
+    x = np.exp(rng.uniform(math.log(1e-4), math.log(40.0), a.size))
+    lo, hi = kernels.reg_lower_gamma_bounds(a, x)
+    assert np.all(lo <= hi)
+    assert np.median(hi - lo) < 0.05  # informative, not [0, 1]
+    with mpmath.workdps(50):
+        for ai, xi, li, ui in zip(a, x, lo, hi):
+            p = float(mpmath.gammainc(ai, 0, xi, regularized=True))
+            assert li - _BRACKET_ROUNDING <= p <= ui + _BRACKET_ROUNDING, (ai, xi)

@@ -298,11 +298,31 @@ def test_polyfit_matches_normal_equations_on_noisy_cubic():
     assert r2 > 0.99
 
 
+def test_polyfit_equals_numpy_fit_convert_bit_for_bit():
+    """The functional fit composes back to the power basis in the order
+    ``Polynomial.fit(...).convert()`` does, so the coefficients agree to
+    the last bit, on degree-3 fits at the scale of clock frequencies too."""
+    rng = np.random.default_rng(20261020)
+    for i in range(400):
+        degree = int(rng.integers(0, 5))
+        n = int(rng.integers(degree + 1, 30))
+        span = 1e9 if i % 2 else 1.0
+        xs = rng.uniform(0.3, 1.3, n) * span
+        ys = rng.normal(size=n) * 10.0 ** rng.uniform(-6.0, 6.0)
+        want = np.polynomial.Polynomial.fit(xs, ys, deg=degree).convert().coef
+        want = np.concatenate([want, np.zeros(degree + 1 - want.size)])
+        got = ss.polyfit(xs, ys, degree).coefficients
+        assert np.array_equal(np.array(got), want), (degree, n, span)
+
+
 def test_polyfit_rejects_rank_deficient_design():
     xs = np.full(10, 2.0)
     ys = np.linspace(0, 1, 10)
     with pytest.raises(EstimationError):
         ss.polyfit(xs, ys, 2)
+    # two distinct abscissae cannot fix a cubic: numpy's RankWarning
+    with pytest.raises(EstimationError):
+        ss.polyfit(np.array([1.0, 1.0, 2.0, 2.0]), np.arange(4.0), 3)
 
 
 def test_polyfit_rejects_too_few_points():

@@ -331,9 +331,8 @@ def test_unknown_method_rejected(gt_nano, nano, zenith_budget):
 # ---------------------------------------------------------------- pre-scan screen
 
 def test_screened_flags_equal_exact_flags():
-    """Over random lanes, the screened scores give the exact CDF's flags;
-    settled lanes carry the stand-ins 1.0 / 0.0 and both end lanes the
-    exact CDF. A fifth of the lanes sit within 1e-12 of the rho_th quantile."""
+    """Over random lanes, the screened flags equal the exact CDF's flags.
+    A fifth of the lanes sit within 1e-12 of the rho_th quantile."""
     rng = np.random.default_rng(20261019)
     for _ in range(80):
         n = 128
@@ -347,29 +346,56 @@ def test_screened_flags_equal_exact_flags():
                                    rng.uniform(-1e-12, 1e-12, edge.sum()))]
         scale = t_proc / np.maximum(x, 1e-6)
         exact = ss.gamma_cdf(t_proc, shape, scale)
-        screened = ss.scheduler._screened_cdf(t_proc, shape, scale, rho_th)
-        assert np.array_equal(screened >= rho_th, exact >= rho_th)
-        stand_in = screened != exact
-        assert np.all((screened[stand_in] == 0.0) | (screened[stand_in] == 1.0))
-        assert screened[0] == exact[0] and screened[-1] == exact[-1]
+        flags = ss.scheduler._screened_flags(t_proc, shape, scale, rho_th)
+        assert flags.dtype == bool
+        assert np.array_equal(flags, exact >= rho_th)
 
 
 @pytest.mark.parametrize("offset,settled", [(0.5e-9, False), (2e-9, True)])
 def test_screen_settles_only_past_the_margin(monkeypatch, offset, settled):
     # a bracket whose lower end clears rho_th by less than 1e-9 settles
-    # nothing; by more, every lane but the two end lanes
+    # nothing; by more, every lane, and then no exact CDF runs at all
     rho_th = 0.95
-    monkeypatch.setattr(kernels, "reg_lower_gamma_bounds",
-                        lambda a, x: (np.full(a.shape, rho_th + offset),
-                                      np.ones(a.shape)))
     shape = np.full(6, 50.0)
     scale = np.linspace(0.8, 1.2, 6) / 50.0
     exact = ss.gamma_cdf(1.0, shape, scale)
-    screened = ss.scheduler._screened_cdf(1.0, shape, scale, rho_th)
-    want = exact.copy()
+    exact_lanes = []
+    cdf = ss.scheduler.gamma_cdf
+
+    def counted_cdf(t, a, sc):
+        exact_lanes.append(a.size)
+        return cdf(t, a, sc)
+
+    monkeypatch.setattr(ss.scheduler, "gamma_cdf", counted_cdf)
+    monkeypatch.setattr(kernels, "reg_lower_gamma_bounds",
+                        lambda a, x: (np.full(a.shape, rho_th + offset),
+                                      np.ones(a.shape)))
+    flags = ss.scheduler._screened_flags(1.0, shape, scale, rho_th)
     if settled:
-        want[1:-1] = 1.0
-    assert np.array_equal(screened, want)
+        assert flags.all() and exact_lanes == []
+    else:
+        assert np.array_equal(flags, exact >= rho_th) and exact_lanes == [6]
+
+
+@pytest.mark.parametrize("method", ["gamma", "cantelli"])
+def test_prescan_callback_returns_flags(monkeypatch, method, gt_nano, nano,
+                                        zenith_budget):
+    """The array form of each planner's callback returns one bool flag per
+    grid point, the float form a score with the same verdict."""
+    search = ss.scheduler._boundary_search
+    seen = []
+
+    def checked_search(achieved, rho_th, *args, **kwargs):
+        grid = np.linspace(nano.f_min_hz, nano.f_max_hz, 9)
+        flags = achieved(grid)
+        assert flags.dtype == bool and flags.shape == grid.shape
+        assert [achieved(float(f)) >= rho_th for f in grid] == flags.tolist()
+        seen.append(flags)
+        return search(achieved, rho_th, *args, **kwargs)
+
+    monkeypatch.setattr(ss.scheduler, "_boundary_search", checked_search)
+    ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano)
+    assert len(seen) == 1 and seen[0].any() and not seen[0].all()
 
 
 def _count_plan_work(monkeypatch):
