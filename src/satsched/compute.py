@@ -20,7 +20,8 @@ import numpy as np
 from .errors import DomainError
 from .numerics import GammaLaw
 
-_FREQ_RTOL = 1e-9  # slack for frequencies produced by bisection at the box edge
+# slack for frequencies the planners' boundary search returns at the box edge
+_FREQ_RTOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,9 @@ _METHODS = ("gamma", "cantelli")
 
 @functools.lru_cache(maxsize=256)
 def _pooled_shape(image_shape: float, gap: float) -> float:
-    # one scalar pooled-shape solve; a bisection probe asks for the shape
-    # and the scale (and the moments for mean and variance) at one clock,
-    # so the cache lets them share it
+    # one scalar pooled-shape solve; a boundary-search probe asks for the
+    # shape and the scale (and the moments for mean and variance) at one
+    # clock, so the cache lets them share it
     s = math.log(image_shape) - kernels.digamma(image_shape) + gap
     solved, _, ok = kernels.solve_gamma_shape(s)
     if not ok:

@@ -11,7 +11,8 @@ scalar solve.
 
 The incomplete-gamma kernel raises :class:`~satsched.errors.ConvergenceError`
 when an evaluation uses up ``_MAX_ITER`` steps, instead of returning the
-partial sum.
+partial sum; the quantile inversion raises it when its bracket doubling or
+its Newton loop runs out, instead of returning the last iterate.
 
 ``reg_lower_gamma_bounds`` brackets P(a, x) in closed form (no loop, no
 lgamma): tangent and chord bounds of the log-concave density, with Gamma(a)
@@ -199,7 +200,10 @@ def gamma_quantile_unit(p: float, a: float) -> float:
     if hi <= 0.0:
         hi = a
     tries = 0
-    while reg_lower_gamma(a, hi) < p and tries < 400:
+    while reg_lower_gamma(a, hi) < p:
+        if tries == 400:
+            raise ConvergenceError(
+                "gamma quantile: no upper bracket within 400 doublings")
         hi *= 2.0
         tries += 1
     if x <= lo or x >= hi:
@@ -220,7 +224,8 @@ def gamma_quantile_unit(p: float, a: float) -> float:
         if abs(xn - x) <= 1e-13 * (abs(xn) + _FPMIN):
             return xn
         x = xn
-    return x
+    raise ConvergenceError(
+        "gamma quantile: Newton did not converge within 200 steps")
 
 
 # ---------------------------------------------------------------------------

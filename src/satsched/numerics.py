@@ -97,7 +97,12 @@ def gamma_cdf(t, shape, scale):
 
 
 def gamma_quantile(p: float, shape: float, scale: float) -> float:
-    """Time t with gamma_cdf(t, shape, scale) = p, to ~1e-12 relative."""
+    """Time t with gamma_cdf(t, shape, scale) = p, to ~1e-12 relative.
+
+    Raises:
+        ConvergenceError: the inversion found no upper bracket or did not
+            converge within its step caps, or a CDF evaluation did not.
+    """
     p = _require_finite_scalar("p", p)
     shape = _require_positive("shape", shape)
     scale = _require_positive("scale", scale)

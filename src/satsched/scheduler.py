@@ -9,18 +9,24 @@ probability at least rho_th. Two planners share one solver skeleton:
 * the Cantelli planner only trusts the first two moments and applies the
   one-sided Chebyshev (Cantelli) tail bound, which over-provisions.
 
-Both scan a frequency grid for the lowest feasible cell and bisect the
-feasibility boundary; neither assumes the constraint is monotone in f, since
-polynomial shape/scale fits need not be. The scan evaluates the whole grid
-as one array and each bisection probe is a single float. The array CDF runs
-the scalar kernel lane by lane, so the scan and the probes score a clock
-alike.
+Both scan a frequency grid for the lowest feasible cell, then close in on
+the feasibility boundary inside that cell with a safeguarded Illinois
+search (modified regula falsi; Dowell & Jarratt 1971): it interpolates the
+score linearly between the ends of a bracket, halves the value of an end
+that two probes in a row left in place, and bisects instead when the
+bracket falls too far behind what bisection would have reached. The
+returned clock is feasible by its float score and lies within 1e-9 of the
+span above an infeasible one. Neither planner assumes the constraint is
+monotone in f, since polynomial shape/scale fits need not be. The scan
+evaluates the whole grid as one array and each search probe is a single
+float. The array CDF runs the scalar kernel lane by lane, so the scan and
+the probes score a clock alike.
 
 The scan needs only one flag per grid point (score >= rho_th), so the score
 callbacks return flags for an array. The Gamma planner's scan screens
 first: a closed-form bracket of the CDF settles most points, and only the
 points in doubt get the exact CDF. Every reported score comes from a float
-evaluation, the same exact path the bisection probes take.
+evaluation, the same exact path the search probes take.
 """
 
 import math
@@ -36,9 +42,9 @@ from .errors import (DomainError, InfeasibleBudgetError,
 from .numerics import GammaLaw, gamma_cdf
 
 GRID_POINTS_DEFAULT = 2048
-# bisection stops when the bracket shrinks below this fraction of the span;
-# well under the 1e-4-span tightness that callers verify
-_BISECT_REL_TOL = 1e-9
+# the boundary search stops when its bracket shrinks below this fraction of
+# the span; well under the 1e-4-span tightness that callers verify
+_BRACKET_REL_TOL = 1e-9
 # a closed-form bracket settles a pre-scan lane only when it clears rho_th by
 # this much, far above the rounding of the bracket and of the exact CDF
 _SCREEN_MARGIN = 1e-9
@@ -115,6 +121,12 @@ class MomentModel:
 class FrequencySolution:
     """Outcome of a feasibility-boundary search over frequency.
 
+    ``frequency_hz`` is feasible by a float evaluation of the planner's
+    score (where that evaluation and the grid pre-scan round apart, the
+    pre-scan's verdict stands), ``predicted_reliability`` is that score,
+    and a clock at most 1e-9 of the platform span lower was found
+    infeasible, by a float probe or by the pre-scan; an answer of f_min
+    has nothing below it.
     ``non_monotone`` is set when the grid pre-scan saw an infeasible point
     above the lowest feasible one; the lowest feasible frequency is still
     returned in that case.
@@ -126,7 +138,9 @@ class FrequencySolution:
 
 
 def _check_common(n_img, rho_th, budget):
-    if not isinstance(n_img, numbers.Integral) or n_img < 1:
+    # bool is an Integral, but True is no batch size
+    if (not isinstance(n_img, numbers.Integral) or isinstance(n_img, bool)
+            or n_img < 1):
         raise DomainError(f"n_img must be a positive integer, got {n_img!r}")
     rho_th = float(rho_th)
     if not 0.0 < rho_th < 1.0:
@@ -144,9 +158,27 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
     ``achieved`` maps a float to the reliability-like score of that point,
     and a 1-d frequency array to the flags score >= rho_th. One vectorized
     pre-scan over a GRID_POINTS_DEFAULT-point grid locates the lowest
-    feasible cell; bisection with float probes then pins the boundary.
-    Feasibility is never assumed monotone in f. Every score returned or
-    raised comes from a float call.
+    feasible cell [grid[first-1], grid[first]]. Float probes then pin the
+    boundary inside it with a safeguarded Illinois search:
+
+    * both cell ends get a float score, and each probe interpolates
+      score - rho_th linearly between the bracket ends, clamped at least
+      tol/2 inside the bracket so that it always shrinks;
+    * when the same end moves twice in a row, the other end's value is
+      halved (the Illinois step), so the next probe lands past the root;
+    * a probe bisects instead when a cell end's float score disagrees with
+      its grid flag, or when the bracket is wider than plain bisection
+      would leave with n fewer probes, n being the probes bisection needs
+      to close the cell. So the search never takes more than 2n probes,
+      plus the two end scores.
+
+    It stops when the bracket is at most tol = 1e-9 of the span wide: the
+    returned frequency is feasible by a float score and some grid point or
+    probe at most tol below it is infeasible. The one exception: array and
+    scalar shape solves may differ in the last bit, and the grid's verdict
+    stands, so grid[first] may come back with a float score a rounding
+    error below rho_th. Feasibility is never assumed monotone in f. Every
+    score returned or raised comes from a float call.
     """
     if not f_min_hz < f_max_hz:
         raise DomainError(f"need f_min < f_max, got [{f_min_hz!r}, {f_max_hz!r}]")
@@ -164,19 +196,40 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
             frequency_hz=float(f_min_hz),
             predicted_reliability=float(achieved(f_min_hz)),
             non_monotone=non_monotone)
-    lo = float(grid[first - 1])  # infeasible
-    hi = float(grid[first])      # feasible
-    hi_score = None
-    tol = _BISECT_REL_TOL * (f_max_hz - f_min_hz)
+    lo = float(grid[first - 1])  # infeasible on the grid
+    hi = float(grid[first])      # feasible on the grid
+    g_lo = achieved(lo) - rho_th
+    hi_score = achieved(hi)
+    g_hi = hi_score - rho_th
+    tol = _BRACKET_REL_TOL * (f_max_hz - f_min_hz)
+    cell = hi - lo
+    # plain bisection would need this many probes to close the cell
+    n_halvings = math.ceil(math.log2(cell / tol))
+    moved = 0  # end replaced by the last probe: -1 lo, +1 hi
+    probes = 0
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        score = achieved(mid)
-        if score >= rho_th:
-            hi, hi_score = mid, score
+        probes += 1
+        # interpolate while the end scores straddle rho_th (the grid's
+        # verdict on a cell end outranks a float score that disagrees) and
+        # the bracket is no wider than bisection would leave after
+        # n_halvings fewer probes; otherwise bisect
+        if (g_lo < 0.0 <= g_hi
+                and hi - lo <= cell * 0.5 ** max(0, probes - n_halvings)):
+            f = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            f = min(max(f, lo + 0.5 * tol), hi - 0.5 * tol)
         else:
-            lo = mid
-    if hi_score is None:
-        hi_score = achieved(hi)
+            f = 0.5 * (lo + hi)
+        score = achieved(f)
+        if score >= rho_th:
+            hi, hi_score, g_hi = f, score, score - rho_th
+            if moved == 1:
+                g_lo *= 0.5  # Illinois: halve the stale end's value
+            moved = 1
+        else:
+            lo, g_lo = f, score - rho_th
+            if moved == -1:
+                g_hi *= 0.5
+            moved = -1
     return FrequencySolution(frequency_hz=hi,
                              predicted_reliability=float(hi_score),
                              non_monotone=non_monotone)

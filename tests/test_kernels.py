@@ -30,6 +30,16 @@ def test_iteration_cap_raises_on_mixed_lanes():
                                     np.array([1.0, 1e6, 5.0]))
 
 
+@pytest.mark.parametrize("stuck_at,cap", [(0.3, "bracket"), (0.9, "Newton")])
+def test_quantile_caps_raise(monkeypatch, stuck_at, cap):
+    # a CDF stuck below p never brackets the quantile, one stuck above it
+    # halves the Newton bracket forever; both used to return the last
+    # iterate (6.9e120 and 8.3e-61)
+    monkeypatch.setattr(kernels, "reg_lower_gamma", lambda a, x: stuck_at)
+    with pytest.raises(ConvergenceError, match=cap):
+        kernels.gamma_quantile_unit(0.5, 3.0)
+
+
 @pytest.mark.parametrize("as_array", [False, True])
 @pytest.mark.parametrize("x", [3000.0, 3100.0])
 def test_large_shape_matches_mpmath(as_array, x):

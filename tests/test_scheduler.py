@@ -120,6 +120,10 @@ def test_invalid_batch_and_threshold_rejected(gt_nano, nano, zenith_budget):
         ss.solve_optimal_frequency(gt_nano, zenith_budget, 0, RHO, nano)
     with pytest.raises(DomainError):
         ss.solve_optimal_frequency(gt_nano, zenith_budget, 2.5, RHO, nano)
+    for method in ("gamma", "cantelli"):  # bool is Integral, not a batch
+        with pytest.raises(DomainError):
+            ss.select_and_price(method, gt_nano, zenith_budget, True, RHO,
+                                nano)
     for rho in (0.0, 1.0, -0.1):
         with pytest.raises(DomainError):
             ss.solve_optimal_frequency(gt_nano, zenith_budget, 2, rho, nano)
@@ -295,8 +299,9 @@ def test_pricing_ignores_planner_model(gt_nano, nano, zenith_budget):
 
 def test_plan_kernel_work_gate(monkeypatch, gt_nano, nano, zenith_budget):
     """Both planners read the pooled shapes on their pre-scan grid from the
-    ground truth and bisect with scalar kernels: no array shape solve, and
-    one array CDF call (the gamma pre-scan) for the pair of plans."""
+    ground truth and probe the boundary with scalar kernels: no array shape
+    solve, and one array CDF call (the gamma pre-scan) for the pair of
+    plans."""
     calls = {"solve_gamma_shape_arr": 0, "reg_lower_gamma_arr": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(kernels, name)):
@@ -305,7 +310,7 @@ def test_plan_kernel_work_gate(monkeypatch, gt_nano, nano, zenith_budget):
         monkeypatch.setattr(kernels, name, counted)
     for method in ("gamma", "cantelli"):
         sel = ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano)
-        assert sel.frequency_hz > nano.f_min_hz  # the bisection ran
+        assert sel.frequency_hz > nano.f_min_hz  # the boundary search ran
     assert calls["solve_gamma_shape_arr"] == 0
     assert calls["reg_lower_gamma_arr"] <= 1
 
@@ -399,7 +404,7 @@ def test_prescan_callback_returns_flags(monkeypatch, method, gt_nano, nano,
 
 
 def _count_plan_work(monkeypatch):
-    """Count array CDF lanes, scalar pooled-shape solves and bisection
+    """Count array CDF lanes, scalar pooled-shape solves and boundary-search
     probes (scalar score calls) from here on."""
     counts = {"cdf_lanes": 0, "shape_solves": 0, "probes": 0}
     arr_cdf = kernels.reg_lower_gamma_arr
@@ -443,5 +448,181 @@ def test_one_shape_solve_per_probe_gate(monkeypatch, method, gt_nano, nano,
     counts = _count_plan_work(monkeypatch)
     sel = ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano)
     assert sel.frequency_hz > nano.f_min_hz
-    assert counts["probes"] >= 10
+    assert counts["probes"] <= 8
     assert counts["shape_solves"] <= counts["probes"] + 2
+
+
+# ---------------------------------------------------------------- boundary search
+
+def _reference_bisection(achieved, rho_th, f_min_hz, f_max_hz, what):
+    """Plain bisection from the same pre-scan cell to the same tolerance."""
+    grid = np.linspace(f_min_hz, f_max_hz, ss.scheduler.GRID_POINTS_DEFAULT)
+    flags = achieved(grid)
+    feasible_idx = np.flatnonzero(flags)
+    if feasible_idx.size == 0:
+        raise InfeasibleConstraintError(
+            what, achievable_reliability=float(achieved(f_max_hz)))
+    first = int(feasible_idx[0])
+    if first == 0:
+        return float(f_min_hz)
+    lo, hi = float(grid[first - 1]), float(grid[first])
+    tol = ss.scheduler._BRACKET_REL_TOL * (f_max_hz - f_min_hz)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if achieved(mid) >= rho_th:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except InfeasibleConstraintError as exc:
+        return exc
+
+
+def test_boundary_search_matches_reference_bisection(monkeypatch, scenario,
+                                                     zenith_budget):
+    """Over a seeded sample of plans, the Illinois search gives the
+    reference bisection's verdict and frequency to 1e-9 of the span, and
+    every interior answer is feasible with 1e-9 of the span lower not,
+    after at most 8 float probes (19 for the reference)."""
+    search = ss.scheduler._boundary_search
+    checked = []
+
+    def compared(achieved, rho_th, f_min_hz, f_max_hz, what):
+        ref = _outcome(_reference_bisection, achieved, rho_th, f_min_hz,
+                       f_max_hz, what)
+        probes = []
+
+        def counted(f_hz):
+            if not isinstance(f_hz, np.ndarray):
+                probes.append(f_hz)
+            return achieved(f_hz)
+
+        got = _outcome(search, counted, rho_th, f_min_hz, f_max_hz, what)
+        if isinstance(ref, InfeasibleConstraintError):
+            assert isinstance(got, InfeasibleConstraintError)
+            assert got.achievable_reliability == ref.achievable_reliability
+            raise got
+        span = f_max_hz - f_min_hz
+        tol = ss.scheduler._BRACKET_REL_TOL * span
+        assert isinstance(got, ss.FrequencySolution)
+        assert abs(got.frequency_hz - ref) <= 1e-9 * span
+        assert got.predicted_reliability == achieved(got.frequency_hz)
+        assert got.predicted_reliability >= rho_th
+        if got.frequency_hz > f_min_hz:
+            assert achieved(got.frequency_hz - tol) < rho_th
+            assert len(probes) <= 8
+        checked.append(got.frequency_hz > f_min_hz)
+        return got
+
+    monkeypatch.setattr(ss.scheduler, "_boundary_search", compared)
+    cells = [(cv, sigma, rho_th, n_img, method, pi)
+             for cv in (0.05, 0.3, 0.9) for sigma in (0.0, 0.5)
+             for rho_th in (0.5, 0.95, 0.999) for n_img in (1, 4, 12)
+             for method in ("gamma", "cantelli") for pi in (0, 1)]
+    rng = np.random.default_rng(20261018)
+    truths = {}
+    for i in sorted(rng.choice(len(cells), size=150, replace=False)):
+        cv, sigma, rho_th, n_img, method, pi = cells[i]
+        if (cv, sigma, pi) not in truths:
+            truths[cv, sigma, pi] = ss.synthesize_ground_truth(
+                scenario.platforms[pi], cv, 56,
+                np.random.default_rng(pi), image_sigma=sigma)
+        try:
+            ss.select_and_price(method, truths[cv, sigma, pi], zenith_budget,
+                                n_img, rho_th, scenario.platforms[pi])
+        except InfeasibleConstraintError:
+            pass
+    assert len(checked) >= 80 and sum(checked) >= 40
+
+
+# a frequency box for searches on hand-made scores
+F_MIN, F_MAX = 3.0e8, 9.2e8
+SPAN = F_MAX - F_MIN
+GRID = np.linspace(F_MIN, F_MAX, ss.scheduler.GRID_POINTS_DEFAULT)
+CELL = GRID[1] - GRID[0]
+TOL = ss.scheduler._BRACKET_REL_TOL * SPAN
+
+
+def _search(score, rho_th):
+    """Boundary search over the box on a vectorized score; returns the
+    solution and the float probes it made."""
+    probes = []
+
+    def achieved(f_hz):
+        if isinstance(f_hz, np.ndarray):
+            return score(f_hz) >= rho_th
+        probes.append(f_hz)
+        return float(score(f_hz))
+
+    sol = ss.scheduler._boundary_search(achieved, rho_th, F_MIN, F_MAX,
+                                        "hand-made score")
+    return sol, probes
+
+
+@pytest.mark.parametrize("rho_th", [0.05, 0.5, 0.95, 0.999])
+def test_boundary_search_worst_case_probe_gate(rho_th):
+    """On a step and on a flat plateau, where interpolation learns nothing,
+    the search makes at most twice the float probes of plain bisection
+    plus the two cell-end scores, and still returns the bracket
+    certificate."""
+    bound = 2 * math.ceil(math.log2(CELL / TOL)) + 2
+    assert bound == 40
+    for frac in np.linspace(0.001, 0.999, 23):
+        r = GRID[1234] + frac * CELL
+        # a step from 0 to 1 at r, and a plateau at 0.0 below r that then
+        # jumps to just above rho_th and rises slowly
+        for score in (lambda f: np.where(f >= r, 1.0, 0.0),
+                      lambda f: np.where(f < r, 0.0, np.minimum(
+                          1.0, rho_th + (f - r) / SPAN))):
+            sol, probes = _search(score, rho_th)
+            assert len(probes) <= bound
+            assert sol.predicted_reliability >= rho_th
+            assert r <= sol.frequency_hz <= r + TOL
+            assert any(sol.frequency_hz - TOL <= f < r for f in probes)
+
+
+def test_boundary_search_steep_constraint_probe_gate():
+    """A constraint that rises from 0 to 1 within a third of a grid cell
+    bends sharply inside the bracket, where plain regula falsi keeps one
+    end fixed and creeps; the Illinois step keeps the search at about 9
+    float probes on average (about 16 without either halving)."""
+    width = 0.3 * CELL
+    counts = []
+    for i, frac in enumerate(np.linspace(0.01, 0.99, 30)):
+        rho_th = (0.05, 0.5, 0.95)[i % 3]
+        r = GRID[1000] + frac * CELL
+        centre = r - width * math.log(rho_th / (1.0 - rho_th))
+        sol, probes = _search(  # a logistic through rho_th at r
+            lambda f, c=centre: 0.5 + 0.5 * np.tanh(0.5 * (f - c) / width),
+            rho_th)
+        assert abs(sol.frequency_hz - r) <= TOL
+        counts.append(len(probes))
+    assert np.mean(counts) <= 12
+
+
+@pytest.mark.parametrize("float_score", [RHO + 0.01, RHO - 0.01])
+def test_boundary_search_keeps_the_grid_verdict(float_score):
+    """When the float scores contradict the grid flags at the ends of the
+    lowest feasible cell (the array and scalar paths may round apart), the
+    search bisects inside that cell rather than interpolating, and the
+    grid's verdict stands."""
+    probes = []
+
+    def achieved(f_hz):
+        if isinstance(f_hz, np.ndarray):
+            return f_hz >= GRID[1000]
+        probes.append(f_hz)
+        return float_score
+
+    sol = ss.scheduler._boundary_search(achieved, RHO, F_MIN, F_MAX, "grid")
+    assert sol.predicted_reliability == float_score
+    if float_score >= RHO:
+        assert GRID[999] < sol.frequency_hz <= GRID[999] + TOL
+    else:
+        assert sol.frequency_hz == GRID[1000]
+    assert len(probes) <= 40
