@@ -15,7 +15,8 @@ import pytest
 
 import satsched as ss
 from satsched import cli, kernels
-from satsched.errors import DomainError, InfeasibleBudgetError
+from satsched.errors import (DomainError, InfeasibleBudgetError,
+                             InfeasibleConstraintError)
 
 _CLI = "import sys; from satsched.cli import main; sys.exit(main())"
 
@@ -568,9 +569,10 @@ def test_cli_shared_flags_parse_on_either_side(tmp_path):
 
 
 def test_cli_plan_at_large_batch_shape(tmp_path):
-    """Grid shapes of 4.8e5 to 2e6: the screen settles the lanes near x = a
-    that the exact kernel cannot evaluate, and the plan is tight under
-    scipy. On nano, n_img 3, f_min is one of those lanes."""
+    """Grid shapes of 4.8e5 to 2e6, where the exact kernel evaluates lanes
+    near x = a by Temme's expansion: feasible plans are tight under scipy,
+    and nano with n_img 8, infeasible even at f_max, exits 2 with the
+    reliability reached there."""
     special = pytest.importorskip("scipy.special")
     user = {"experiment": {"ground_truth": {"cv": 0.002, "image_sigma": 0}}}
     cfg = tmp_path / "cfg.json"
@@ -596,3 +598,16 @@ def test_cli_plan_at_large_batch_shape(tmp_path):
         assert reliability(sel.frequency_hz) >= scenario.rho_th
         delta = 1e-4 * (platform.f_max_hz - platform.f_min_hz)
         assert reliability(sel.frequency_hz - delta) < scenario.rho_th
+
+    res = _run_cli("plan", "--config", str(cfg), "--platform", "nano",
+                   "--n-img", "8", cwd=str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert "no feasible plan" in res.stderr
+    nano = scenario.platform_named("nano")
+    gt = ss.ground_truth_for(scenario, 0)
+    with pytest.raises(InfeasibleConstraintError) as info:
+        ss.select_and_price("gamma", gt, budget, 8, scenario.rho_th, nano)
+    got = info.value.achievable_reliability
+    want = special.gammainc(8 * gt.shape_at(nano.f_max_hz),
+                            budget.t_proc_s / gt.scale_at(nano.f_max_hz))
+    assert math.isfinite(got) and abs(got - want) < 1e-12

@@ -1,5 +1,6 @@
-"""Incomplete-gamma kernels: iteration cap, large shapes, and the
-closed-form bracket of the planner's pre-scan screen.
+"""Incomplete-gamma kernels: iteration cap, accuracy against mpmath over
+large shapes and across the branch edges, and the closed-form bracket of
+the planner's pre-scan screen.
 
 The array form runs the scalar kernel per lane; that its results equal the
 scalar path bit for bit is checked in ``test_numerics.py``.
@@ -14,20 +15,117 @@ import satsched as ss
 from satsched import kernels
 from satsched.errors import ConvergenceError
 
+# lanes outside the Temme region (shape <= 30) that need more than 5 steps:
+# 51 series steps below a + 1, 17 continued-fraction steps above it
+_SLOW_LANES = ((25.0, 24.0), (25.0, 40.0))
+# lanes of the loop-free Temme branch, which no step cap reaches
+_TEMME_LANES = ((100.0, 100.0), (1e6, 1e6))
+
 
 @pytest.mark.parametrize("as_array", [False, True])
-def test_iteration_cap_raises(as_array):
-    # the series needs about sqrt(2 a ln 1e16) terms near x = a, far over the
-    # cap at a = 1e6; the partial sum used to come back as P = 0.226
-    t = np.array([1e6]) if as_array else 1e6
-    with pytest.raises(ConvergenceError):
-        ss.gamma_cdf(t, 1e6, 1.0)
+def test_iteration_cap_raises(monkeypatch, as_array):
+    # a run-out cap raises instead of returning the partial sum, in the
+    # series and in the continued fraction
+    monkeypatch.setattr(kernels, "_MAX_ITER", 5)
+    for a, x in _SLOW_LANES:
+        t = np.array([x]) if as_array else x
+        with pytest.raises(ConvergenceError):
+            ss.gamma_cdf(t, a, 1.0)
 
 
-def test_iteration_cap_raises_on_mixed_lanes():
-    with pytest.raises(ConvergenceError):
-        kernels.reg_lower_gamma_arr(np.array([2.0, 1e6, 2.0]),
-                                    np.array([1.0, 1e6, 5.0]))
+def test_iteration_cap_raises_on_mixed_lanes(monkeypatch):
+    monkeypatch.setattr(kernels, "_MAX_ITER", 5)
+    (ta, tx), (ua, ux) = _TEMME_LANES
+    for a, x in _SLOW_LANES:
+        with pytest.raises(ConvergenceError):
+            kernels.reg_lower_gamma_arr(np.array([ta, a, ua]),
+                                        np.array([tx, x, ux]))
+    got = kernels.reg_lower_gamma_arr(np.array([ta, ua]), np.array([tx, ux]))
+    assert got.tolist() == [kernels.reg_lower_gamma(ta, tx),
+                            kernels.reg_lower_gamma(ua, ux)]
+
+
+def test_ramanujan_anchor_at_large_shape():
+    # P(a, a) = 1/2 + 1/(3 sqrt(2 pi a)) + 1/(540 a sqrt(2 pi a)) + O(a^-5/2);
+    # the series used to run out its cap here
+    a = 1e6
+    anchor = 0.5 + 1.0 / (3.0 * math.sqrt(2.0 * math.pi * a))
+    next_term = 1.0 / (540.0 * a * math.sqrt(2.0 * math.pi * a))
+    got = ss.gamma_cdf(a, a, 1.0)
+    assert 0.0 < got - anchor < 2.0 * next_term
+    assert abs(got - anchor - next_term) < 1e-15
+
+
+def _mp_reference(mpmath, a, x):
+    # (P, Q) to 50 digits. Q comes from mpmath's upper form: its lower form
+    # is slow near x = a and fails to converge at large shapes. P = 1 - Q
+    # gets as many extra digits as P is small.
+    dps = 60
+    while True:
+        with mpmath.workdps(dps):
+            q = mpmath.gammainc(a, x, mpmath.inf, regularized=True)
+            p = 1 - q
+            if p > 0 and -mpmath.log10(p) < dps - 50:
+                return float(p), float(q)
+        dps *= 2
+
+
+def _assert_smaller_tail_close(mpmath, a, x, got):
+    # 1e-13 relative on the smaller tail. A tail of e^-L is a rounded
+    # exponent away from the truth, so allow L more ulps; when the upper tail
+    # Q is the smaller, P = 1 - Q also carries P's own half-ulp rounding.
+    p_ref, q_ref = _mp_reference(mpmath, a, x)
+    tail = min(p_ref, q_ref)
+    allowed = tail * (1e-13 + abs(math.log(tail)) * 2.0 ** -52)
+    if q_ref < p_ref:
+        allowed += 2.0 ** -53
+    assert abs(got - p_ref) <= allowed, (a, x, got, p_ref, q_ref)
+
+
+def test_large_shapes_match_mpmath():
+    # shapes log-uniform in [20, 1e7], x within 8 sd of a; a second draw in
+    # [20, 1e3], where 8 sd reach past the Temme region's x/a edges. Shapes
+    # above 1e5 are whole numbers, for which mpmath has a fast exact path.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261018)
+    a = np.exp(np.concatenate([rng.uniform(math.log(20.0), math.log(1e7), 80),
+                               rng.uniform(math.log(20.0), math.log(1e3), 80)]))
+    a = np.where(a > 1e5, np.round(a), a)
+    x = a + rng.uniform(-8.0, 8.0, a.size) * np.sqrt(a)
+    keep = x > 0.0
+    got = kernels.reg_lower_gamma_arr(a[keep], x[keep])
+    for ai, xi, pi in zip(a[keep].tolist(), x[keep].tolist(), got.tolist()):
+        _assert_smaller_tail_close(mpmath, ai, xi, pi)
+
+
+def test_tiny_x_at_large_shape_is_zero():
+    # x / a underflows to 0 in the first lane; P is far below the smallest
+    # float in both
+    assert kernels.reg_lower_gamma(50.0, 5e-324) == 0.0
+    assert kernels.reg_lower_gamma(50.0, 1e-300) == 0.0
+
+
+def _edge_lanes():
+    # both sides of each branch edge: the shape floor a = 30 (and the next
+    # float up) at several x/a, and x = (1 -+ 0.3) a, give or take 1e-12
+    # relative, at shapes where that edge lies within 8 sd of a; then x == a
+    lanes = []
+    edge = kernels._TEMME_MIN_SHAPE
+    for r in (0.71, 0.9, 1.0, 1.1, 1.29):
+        for a in (edge, math.nextafter(edge, math.inf)):
+            lanes.append((a, r * a))
+    for a in (31.0, 150.0, 700.0):
+        for r in (1.0 - kernels._TEMME_HALF_WIDTH,
+                  1.0 + kernels._TEMME_HALF_WIDTH):
+            lanes += [(a, r * a * (1.0 + d)) for d in (-1e-12, 0.0, 1e-12)]
+    lanes += [(a, a) for a in (20.0, 31.0, 1e4, 1e6, 1e7)]
+    return lanes
+
+
+def test_branch_edges_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    for a, x in _edge_lanes():
+        _assert_smaller_tail_close(mpmath, a, x, kernels.reg_lower_gamma(a, x))
 
 
 @pytest.mark.parametrize("stuck_at,cap", [(0.3, "bracket"), (0.9, "Newton")])

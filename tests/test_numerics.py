@@ -103,14 +103,17 @@ def test_gamma_cdf_broadcasts_like_the_scalar_path():
     vec2 = ss.gamma_cdf(0.05, shapes, scales)
     assert vec2.shape == (4,)
     assert vec2[1] == ss.gamma_cdf(0.05, 2.0, 0.01)
-    # seeded lanes around the mode in both kernel branches (series below
-    # a + 1, continued fraction above), whose step counts differ widely: a
-    # batched call gives every lane the scalar path's bits
+    # seeded lanes around the mode in all three kernel branches (Temme's
+    # expansion for a > 30 within 0.3 a of the mode, else the series below
+    # a + 1 and the continued fraction above), whose step counts differ
+    # widely: a batched call gives every lane the scalar path's bits
     rng = np.random.default_rng(20260816)
     a = np.exp(rng.uniform(math.log(0.3), math.log(3000.0), 4000))
     x = np.maximum(a + rng.uniform(-6.0, 6.0, a.size) * np.sqrt(a), 1e-3)
     ser = x < a + 1.0
     assert ser.sum() > 1000 and (~ser).sum() > 1000
+    temme = (a > 30.0) & (np.abs(x - a) < 0.3 * a)
+    assert min(temme.sum(), (ser & ~temme).sum(), (~ser & ~temme).sum()) > 1000
     vec3 = ss.gamma_cdf(x, a, 1.0)
     assert np.array_equal(vec3, [ss.gamma_cdf(xi, ai, 1.0)
                                  for xi, ai in zip(x.tolist(), a.tolist())])
