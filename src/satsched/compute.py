@@ -89,6 +89,13 @@ class Platform:
     def check_frequency(self, f_hz):
         """Validate a clock (scalar or array) and clamp tolerance fuzz."""
         slack = _FREQ_RTOL * self.f_max_hz
+        if isinstance(f_hz, float):
+            # the same check and clamp as below, without numpy
+            if not self.f_min_hz - slack <= f_hz <= self.f_max_hz + slack:
+                raise DomainError(
+                    f"frequency {f_hz!r} outside "
+                    f"[{self.f_min_hz!r}, {self.f_max_hz!r}]")
+            return float(min(max(f_hz, self.f_min_hz), self.f_max_hz))
         arr = np.asarray(f_hz, dtype=np.float64)
         if not (np.all(self.f_min_hz - slack <= arr)
                 and np.all(arr <= self.f_max_hz + slack)):

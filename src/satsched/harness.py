@@ -28,7 +28,7 @@ from .errors import (DomainError, EstimationError, InfeasibleBudgetError,
 from .estimation import fit_frequency_model, sample_size_study
 from .numerics import GammaLaw, ks_statistic
 from .rand import NS_GROUND_TRUTH, stream
-from .scheduler import (GRID_POINTS_DEFAULT, LatencyBudget, MomentModel,
+from .scheduler import (LatencyBudget, MomentModel, planner_grid,
                         processing_budget, select_and_price)
 
 _METHODS = ("gamma", "cantelli")
@@ -68,9 +68,11 @@ class GroundTruth:
     * "constant": coefficient of variation fixed at ``cv_at_fmax`` across
       the whole range (per-image shape is 1/cv^2 everywhere).
 
-    ``planner_grid_hz`` is the planner's pre-scan grid (GRID_POINTS_DEFAULT
-    points over the platform range) and ``planner_grid_shapes`` the pooled
-    shapes on it, solved once at construction; both are read-only.
+    ``planner_grid_hz`` is the planner's pre-scan grid for the platform
+    range (the shared array of :func:`~satsched.scheduler.planner_grid`),
+    and ``planner_grid_shapes`` and ``planner_grid_scales`` are the pooled
+    shapes and scales on it, computed once at construction; all three are
+    read-only.
     """
 
     platform: Platform
@@ -80,6 +82,7 @@ class GroundTruth:
     log_multiplier_gap: float
     planner_grid_hz: np.ndarray
     planner_grid_shapes: np.ndarray
+    planner_grid_scales: np.ndarray
     provenance: dict
 
     @property
@@ -130,8 +133,7 @@ class GroundTruth:
         per-image one. Called with the planner grid, returns the shapes
         solved at construction.
         """
-        if (isinstance(f_hz, np.ndarray)
-                and np.array_equal(f_hz, self.planner_grid_hz)):
+        if isinstance(f_hz, np.ndarray) and self._on_planner_grid(f_hz):
             return self.planner_grid_shapes
         ab = self.image_shape_at(f_hz)
         gap = self.log_multiplier_gap
@@ -147,8 +149,17 @@ class GroundTruth:
         return _pooled_shape(float(ab), gap)
 
     def scale_at(self, f_hz):
-        """Pooled-fit scale, fixed so the pooled mean is exact."""
+        """Pooled-fit scale, fixed so the pooled mean is exact. Called with
+        the planner grid, returns the scales computed at construction."""
+        if isinstance(f_hz, np.ndarray) and self._on_planner_grid(f_hz):
+            return self.planner_grid_scales
         return self.mean_at(f_hz) / self.shape_at(f_hz)
+
+    def _on_planner_grid(self, f_hz: np.ndarray) -> bool:
+        # the planner passes the shared grid array itself; an equal copy
+        # is recognised too
+        return (f_hz is self.planner_grid_hz
+                or np.array_equal(f_hz, self.planner_grid_hz))
 
     def law_at(self, f_hz: float) -> GammaLaw:
         return GammaLaw(float(self.shape_at(float(f_hz))),
@@ -203,14 +214,15 @@ def synthesize_ground_truth(platform: Platform, cv: float, n_images: int,
         variance_model=variance_model, work_multipliers=mult,
         log_multiplier_gap=gap,
         planner_grid_hz=np.empty(0), planner_grid_shapes=np.empty(0),
-        provenance=dict(provenance or {}))
-    # the same linspace call as the planner's pre-scan, so the arrays match
-    grid = np.linspace(platform.f_min_hz, platform.f_max_hz, GRID_POINTS_DEFAULT)
+        planner_grid_scales=np.empty(0), provenance=dict(provenance or {}))
+    grid = planner_grid(platform.f_min_hz, platform.f_max_hz)
     shapes = np.array(gt.shape_at(grid), dtype=np.float64)
-    grid.flags.writeable = False
+    scales = gt.mean_at(grid) / shapes
     shapes.flags.writeable = False
+    scales.flags.writeable = False
     object.__setattr__(gt, "planner_grid_hz", grid)
     object.__setattr__(gt, "planner_grid_shapes", shapes)
+    object.__setattr__(gt, "planner_grid_scales", scales)
     return gt
 
 

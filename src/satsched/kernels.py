@@ -27,9 +27,11 @@ instead of returning the last iterate.
 ``reg_lower_gamma_bounds`` brackets P(a, x) in closed form (no loop, no
 lgamma): tangent and chord bounds of the log-concave density, with Gamma(a)
 bracketed by Stirling-Binet; a shape below 1 is bracketed at a + 1 and
-shifted back by the recurrence. The planner's grid pre-scan uses
-it to settle the lanes whose feasibility flag is not in doubt, and runs the
-exact kernel on the rest.
+shifted back by the recurrence. ``reg_lower_gamma_tangent`` is its tangent
+side alone, with the same bits, for shapes of at least 1: a wider bracket
+at about a fifth of the cost. The planner's grid pre-scan settles lanes
+with the tangent bracket first, brackets the rest fully, and runs the exact
+kernel only on the lanes whose feasibility flag is still in doubt.
 
 Everything here is a pure function. Argument validation lives one level up
 in :mod:`satsched.numerics`; kernels assume in-domain inputs.
@@ -195,7 +197,13 @@ def _reg_lower_gamma_lane(a, x):
                     1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0))) / a)
     else:
         logp = a * math.log(x) - x - math.lgamma(a)
-    if x < a + 1.0:
+    below = x < a + 1.0
+    if logp < _LOG_TINY:
+        # the prefactor underflows, so P is 0 below the mode and 1 above
+        # it, the values the loops below return once they converge; at huge
+        # shapes the continued fraction never meets its stop rule there
+        return 0.0 if below else 1.0
+    if below:
         ap = a
         term = 1.0 / a
         total = term
@@ -207,8 +215,6 @@ def _reg_lower_gamma_lane(a, x):
                 break
         else:
             raise ConvergenceError(_CDF_CAP_MSG)
-        if logp < _LOG_TINY:
-            return 0.0
         val = total * math.exp(logp)
         if val > 1.0:
             return 1.0
@@ -234,11 +240,7 @@ def _reg_lower_gamma_lane(a, x):
             break
     else:
         raise ConvergenceError(_CDF_CAP_MSG)
-    if logp < _LOG_TINY:
-        q = 0.0
-    else:
-        q = h * math.exp(logp)
-    p = 1.0 - q
+    p = 1.0 - h * math.exp(logp)
     if p < 0.0:
         return 0.0
     if p > 1.0:
@@ -352,6 +354,35 @@ def _log_chord_factor(d):
                         np.where(d == 0.0, 0.0, np.log(np.expm1(d) / d)))
 
 
+def _tangent_terms(a, x):
+    # log g, with g = x^a e^(-x) / S(a) >= x^a e^(-x) / Gamma(a), and the
+    # tangent bound g / |x - (a-1)| of the smaller side (see the bracket)
+    v = (x - a) / a
+    log_g = a * (np.log1p(v) - v) + 0.5 * np.log(a) - _HALF_LOG_2PI
+    am1 = a - 1.0
+    right = x > am1
+    with np.errstate(divide="ignore"):
+        tan = np.exp(log_g) / np.abs(x - am1)
+    return log_g, right, tan
+
+
+def reg_lower_gamma_tangent(a, x):
+    # The tangent side of reg_lower_gamma_bounds alone, same bits:
+    # lo <= P(a, x) <= hi on arrays, x > 0, with one log1p, one log and one
+    # exp pass. The tangent bound needs a log-concave density, so a lane
+    # with a < 1 gets [0, 1]. The bounds are not clipped to [0, 1].
+    a = np.asarray(a, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    _, right, tan = _tangent_terms(a, x)
+    lo = np.where(right, 1.0 - tan, 0.0)
+    hi = np.where(right, 1.0, tan)
+    small = a < 1.0
+    if small.any():
+        lo[small] = 0.0
+        hi[small] = 1.0
+    return lo, hi
+
+
 def reg_lower_gamma_bounds(a, x):
     # Closed-form bracket lo <= P(a, x) <= hi on arrays, x > 0, no loop.
     # For a >= 1, log t^(a-1) e^(-t) is concave, so its tangent at x bounds
@@ -371,10 +402,8 @@ def reg_lower_gamma_bounds(a, x):
     shift = small.any()  # most calls have no such lane: skip the extra passes
     if shift:
         a = np.where(small, a + 1.0, a)
-    v = (x - a) / a
-    log_g = a * (np.log1p(v) - v) + 0.5 * np.log(a) - _HALF_LOG_2PI
+    log_g, right, tan = _tangent_terms(a, x)
     am1 = a - 1.0
-    right = x > am1
     w_q = 1.5 * np.sqrt(a)
     w_p = np.minimum(w_q, 0.5 * x)
     log_lo_density = log_g - 1.0 / (12.0 * a) - np.log(x)
@@ -382,8 +411,6 @@ def reg_lower_gamma_bounds(a, x):
     d_p = am1 * np.log1p(-w_p / x) + w_p
     q_lo = np.exp(log_lo_density + np.log(w_q) + _log_chord_factor(d_q))
     p_lo = np.exp(log_lo_density + np.log(w_p) + _log_chord_factor(d_p))
-    with np.errstate(divide="ignore"):
-        tan = np.exp(log_g) / np.abs(x - am1)
     lo = np.maximum(p_lo, np.where(right, 1.0 - tan, 0.0))
     hi = np.minimum(1.0 - q_lo, np.where(right, 1.0, tan))
     if shift:
@@ -452,6 +479,7 @@ def warm_up() -> None:
     q_func(1.0)
     one = np.ones(2, dtype=np.float64)
     reg_lower_gamma_arr(one + 1.0, one)
+    reg_lower_gamma_tangent(one + 1.0, one)
     reg_lower_gamma_bounds(one + 1.0, one)
     digamma_arr(one)
     solve_gamma_shape_arr(one * 0.01)

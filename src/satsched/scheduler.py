@@ -24,11 +24,15 @@ the probes score a clock alike.
 
 The scan needs only one flag per grid point (score >= rho_th), so the score
 callbacks return flags for an array. The Gamma planner's scan screens
-first: a closed-form bracket of the CDF settles most points, and only the
-points in doubt get the exact CDF. Every reported score comes from a float
-evaluation, the same exact path the search probes take.
+first: a cheap tangent bracket of the CDF settles most points, a tighter
+closed-form bracket most of the rest, and only the points still in doubt
+get the exact CDF. Every reported score comes from a float evaluation, the
+same exact path the search probes take. The grid is built once per
+frequency range (:func:`planner_grid`) and shared, so a model can keep its
+values on it.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -48,6 +52,19 @@ _BRACKET_REL_TOL = 1e-9
 # a closed-form bracket settles a pre-scan lane only when it clears rho_th by
 # this much, far above the rounding of the bracket and of the exact CDF
 _SCREEN_MARGIN = 1e-9
+
+
+@functools.lru_cache(maxsize=64)
+def planner_grid(f_min_hz: float, f_max_hz: float) -> np.ndarray:
+    """The pre-scan grid of GRID_POINTS_DEFAULT clocks over [f_min, f_max].
+
+    Built once per range and read-only: every plan on a platform scans the
+    same array, and a model that caches values on it (the ground truth's
+    pooled shapes and scales) recognises it by identity.
+    """
+    grid = np.linspace(f_min_hz, f_max_hz, GRID_POINTS_DEFAULT)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)
@@ -182,7 +199,7 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
     """
     if not f_min_hz < f_max_hz:
         raise DomainError(f"need f_min < f_max, got [{f_min_hz!r}, {f_max_hz!r}]")
-    grid = np.linspace(f_min_hz, f_max_hz, GRID_POINTS_DEFAULT)
+    grid = planner_grid(f_min_hz, f_max_hz)
     flags = achieved(grid)
     feasible_idx = np.flatnonzero(flags)
     if feasible_idx.size == 0:
@@ -235,20 +252,35 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
                              non_monotone=non_monotone)
 
 
+def _settled(lo, hi, rho_th: float):
+    # lanes a bracket proves feasible, and lanes it leaves in doubt
+    feasible = lo >= rho_th + _SCREEN_MARGIN
+    return feasible, ~feasible & (hi >= rho_th - _SCREEN_MARGIN)
+
+
 def _screened_flags(t_proc: float, shape, scale, rho_th: float):
     """Flags CDF(t_proc) >= rho_th per lane, exact CDF only where in doubt.
 
-    A closed-form bracket of each lane's CDF
-    (:func:`~satsched.kernels.reg_lower_gamma_bounds`) settles most lanes:
-    one whose lower bound is at least rho_th + _SCREEN_MARGIN is feasible,
-    one whose upper bound is below rho_th - margin is not. Only the other
-    lanes get the exact CDF, so the flags equal the exact ones on every lane.
+    Closed-form brackets of each lane's CDF settle most lanes: one whose
+    lower bound is at least rho_th + _SCREEN_MARGIN is feasible, one whose
+    upper bound is below rho_th - margin is not. The cheap tangent bracket
+    (:func:`~satsched.kernels.reg_lower_gamma_tangent`) goes over every
+    lane first, the full bracket
+    (:func:`~satsched.kernels.reg_lower_gamma_bounds`, which lies inside
+    the tangent one) over the lanes it leaves, and the exact CDF over the
+    lanes still in doubt. So the flags equal the exact ones on every lane,
+    and the exact lanes are those the full bracket alone would leave.
     """
-    lo, hi = kernels.reg_lower_gamma_bounds(shape, t_proc / scale)
-    flags = lo >= rho_th + _SCREEN_MARGIN
-    doubt = ~flags & (hi >= rho_th - _SCREEN_MARGIN)
-    if doubt.any():
-        flags[doubt] = gamma_cdf(t_proc, shape[doubt], scale[doubt]) >= rho_th
+    x = t_proc / scale
+    flags, doubt = _settled(*kernels.reg_lower_gamma_tangent(shape, x), rho_th)
+    rest = np.flatnonzero(doubt)
+    if rest.size:
+        feasible, doubt = _settled(
+            *kernels.reg_lower_gamma_bounds(shape[rest], x[rest]), rho_th)
+        flags[rest] = feasible
+        rest = rest[doubt]
+    if rest.size:
+        flags[rest] = gamma_cdf(t_proc, shape[rest], scale[rest]) >= rho_th
     return flags
 
 
@@ -264,8 +296,9 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
     erroring, so damaged fits degrade gracefully.
 
     The grid pre-scan flags points with :func:`_screened_flags`, which runs
-    the exact CDF only where a closed-form bracket leaves the flag in doubt;
-    the flags, and so the answer, are those of the exact CDF on every point.
+    the exact CDF only where two closed-form brackets leave the flag in
+    doubt; the flags, and so the answer, are those of the exact CDF on every
+    point.
 
     Raises:
         InfeasibleConstraintError: even f_max misses the quantile; the error

@@ -165,3 +165,31 @@ def test_from_mean_at_max_round_trip():
 def test_check_frequency_clamps_tolerance_fuzz(nano):
     nudged = nano.f_max_hz * (1.0 + 1e-12)
     assert nano.check_frequency(nudged) == nano.f_max_hz
+
+
+def test_check_frequency_float_path_matches_array_path(nano):
+    # a Python float skips numpy; at the edges of the slack it accepts,
+    # clamps and rejects exactly as the array path does
+    slack = 1e-9 * nano.f_max_hz
+    for edge, sign in ((nano.f_min_hz - slack, 1.0),
+                       (nano.f_max_hz + slack, -1.0)):
+        for f in (edge, edge + sign * 1e-3, edge - sign * 1e-3,
+                  float(np.nextafter(edge, edge - sign))):
+            try:
+                expected = nano.check_frequency(np.asarray(f))
+            except DomainError:
+                with pytest.raises(DomainError):
+                    nano.check_frequency(f)
+                continue
+            got = nano.check_frequency(f)
+            assert type(got) is float and got == expected
+    assert nano.check_frequency(nano.f_min_hz - slack) == nano.f_min_hz
+    with pytest.raises(DomainError):
+        nano.check_frequency(nano.f_max_hz + 2.0 * slack)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_check_frequency_rejects_nonfinite(nano, bad):
+    for f in (bad, np.asarray(bad), np.array([nano.f_min_hz, bad])):
+        with pytest.raises(DomainError):
+            nano.check_frequency(f)

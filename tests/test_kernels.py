@@ -1,5 +1,5 @@
 """Incomplete-gamma kernels: iteration cap, accuracy against mpmath over
-large shapes and across the branch edges, and the closed-form bracket of
+large shapes and across the branch edges, and the closed-form brackets of
 the planner's pre-scan screen.
 
 The array form runs the scalar kernel per lane; that its results equal the
@@ -43,6 +43,28 @@ def test_iteration_cap_raises_on_mixed_lanes(monkeypatch):
     got = kernels.reg_lower_gamma_arr(np.array([ta, ua]), np.array([tx, ux]))
     assert got.tolist() == [kernels.reg_lower_gamma(ta, tx),
                             kernels.reg_lower_gamma(ua, ux)]
+
+
+def test_underflowing_prefactor_needs_no_loop():
+    # where x^a e^-x / Gamma(a) underflows, P is 0 below the mode and 1
+    # above it without running the series or the continued fraction, whose
+    # stop rule the continued fraction never met at these huge shapes
+    for a, x in ((31622776601.683792, 3.162277660168379e+16),
+                 (56234132519.034904, 3.1622776601683796e+16),
+                 (316227766016.83795, 5.623413251903491e+16),
+                 (562341325190.3491, 1e+17),
+                 (1000000000000.0, 5.623413251903491e+16),
+                 (1000000000000.0, 1e+18)):
+        assert kernels.reg_lower_gamma(a, x) == 1.0
+    # a quarter-decade scan, a from 1e-3 to 1e12 and x from 1e-6 a to 1e6 a,
+    # which held the six lanes above
+    a = np.repeat(np.logspace(-3.0, 12.0, 61), 49)
+    x = a * np.tile(np.logspace(-6.0, 6.0, 49), 61)
+    p = kernels.reg_lower_gamma_arr(a, x)
+    assert np.all((p >= 0.0) & (p <= 1.0))
+    big = a >= 10.0
+    assert np.all(p[big & (x >= 1e3 * a)] == 1.0)
+    assert np.all(p[big & (x <= 1e-3 * a)] < 1e-20)
 
 
 def test_ramanujan_anchor_at_large_shape():
@@ -182,3 +204,46 @@ def test_bracket_below_shape_one_holds_against_mpmath():
         for ai, xi, li, ui in zip(a, x, lo, hi):
             p = float(mpmath.gammainc(ai, 0, xi, regularized=True))
             assert li - _BRACKET_ROUNDING <= p <= ui + _BRACKET_ROUNDING, (ai, xi)
+
+
+def test_tangent_bracket_holds_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261101)
+    a = np.exp(rng.uniform(0.0, math.log(1e5), 120))
+    a[:2] = (1.0, 1e5)
+    x = np.maximum(a - 1.0 + rng.uniform(-8.0, 8.0, a.size) * np.sqrt(a),
+                   1e-3)
+    lo, hi = kernels.reg_lower_gamma_tangent(a, x)
+    assert np.all(lo <= hi)
+    with mpmath.workdps(50):
+        for ai, xi, li, ui in zip(a, x, lo, hi):
+            p = float(mpmath.gammainc(ai, 0, xi, regularized=True))
+            assert li - _BRACKET_ROUNDING <= p <= ui + _BRACKET_ROUNDING, (ai, xi)
+
+
+def test_tangent_bracket_is_the_full_brackets_tangent_side(monkeypatch):
+    # with its chords switched off, reg_lower_gamma_bounds is its tangent
+    # side alone; the tangent kernel equals it bit for bit, and with the
+    # chords on, the full bracket lies inside the tangent one
+    rng = np.random.default_rng(20261102)
+    a = np.exp(rng.uniform(0.0, math.log(1e5), 4000))
+    x = np.maximum(a - 1.0 + rng.uniform(-10.0, 10.0, a.size) * np.sqrt(a),
+                   1e-3)
+    lo, hi = kernels.reg_lower_gamma_tangent(a, x)
+    full_lo, full_hi = kernels.reg_lower_gamma_bounds(a, x)
+    assert np.all(full_lo >= np.clip(lo, 0.0, 1.0))
+    assert np.all(full_hi <= np.clip(hi, 0.0, 1.0))
+    monkeypatch.setattr(kernels, "_log_chord_factor",
+                        lambda d: np.full(d.shape, -np.inf))
+    tan_lo, tan_hi = kernels.reg_lower_gamma_bounds(a, x)
+    assert np.array_equal(np.clip(lo, 0.0, 1.0), tan_lo)
+    assert np.array_equal(np.clip(hi, 0.0, 1.0), tan_hi)
+
+
+def test_tangent_bracket_is_trivial_below_shape_one():
+    # the tangent bound needs a log-concave density, so shape >= 1
+    a = np.array([0.3, 0.999, 1.0, 2.0])
+    x = np.array([5.0, 5.0, 5.0, 20.0])
+    lo, hi = kernels.reg_lower_gamma_tangent(a, x)
+    assert lo[:2].tolist() == [0.0, 0.0] and hi[:2].tolist() == [1.0, 1.0]
+    assert lo[2] > 0.9 and lo[3] > 0.99

@@ -328,6 +328,23 @@ def test_planner_grid_shapes_are_a_fresh_solve(gt_nano, nano):
             arr[0] = 1.0
 
 
+def test_planner_grid_scales_are_cached(gt_nano, nano):
+    """The planner's grid is one shared read-only array per platform range,
+    and the ground truth keeps its pooled scales on it."""
+    grid = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
+    assert grid is gt_nano.planner_grid_hz
+    assert gt_nano.scale_at(grid) is gt_nano.planner_grid_scales
+    assert gt_nano.scale_at(np.array(grid)) is gt_nano.planner_grid_scales
+    assert np.array_equal(
+        gt_nano.planner_grid_scales,
+        gt_nano.mean_at(grid) / gt_nano.planner_grid_shapes)
+    assert gt_nano.planner_grid_scales.dtype == np.float64
+    for arr in (grid, gt_nano.planner_grid_scales):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
 def test_unknown_method_rejected(gt_nano, nano, zenith_budget):
     with pytest.raises(DomainError):
         ss.select_and_price("median", gt_nano, zenith_budget, 2, RHO, nano)
@@ -356,10 +373,11 @@ def test_screened_flags_equal_exact_flags():
         assert np.array_equal(flags, exact >= rho_th)
 
 
-@pytest.mark.parametrize("offset,settled", [(0.5e-9, False), (2e-9, True)])
-def test_screen_settles_only_past_the_margin(monkeypatch, offset, settled):
+def _check_screen_margin(monkeypatch, offset, settled, liar, trivial):
     # a bracket whose lower end clears rho_th by less than 1e-9 settles
-    # nothing; by more, every lane, and then no exact CDF runs at all
+    # nothing; by more, every lane, and then no exact CDF runs at all. The
+    # lying bracket sits on one screening pass; the other pass gets the
+    # trivial bracket [0, 1], which settles nothing
     rho_th = 0.95
     shape = np.full(6, 50.0)
     scale = np.linspace(0.8, 1.2, 6) / 50.0
@@ -372,7 +390,9 @@ def test_screen_settles_only_past_the_margin(monkeypatch, offset, settled):
         return cdf(t, a, sc)
 
     monkeypatch.setattr(ss.scheduler, "gamma_cdf", counted_cdf)
-    monkeypatch.setattr(kernels, "reg_lower_gamma_bounds",
+    monkeypatch.setattr(kernels, trivial,
+                        lambda a, x: (np.zeros(a.shape), np.ones(a.shape)))
+    monkeypatch.setattr(kernels, liar,
                         lambda a, x: (np.full(a.shape, rho_th + offset),
                                       np.ones(a.shape)))
     flags = ss.scheduler._screened_flags(1.0, shape, scale, rho_th)
@@ -380,6 +400,21 @@ def test_screen_settles_only_past_the_margin(monkeypatch, offset, settled):
         assert flags.all() and exact_lanes == []
     else:
         assert np.array_equal(flags, exact >= rho_th) and exact_lanes == [6]
+
+
+@pytest.mark.parametrize("offset,settled", [(0.5e-9, False), (2e-9, True)])
+def test_screen_settles_only_past_the_margin(monkeypatch, offset, settled):
+    _check_screen_margin(monkeypatch, offset, settled,
+                         liar="reg_lower_gamma_bounds",
+                         trivial="reg_lower_gamma_tangent")
+
+
+@pytest.mark.parametrize("offset,settled", [(0.5e-9, False), (2e-9, True)])
+def test_tangent_screen_settles_only_past_the_margin(monkeypatch, offset,
+                                                     settled):
+    _check_screen_margin(monkeypatch, offset, settled,
+                         liar="reg_lower_gamma_tangent",
+                         trivial="reg_lower_gamma_bounds")
 
 
 @pytest.mark.parametrize("method", ["gamma", "cantelli"])
@@ -438,6 +473,23 @@ def test_prescan_exact_lane_gate(monkeypatch, gt_nano, nano, zenith_budget):
     sel = ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert 2 <= counts["cdf_lanes"] <= 64
+
+
+def test_prescan_full_bracket_lane_gate(monkeypatch, gt_nano, nano,
+                                       zenith_budget):
+    """The tangent bracket settles most pre-scan lanes, so few reach the
+    full bracket."""
+    lanes = []
+    bounds = kernels.reg_lower_gamma_bounds
+
+    def counted_bounds(a, x):
+        lanes.append(a.shape[0])
+        return bounds(a, x)
+
+    monkeypatch.setattr(kernels, "reg_lower_gamma_bounds", counted_bounds)
+    sel = ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano)
+    assert sel.frequency_hz > nano.f_min_hz
+    assert len(lanes) == 1 and lanes[0] <= 256
 
 
 @pytest.mark.parametrize("method", ["gamma", "cantelli"])
