@@ -96,7 +96,6 @@ class LinkParams:
         gain_rx: Receiver antenna gain, linear.
         pointing_loss: Antenna mispointing loss, linear (>= 1 in practice).
         noise_power_w: Receiver noise power over the signal bandwidth.
-        shadow_sigma_db: Std dev of the log-normal shadowing term, in dB.
     """
 
     carrier_hz: float
@@ -105,15 +104,11 @@ class LinkParams:
     gain_rx: float
     pointing_loss: float
     noise_power_w: float
-    shadow_sigma_db: float = 0.0
 
     def __post_init__(self):
         for name in ("carrier_hz", "tx_power_w", "gain_tx", "gain_rx",
                      "pointing_loss", "noise_power_w"):
             _check_positive(name, getattr(self, name))
-        if not math.isfinite(float(self.shadow_sigma_db)) or float(self.shadow_sigma_db) < 0.0:
-            raise DomainError(
-                f"shadow_sigma_db must be >= 0, got {self.shadow_sigma_db!r}")
 
 
 def snr(params: LinkParams, d_m: float, shadow_db: float = 0.0) -> float:

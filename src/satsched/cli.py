@@ -8,8 +8,8 @@ Subcommands:
     plan             one-shot frequency decision, both planners side by side
     validate-config  strict-parse the config and echo the resolved values
 
-Exit codes: 0 success, 1 configuration error, 2 infeasible instance,
-3 numerical failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 infeasible
+instance, 3 numerical failure.
 """
 
 import argparse
@@ -120,6 +120,10 @@ def _cmd_figure(args, scenario) -> int:
 
 
 def _cmd_plan(args, scenario) -> int:
+    if args.n_img < 1:
+        raise ConfigError(f"--n-img: must be >= 1, got {args.n_img!r}")
+    if args.elevation is not None and not 0.0 < args.elevation <= 90.0:
+        raise ConfigError(f"--elevation: must be in (0, 90], got {args.elevation!r}")
     platform = scenario.platform_named(args.platform)
     pi = [p.name for p in scenario.platforms].index(platform.name)
     if args.deadline is not None:
@@ -183,7 +187,10 @@ def _cmd_validate(args, scenario) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 0 after --help, 2 on a usage error
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         scenario = load_scenario(args.config, seed_override=args.seed)
         if args.command == "fit":

@@ -286,7 +286,7 @@ def resolve(cfg: dict) -> Scenario:
 
     link_ul = LinkParams(carrier_hz=carrier, tx_power_w=p_ul, gain_tx=g_ue,
                          gain_rx=g_sat, pointing_loss=pointing,
-                         noise_power_w=noise_w, shadow_sigma_db=shadow_sigma)
+                         noise_power_w=noise_w)
 
     subcarriers = _int(cfg, "grid.subcarriers", lo=1)
     symbols_per_slot = _int(cfg, "grid.symbols_per_slot", lo=1)
@@ -335,7 +335,8 @@ def resolve(cfg: dict) -> Scenario:
                      open_lo=True)
     sweep = _resolve_sweep(cfg)
 
-    cv = _num(cfg, "experiment.ground_truth.cv", lo=0.0, open_lo=True)
+    cv = _num(cfg, "experiment.ground_truth.cv", lo=0.0, hi=1.0,
+              open_lo=True, open_hi=True)
     n_images = _int(cfg, "experiment.ground_truth.n_images", lo=1)
     image_sigma = _num(cfg, "experiment.ground_truth.image_sigma", lo=0.0)
     variance_model = cfg["experiment"]["ground_truth"]["variance_model"]

@@ -181,15 +181,15 @@ def fit_moment_model(samples_by_freq, platform: Platform,
     return MomentModel(mean_fn=mean_fn, variance_fn=var_poly)
 
 
-def draw_subset(dataset, n_s: int, rng: np.random.Generator) -> list:
-    """Uniform draw of n_s image ids with replacement (n_s may exceed |dataset|)."""
-    items = list(dataset)
-    if not items:
+def draw_subset(dataset, n_s: int, rng: np.random.Generator) -> np.ndarray:
+    """n_s image ids drawn uniformly with replacement (n_s may exceed |dataset|)."""
+    items = np.asarray(list(dataset))
+    if items.size == 0:
         raise DomainError("dataset is empty")
     if not isinstance(n_s, numbers.Integral) or n_s < 1:
         raise DomainError(f"n_s must be a positive integer, got {n_s!r}")
     idx = rng.integers(0, len(items), size=int(n_s))
-    return [items[i] for i in idx]
+    return items[idx]
 
 
 def miss_probability(f_hat_hz: float, ground_truth, t_proc_s: float,

@@ -14,7 +14,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,10 @@ def _pooled_shape(image_shape: float, gap: float) -> float:
     return solved
 
 
+# a field the constructor derives from the others
+_derived = functools.partial(field, init=False, compare=False, repr=False)
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Synthetic per-image execution-time laws plus their pooled summary.
@@ -68,22 +72,48 @@ class GroundTruth:
     * "constant": coefficient of variation fixed at ``cv_at_fmax`` across
       the whole range (per-image shape is 1/cv^2 everywhere).
 
-    ``planner_grid_hz`` is the planner's pre-scan grid for the platform
-    range (the shared array of :func:`~satsched.scheduler.planner_grid`),
-    and ``planner_grid_shapes`` and ``planner_grid_scales`` are the pooled
-    shapes and scales on it, computed once at construction; all three are
-    read-only.
+    The four init fields are the value; the constructor derives the rest,
+    so ``dataclasses.replace`` stays consistent. ``planner_grid_hz`` is the
+    planner's pre-scan grid for the platform range (the shared array of
+    :func:`~satsched.scheduler.planner_grid`), and ``planner_grid_shapes``
+    and ``planner_grid_scales`` are the pooled shapes and scales on it; all
+    three are read-only.
     """
 
     platform: Platform
     cv_at_fmax: float
     variance_model: str
     work_multipliers: np.ndarray
-    log_multiplier_gap: float
-    planner_grid_hz: np.ndarray
-    planner_grid_shapes: np.ndarray
-    planner_grid_scales: np.ndarray
-    provenance: dict
+    log_multiplier_gap: float = _derived()
+    planner_grid_hz: np.ndarray = _derived()
+    planner_grid_shapes: np.ndarray = _derived()
+    planner_grid_scales: np.ndarray = _derived()
+    # frequency-independent parts of mean_at and image_shape_at
+    _work_s_hz: float = _derived()
+    _cv2: float = _derived()
+    _fmax_denominator: float = _derived()
+
+    def __post_init__(self):
+        cv = self.cv_at_fmax
+        if not isinstance(cv, (float, int)) or not 0.0 < float(cv) < 1.0:
+            raise DomainError(f"cv must lie in (0, 1) for a peaked law, got {cv!r}")
+        if self.variance_model not in ("structural", "constant"):
+            raise DomainError(f"unknown variance_model {self.variance_model!r}")
+        put = functools.partial(object.__setattr__, self)
+        p = self.platform
+        work = p.mu_c * p.work_flops / (p.n_cores * p.n_flops)
+        put("cv_at_fmax", float(cv))
+        put("log_multiplier_gap",
+            max(0.0, float(-np.mean(np.log(self.work_multipliers)))))
+        put("_work_s_hz", work)
+        put("_cv2", self.cv_at_fmax * self.cv_at_fmax)
+        put("_fmax_denominator", work + p.mu_sync_s * p.f_max_hz)
+        grid = planner_grid(p.f_min_hz, p.f_max_hz)
+        put("planner_grid_hz", grid)
+        put("planner_grid_shapes", self._pooled_shape_at(grid))
+        put("planner_grid_scales", self.mean_at(grid) / self.planner_grid_shapes)
+        for arr in (self.planner_grid_shapes, self.planner_grid_scales):
+            arr.flags.writeable = False
 
     @property
     def n_images(self) -> int:
@@ -93,25 +123,19 @@ class GroundTruth:
     def image_ids(self) -> list:
         return list(range(self.n_images))
 
-    def _work_seconds_hz(self) -> float:
-        p = self.platform
-        return p.mu_c * p.work_flops / (p.n_cores * p.n_flops)
-
     def mean_at(self, f_hz):
         """Pooled mean execution time; accepts scalar or 1-d array."""
-        return self._work_seconds_hz() / f_hz + self.platform.mu_sync_s
+        return self._work_s_hz / f_hz + self.platform.mu_sync_s
 
     def image_shape_at(self, f_hz):
         """Gamma shape of a single image's law at f (same for all images)."""
-        cv2 = self.cv_at_fmax * self.cv_at_fmax
         if self.variance_model == "constant":
             if isinstance(f_hz, np.ndarray):
-                return np.full(f_hz.shape, 1.0 / cv2)
-            return 1.0 / cv2
-        a = self._work_seconds_hz()
-        sync = self.platform.mu_sync_s
-        ratio = (a + sync * f_hz) / (a + sync * self.platform.f_max_hz)
-        return ratio * ratio / cv2
+                return np.full(f_hz.shape, 1.0 / self._cv2)
+            return 1.0 / self._cv2
+        ratio = ((self._work_s_hz + self.platform.mu_sync_s * f_hz)
+                 / self._fmax_denominator)
+        return ratio * ratio / self._cv2
 
     def image_scale_at(self, f_hz, image_id: int = None):
         """Gamma scale at f; with ``image_id``, that image's multiplier applies."""
@@ -135,6 +159,9 @@ class GroundTruth:
         """
         if isinstance(f_hz, np.ndarray) and self._on_planner_grid(f_hz):
             return self.planner_grid_shapes
+        return self._pooled_shape_at(f_hz)
+
+    def _pooled_shape_at(self, f_hz):
         ab = self.image_shape_at(f_hz)
         gap = self.log_multiplier_gap
         if gap == 0.0:
@@ -183,68 +210,35 @@ class GroundTruth:
 def synthesize_ground_truth(platform: Platform, cv: float, n_images: int,
                             rng: np.random.Generator,
                             image_sigma: float = 0.15,
-                            variance_model: str = "structural",
-                            provenance: dict = None) -> GroundTruth:
+                            variance_model: str = "structural") -> GroundTruth:
     """Build the synthetic workload for one platform.
 
     Work multipliers are log-normal draws normalized to mean exactly 1, so
     pooled means stay calibrated; their log-mean gap (>= 0 by Jensen) is
     what separates the pooled fit from the per-image law.
     """
-    if not (isinstance(cv, float) or isinstance(cv, int)) or not 0.0 < float(cv):
-        raise DomainError(f"cv must be > 0, got {cv!r}")
-    if float(cv) >= 1.0:
-        raise DomainError(f"cv must be < 1 for a peaked law, got {cv!r}")
     if int(n_images) < 1:
         raise DomainError(f"n_images must be >= 1, got {n_images!r}")
     if float(image_sigma) < 0.0:
         raise DomainError(f"image_sigma must be >= 0, got {image_sigma!r}")
-    if variance_model not in ("structural", "constant"):
-        raise DomainError(f"unknown variance_model {variance_model!r}")
     n_images = int(n_images)
     if image_sigma > 0.0:
         raw = np.exp(rng.normal(0.0, float(image_sigma), size=n_images))
         mult = raw / raw.mean()
-        gap = max(0.0, float(-np.mean(np.log(mult))))
     else:
         mult = np.ones(n_images, dtype=np.float64)
-        gap = 0.0
-    gt = GroundTruth(
-        platform=platform, cv_at_fmax=float(cv),
-        variance_model=variance_model, work_multipliers=mult,
-        log_multiplier_gap=gap,
-        planner_grid_hz=np.empty(0), planner_grid_shapes=np.empty(0),
-        planner_grid_scales=np.empty(0), provenance=dict(provenance or {}))
-    grid = planner_grid(platform.f_min_hz, platform.f_max_hz)
-    shapes = np.array(gt.shape_at(grid), dtype=np.float64)
-    scales = gt.mean_at(grid) / shapes
-    shapes.flags.writeable = False
-    scales.flags.writeable = False
-    object.__setattr__(gt, "planner_grid_hz", grid)
-    object.__setattr__(gt, "planner_grid_shapes", shapes)
-    object.__setattr__(gt, "planner_grid_scales", scales)
-    return gt
+    return GroundTruth(platform=platform, cv_at_fmax=cv,
+                       variance_model=variance_model, work_multipliers=mult)
 
 
 def ground_truth_for(scenario: Scenario, platform_index: int) -> GroundTruth:
     """The scenario's ground truth for one platform (stream key fixed by index)."""
-    platform = scenario.platforms[platform_index]
     rng = stream(scenario.seed, scenario.bit_generator,
                  NS_GROUND_TRUTH, platform_index)
     return synthesize_ground_truth(
-        platform, scenario.gt_cv, scenario.gt_n_images, rng,
-        image_sigma=scenario.gt_image_sigma,
-        variance_model=scenario.gt_variance_model,
-        provenance={
-            "root_seed": scenario.seed,
-            "bit_generator": scenario.bit_generator,
-            "stream_key": [NS_GROUND_TRUTH, platform_index],
-            "platform": platform.name,
-            "calibration_mean_at_fmax_s": float(
-                scenario.platforms[platform_index].mu_sync_s
-                + (platform.mu_c * platform.work_flops
-                   / (platform.n_cores * platform.n_flops * platform.f_max_hz))),
-        })
+        scenario.platforms[platform_index], scenario.gt_cv,
+        scenario.gt_n_images, rng, image_sigma=scenario.gt_image_sigma,
+        variance_model=scenario.gt_variance_model)
 
 
 def fit_frequency_grid(platform: Platform, n_frequencies: int) -> np.ndarray:

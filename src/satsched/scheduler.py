@@ -314,7 +314,8 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
             if not (math.isfinite(shape) and math.isfinite(scale)
                     and shape > 0.0 and scale > 0.0):
                 return 0.0
-            return gamma_cdf(t_proc, n_img * shape, scale)
+            # gamma_cdf's checks hold: these and _check_common's t_proc > 0
+            return kernels.reg_lower_gamma(n_img * shape, t_proc / scale)
         shape = np.asarray(model.shape_at(f_hz), dtype=np.float64)
         scale = np.asarray(model.scale_at(f_hz), dtype=np.float64)
         ok = (np.isfinite(shape) & np.isfinite(scale)

@@ -95,10 +95,7 @@ def test_snr_shadow_margin_subtracts_in_db(scenario):
 def test_link_params_validation():
     with pytest.raises(DomainError):
         ss.LinkParams(carrier_hz=2e9, tx_power_w=0.0, gain_tx=1.0, gain_rx=1.0,
-                      pointing_loss=1.0, noise_power_w=1e-15, shadow_sigma_db=4.0)
-    with pytest.raises(DomainError):
-        ss.LinkParams(carrier_hz=2e9, tx_power_w=0.2, gain_tx=1.0, gain_rx=1.0,
-                      pointing_loss=1.0, noise_power_w=1e-15, shadow_sigma_db=-1.0)
+                      pointing_loss=1.0, noise_power_w=1e-15)
 
 
 def test_db_helpers_round_trip():

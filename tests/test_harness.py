@@ -162,8 +162,6 @@ def test_ground_truth_keyed_by_platform_index(scenario, gt_nano, gt_agx):
     assert np.array_equal(again.work_multipliers, gt_nano.work_multipliers)
     assert not np.array_equal(gt_nano.work_multipliers,
                               gt_agx.work_multipliers)
-    assert gt_nano.provenance["platform"] == "nano"
-    assert gt_nano.provenance["stream_key"] == [ss.NS_GROUND_TRUTH, 0]
 
 
 def test_ground_truth_rejects_bad_inputs(scenario, nano):
@@ -501,6 +499,47 @@ def test_cli_rejects_unknown_config_key(tmp_path):
     assert res.returncode == 1, res.stderr
     assert "config error" in res.stderr
     assert "experiment.bogus" in res.stderr
+
+
+def test_config_rejects_negative_shadow_sigma():
+    with pytest.raises(ss.ConfigError, match="link.shadow_sigma_db"):
+        ss.resolve(ss.merge_config({"link": {"shadow_sigma_db": -1}}))
+
+
+@pytest.mark.parametrize("command", [
+    ["validate-config"], ["plan", "--platform", "nano", "--n-img", "3"],
+], ids=["validate-config", "plan"])
+def test_cli_rejects_ground_truth_cv_of_one(tmp_path, capsys, command):
+    # a cv of 1 or more has no peaked law, so the config rejects it before
+    # any plan can fail on it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"experiment": {"ground_truth": {"cv": 1.0}}}\n')
+    assert cli.main(command + ["--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert "experiment.ground_truth.cv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["plan", "--n-img", "3"], "--platform"),
+    (["plan", "--platform", "nano", "--n-img", "x"], "--n-img"),
+    (["plan", "--platform", "nano", "--n-img", "0"], "--n-img"),
+    (["plan", "--platform", "nano", "--n-img", "3", "--elevation", "0"],
+     "--elevation"),
+    (["plan", "--platform", "nano", "--n-img", "3", "--elevation", "120"],
+     "--elevation"),
+    (["plan", "--platform", "nano", "--n-img", "3", "--elevation", "nan"],
+     "--elevation"),
+], ids=["no-platform", "n-img-x", "n-img-0", "elevation-0", "elevation-120",
+        "elevation-nan"])
+def test_cli_usage_errors_exit_config(capsys, argv, message):
+    # argparse's own code 2 would read as "infeasible", and a bad flag value
+    # is a usage error, not a numerical failure
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+def test_cli_help_exits_zero(capsys):
+    assert cli.main(["plan", "--help"]) == cli.EXIT_OK
+    assert "--n-img" in capsys.readouterr().out
 
 
 def test_cli_plan_feasible_instance(tmp_path):

@@ -319,13 +319,33 @@ def test_planner_grid_shapes_are_a_fresh_solve(gt_nano, nano):
     grid = np.linspace(nano.f_min_hz, nano.f_max_hz, ss.scheduler.GRID_POINTS_DEFAULT)
     assert np.array_equal(gt_nano.planner_grid_hz, grid)
     assert gt_nano.shape_at(grid) is gt_nano.planner_grid_shapes
-    uncached = dataclasses.replace(gt_nano, planner_grid_hz=np.empty(0),
-                                   planner_grid_shapes=np.empty(0))
-    assert np.array_equal(gt_nano.planner_grid_shapes, uncached.shape_at(grid))
+    # the same clocks as a (1, n) array are not the planner grid, so they
+    # get a fresh solve
+    uncached = gt_nano.shape_at(grid[np.newaxis, :])[0]
+    assert np.array_equal(gt_nano.planner_grid_shapes, uncached)
     for arr in (gt_nano.planner_grid_hz, gt_nano.planner_grid_shapes):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_replaced_ground_truth_plans_like_a_fresh_one(scenario, gt_nano, nano,
+                                                      zenith_budget):
+    """dataclasses.replace re-derives the grid caches from the new fields,
+    so the copy plans exactly like a ground truth built with that cv."""
+    replaced = dataclasses.replace(gt_nano, cv_at_fmax=0.3)
+    fresh = ss.synthesize_ground_truth(
+        nano, 0.3, scenario.gt_n_images,
+        ss.stream(scenario.seed, scenario.bit_generator, ss.NS_GROUND_TRUTH, 0),
+        image_sigma=scenario.gt_image_sigma,
+        variance_model=scenario.gt_variance_model)
+    assert np.array_equal(replaced.work_multipliers, fresh.work_multipliers)
+    assert np.array_equal(replaced.planner_grid_shapes,
+                          fresh.planner_grid_shapes)
+    got = ss.select_and_price("gamma", replaced, zenith_budget, 3, RHO, nano)
+    want = ss.select_and_price("gamma", fresh, zenith_budget, 3, RHO, nano)
+    assert got == want
+    assert got.reliability >= RHO
 
 
 def test_planner_grid_scales_are_cached(gt_nano, nano):
