@@ -10,12 +10,12 @@ gains/losses as linear ratios unless a name ends in ``_db``.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleLinkError
+from .errors import (DomainError, InfeasibleLinkError, check_count,
+                     check_positive, check_real)
 from .numerics import q_function
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -25,18 +25,11 @@ _LOG2_E = math.log2(math.e)
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (float(db) / 10.0)
+    return 10.0 ** (check_real("db", db) / 10.0)
 
 
 def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise DomainError(f"cannot convert nonpositive ratio {x!r} to dB")
-    return 10.0 * math.log10(x)
-
-
-def _check_positive(name, value):
-    if not math.isfinite(float(value)) or float(value) <= 0.0:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return 10.0 * math.log10(check_positive("ratio", x))
 
 
 @dataclass(frozen=True)
@@ -54,9 +47,10 @@ class LinkGeometry:
     earth_radius_m: float = EARTH_RADIUS_M
 
     def __post_init__(self):
-        _check_positive("altitude_m", self.altitude_m)
-        _check_positive("earth_radius_m", self.earth_radius_m)
-        if not (0.0 < float(self.elevation_rad) <= math.pi / 2.0 + 1e-12):
+        check_positive("altitude_m", self.altitude_m)
+        check_positive("earth_radius_m", self.earth_radius_m)
+        if not (check_positive("elevation_rad", self.elevation_rad)
+                <= math.pi / 2.0 + 1e-12):
             raise DomainError(
                 f"elevation_rad must lie in (0, pi/2], got {self.elevation_rad!r}")
 
@@ -79,8 +73,8 @@ def slant_range(geom: LinkGeometry) -> float:
 
 def path_loss(d_m: float, carrier_hz: float) -> float:
     """Free-space path loss (4 pi d f / c)^2 as a linear power ratio."""
-    _check_positive("d_m", d_m)
-    _check_positive("carrier_hz", carrier_hz)
+    d_m = check_positive("d_m", d_m)
+    carrier_hz = check_positive("carrier_hz", carrier_hz)
     amp = 4.0 * math.pi * d_m * carrier_hz / SPEED_OF_LIGHT
     return amp * amp
 
@@ -108,7 +102,7 @@ class LinkParams:
     def __post_init__(self):
         for name in ("carrier_hz", "tx_power_w", "gain_tx", "gain_rx",
                      "pointing_loss", "noise_power_w"):
-            _check_positive(name, getattr(self, name))
+            check_positive(name, getattr(self, name))
 
 
 def snr(params: LinkParams, d_m: float, shadow_db: float = 0.0) -> float:
@@ -117,9 +111,6 @@ def snr(params: LinkParams, d_m: float, shadow_db: float = 0.0) -> float:
     ``shadow_db`` is the realized shadow-fading attenuation in dB; 0 gives
     the median channel. Positive values attenuate.
     """
-    _check_positive("d_m", d_m)
-    if not math.isfinite(float(shadow_db)):
-        raise DomainError(f"shadow_db must be finite, got {shadow_db!r}")
     loss = path_loss(d_m, params.carrier_hz)
     fade = db_to_linear(shadow_db)
     return (params.tx_power_w * params.gain_tx * params.gain_rx
@@ -133,10 +124,9 @@ def fbl_error_probability(gamma: float, n: int, rate: float) -> float:
     C = log2(1 + gamma) and channel dispersion
     V = gamma (gamma + 2) / (1 + gamma)^2 * log2(e)^2, clamped to [0, 1].
     """
-    _check_positive("gamma", gamma)
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    _check_positive("rate", rate)
+    gamma = check_positive("gamma", gamma)
+    n = check_count("n", n)
+    rate = check_positive("rate", rate)
     cap = math.log2(1.0 + gamma)
     disp = gamma * (gamma + 2.0) / ((1.0 + gamma) ** 2) * _LOG2_E * _LOG2_E
     eps = q_function(math.sqrt(float(n) / disp) * (cap - rate))
@@ -162,13 +152,11 @@ class OfdmGrid:
     nack_delay_s: float
 
     def __post_init__(self):
-        if not isinstance(self.subcarriers, numbers.Integral) or self.subcarriers < 1:
-            raise DomainError(f"subcarriers must be >= 1, got {self.subcarriers!r}")
-        if not isinstance(self.blocklength, numbers.Integral) or self.blocklength < 1:
-            raise DomainError(f"blocklength must be >= 1, got {self.blocklength!r}")
-        _check_positive("symbol_time_s", self.symbol_time_s)
-        _check_positive("rate", self.rate)
-        if not math.isfinite(float(self.nack_delay_s)) or float(self.nack_delay_s) < 0.0:
+        check_count("subcarriers", self.subcarriers)
+        check_count("blocklength", self.blocklength)
+        check_positive("symbol_time_s", self.symbol_time_s)
+        check_positive("rate", self.rate)
+        if check_real("nack_delay_s", self.nack_delay_s) < 0.0:
             raise DomainError(f"nack_delay_s must be >= 0, got {self.nack_delay_s!r}")
 
     @property
@@ -182,13 +170,12 @@ class OfdmGrid:
 
 
 def _attempt_time(grid: OfdmGrid, d_m: float) -> float:
-    _check_positive("d_m", d_m)
-    return grid.airtime_s + d_m / SPEED_OF_LIGHT
+    return grid.airtime_s + check_positive("d_m", d_m) / SPEED_OF_LIGHT
 
 
 def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not math.isfinite(eps) or eps < 0.0:
+    eps = check_real("error probability", eps)
+    if eps < 0.0:
         raise DomainError(f"error probability must be in [0, 1), got {eps!r}")
     if eps >= 1.0:
         raise InfeasibleLinkError(
@@ -217,16 +204,15 @@ def uplink_delay_pmf(grid: OfdmGrid, eps: float, d_m: float,
     at delay T_tx + x (T_tx + T_nack) with probability (1 - eps) eps^x.
     """
     eps = _check_eps(eps)
-    if not isinstance(max_attempts, numbers.Integral) or max_attempts < 1:
-        raise DomainError(f"max_attempts must be >= 1, got {max_attempts!r}")
+    max_attempts = check_count("max_attempts", max_attempts)
     t_tx = _attempt_time(grid, d_m)
     retry = t_tx + grid.nack_delay_s
-    x = np.arange(int(max_attempts), dtype=np.float64)
+    x = np.arange(max_attempts, dtype=np.float64)
     probs = (1.0 - eps) * np.power(eps, x)
     delays = t_tx + x * retry
     keep = probs > 0.0
     keep[0] = True
-    truncated = eps ** int(max_attempts)
+    truncated = eps ** max_attempts
     return UplinkDelayPmf(delays=delays[keep], probabilities=probs[keep],
                           truncated_mass=float(truncated))
 
@@ -258,13 +244,11 @@ class IslPath:
     subcarriers: int
 
     def __post_init__(self):
-        object.__setattr__(self, "hop_distances_m",
-                           tuple(float(d) for d in self.hop_distances_m))
-        for d in self.hop_distances_m:
-            _check_positive("hop distance", d)
-        _check_positive("symbol_time_s", self.symbol_time_s)
-        if not isinstance(self.subcarriers, numbers.Integral) or self.subcarriers < 1:
-            raise DomainError(f"subcarriers must be >= 1, got {self.subcarriers!r}")
+        object.__setattr__(
+            self, "hop_distances_m",
+            tuple(check_positive("hop distance", d) for d in self.hop_distances_m))
+        check_positive("symbol_time_s", self.symbol_time_s)
+        check_count("subcarriers", self.subcarriers)
 
     @property
     def hops(self) -> int:
@@ -277,11 +261,10 @@ def isl_round_trip(path: IslPath, n: int) -> float:
     Each hop contributes twice its serialization time for an n-use block
     plus twice its propagation delay. An empty path costs nothing.
     """
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = check_count("n", n)
     if path.hops == 0:
         return 0.0
-    symbols = -(-int(n) // int(path.subcarriers))
+    symbols = -(-n // int(path.subcarriers))
     serial = 2.0 * path.symbol_time_s * symbols
     total = 0.0
     for d in path.hop_distances_m:
@@ -292,7 +275,6 @@ def isl_round_trip(path: IslPath, n: int) -> float:
 def ring_chord_m(n_sats: int, altitude_m: float,
                  earth_radius_m: float = EARTH_RADIUS_M) -> float:
     """Distance between adjacent satellites in an evenly spaced circular ring."""
-    if not isinstance(n_sats, numbers.Integral) or n_sats < 2:
-        raise DomainError(f"n_sats must be >= 2, got {n_sats!r}")
-    _check_positive("altitude_m", altitude_m)
+    n_sats = check_count("n_sats", n_sats, least=2)
+    altitude_m = check_positive("altitude_m", altitude_m)
     return 2.0 * (earth_radius_m + altitude_m) * math.sin(math.pi / n_sats)

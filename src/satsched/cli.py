@@ -26,7 +26,7 @@ from .errors import (ConfigError, InfeasibleBudgetError,
 from .harness import (budget_from_legs, comm_legs, fit_report,
                       ground_truth_for, ingest_samples_csv, run_fig3,
                       run_fig4, run_fig5)
-from .scheduler import MomentModel, select_and_price
+from .scheduler import select_and_price
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -135,7 +135,6 @@ def _cmd_plan(args, scenario) -> int:
     legs = comm_legs(scenario, elevation)
     budget = budget_from_legs(scenario, legs)
     gt = ground_truth_for(scenario, pi)
-    moments = MomentModel.from_shape_scale_model(gt)
 
     print(f"platform {platform.name}, {args.n_img} images, "
           f"elevation {elevation:.6g} deg, deadline {scenario.t_e2e_s:.6g} s")
@@ -150,7 +149,7 @@ def _cmd_plan(args, scenario) -> int:
     for method in ("gamma", "cantelli"):
         try:
             sel = select_and_price(method, gt, budget, args.n_img,
-                                   scenario.rho_th, platform, moments=moments)
+                                   scenario.rho_th, platform)
         except InfeasibleConstraintError as exc:
             print(f"{method:<10} {'infeasible':>14} {'-':>10} "
                   f"{exc.achievable_reliability:>12.6f}")

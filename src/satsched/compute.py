@@ -11,13 +11,11 @@ independent images is again Gamma with n-fold shape and unchanged scale,
 which is what makes deadline quantiles of whole batches cheap to evaluate.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_positive, check_real
 from .numerics import GammaLaw
 
 # slack for frequencies the planners' boundary search returns at the box edge
@@ -51,13 +49,10 @@ class Platform:
     work_flops: float
 
     def __post_init__(self):
-        if not isinstance(self.n_cores, numbers.Integral) or self.n_cores < 1:
-            raise DomainError(f"n_cores must be a positive integer, got {self.n_cores!r}")
+        check_count("n_cores", self.n_cores)
         for field in ("n_flops", "f_max_hz", "f_min_hz", "p_max_w", "mu_c",
                       "mu_sync_s", "work_flops"):
-            v = float(getattr(self, field))
-            if not math.isfinite(v) or v <= 0.0:
-                raise DomainError(f"{field} must be positive and finite, got {v!r}")
+            check_positive(field, getattr(self, field))
         if not self.f_min_hz < self.f_max_hz:
             raise DomainError(
                 f"f_min_hz={self.f_min_hz!r} must be below f_max_hz={self.f_max_hz!r}")
@@ -74,7 +69,8 @@ class Platform:
         The workload W is not measured directly; it is fixed so that
         mean_exec_time(f_max) reproduces the benchmarked value.
         """
-        if mean_exec_at_max_s <= mu_sync_s:
+        mean_exec_at_max_s = check_real("mean_exec_at_max_s", mean_exec_at_max_s)
+        if mean_exec_at_max_s <= check_real("mu_sync_s", mu_sync_s):
             raise DomainError(
                 "mean execution time at f_max must exceed the sync overhead "
                 f"({mean_exec_at_max_s!r} <= {mu_sync_s!r})")
@@ -87,10 +83,11 @@ class Platform:
                    mu_c=mu_c, mu_sync_s=mu_sync_s, work_flops=work)
 
     def check_frequency(self, f_hz):
-        """Validate a clock (scalar or array) and clamp tolerance fuzz."""
+        """Validate a clock (real scalar or ndarray) and clamp tolerance fuzz."""
         slack = _FREQ_RTOL * self.f_max_hz
-        if isinstance(f_hz, float):
+        if not isinstance(f_hz, np.ndarray):
             # the same check and clamp as below, without numpy
+            f_hz = check_real("frequency", f_hz)
             if not self.f_min_hz - slack <= f_hz <= self.f_max_hz + slack:
                 raise DomainError(
                     f"frequency {f_hz!r} outside "
@@ -126,9 +123,7 @@ def batch_law(per_image: GammaLaw, n_img: int) -> GammaLaw:
     Gamma is closed under iid summation at fixed scale: the batch is
     Gamma(n_img * shape, scale).
     """
-    if not isinstance(n_img, numbers.Integral) or n_img < 1:
-        raise DomainError(f"n_img must be a positive integer, got {n_img!r}")
-    return per_image.sum_of(int(n_img))
+    return per_image.sum_of(check_count("n_img", n_img))
 
 
 def energy(f_hz: float, platform: Platform, law: GammaLaw) -> float:

@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the package's one
+definition of a valid real, positive real and count (``check_real``,
+``check_positive``, ``check_count``). A bool, a string or None is none of
+them (``True`` is no batch size). A plain float or int is tested first, so
+a well-typed argument costs one type test and one comparison.
+"""
+
+import math
+import numbers
+
+_INF = math.inf
 
 
 class SatschedError(Exception):
@@ -43,3 +53,39 @@ class InfeasibleConstraintError(SatschedError):
 class ConfigError(SatschedError):
     """A scenario configuration file is malformed. The message names the
     offending key path."""
+
+
+def check_real(name: str, v) -> float:
+    """``v`` as a finite float; DomainError for anything else."""
+    if type(v) is float and -_INF < v < _INF:
+        return v
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {v!r}")
+    try:
+        f = float(v)
+    except OverflowError:
+        f = _INF
+    if not math.isfinite(f):
+        raise DomainError(f"{name} must be finite, got {v!r}")
+    return f
+
+
+def check_positive(name: str, v) -> float:
+    """``v`` as a finite float > 0; DomainError for anything else."""
+    if type(v) is float and 0.0 < v < _INF:
+        return v
+    f = check_real(name, v)
+    if f <= 0.0:
+        raise DomainError(f"{name} must be > 0, got {v!r}")
+    return f
+
+
+def check_count(name: str, v, least: int = 1) -> int:
+    """``v`` as an int >= ``least``; DomainError for anything else."""
+    if type(v) is not int:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {v!r}")
+        v = int(v)
+    if v < least:
+        raise DomainError(f"{name} must be >= {least}, got {v!r}")
+    return v

@@ -15,14 +15,13 @@ the pooled per-image law and sample_image_times(image_ids, f, rng) for
 per-image draws; the harness module provides the synthetic one.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .compute import Platform
-from .errors import DomainError, EstimationError, InfeasibleConstraintError
+from .errors import (DomainError, EstimationError, InfeasibleConstraintError,
+                     check_count, check_positive)
 from .numerics import GammaLaw, Polynomial, fit_gamma_mle, gamma_cdf, polyfit
 from .rand import NS_SUBSET_STUDY, stream
 from .scheduler import (LatencyBudget, MomentModel, processing_budget,
@@ -40,10 +39,8 @@ class ExecSample:
     image_id: int
 
     def __post_init__(self):
-        if not math.isfinite(float(self.frequency_hz)) or self.frequency_hz <= 0.0:
-            raise DomainError(f"frequency_hz must be positive, got {self.frequency_hz!r}")
-        if not math.isfinite(float(self.time_s)) or self.time_s <= 0.0:
-            raise DomainError(f"time_s must be positive, got {self.time_s!r}")
+        check_positive("frequency_hz", self.frequency_hz)
+        check_positive("time_s", self.time_s)
 
 
 def estimate_bsp_moments(samples, platform: Platform):
@@ -128,8 +125,7 @@ def fit_frequency_model(samples_by_freq, degree: int = 3) -> FrequencyModel:
     execution times (pooled across images). Needs at least degree+1 distinct
     frequencies with at least 2 samples each.
     """
-    if not isinstance(degree, numbers.Integral) or degree < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {degree!r}")
+    degree = check_count("degree", degree, least=0)
     freqs = sorted(float(f) for f in samples_by_freq)
     if len(freqs) < degree + 1:
         raise DomainError(
@@ -153,7 +149,7 @@ def fit_frequency_model(samples_by_freq, degree: int = 3) -> FrequencyModel:
         raise EstimationError(f"frequency regression failed: {exc}") from exc
     return FrequencyModel(
         shape_poly=shape_poly, scale_poly=scale_poly,
-        per_frequency_fits=fits, degree=int(degree),
+        per_frequency_fits=fits, degree=degree,
         r2_shape=_r_squared(shapes, shape_poly(xs)),
         r2_scale=_r_squared(scales, scale_poly(xs)),
         domain_lo_hz=float(xs[0]), domain_hi_hz=float(xs[-1]))
@@ -186,9 +182,7 @@ def draw_subset(dataset, n_s: int, rng: np.random.Generator) -> np.ndarray:
     items = np.asarray(list(dataset))
     if items.size == 0:
         raise DomainError("dataset is empty")
-    if not isinstance(n_s, numbers.Integral) or n_s < 1:
-        raise DomainError(f"n_s must be a positive integer, got {n_s!r}")
-    idx = rng.integers(0, len(items), size=int(n_s))
+    idx = rng.integers(0, len(items), size=check_count("n_s", n_s))
     return items[idx]
 
 
@@ -199,13 +193,11 @@ def miss_probability(f_hat_hz: float, ground_truth, t_proc_s: float,
     Evaluated under the ground-truth pooled law, never under whatever model
     chose f_hat: 1 - CDF(t_proc) of the batch Gamma at f_hat.
     """
-    if not math.isfinite(float(t_proc_s)) or t_proc_s <= 0.0:
-        raise DomainError(f"t_proc_s must be positive, got {t_proc_s!r}")
-    if not isinstance(n_img, numbers.Integral) or n_img < 1:
-        raise DomainError(f"n_img must be a positive integer, got {n_img!r}")
+    t_proc_s = check_positive("t_proc_s", t_proc_s)
+    n_img = check_count("n_img", n_img)
     shape = ground_truth.shape_at(f_hat_hz)
     scale = ground_truth.scale_at(f_hat_hz)
-    return 1.0 - gamma_cdf(float(t_proc_s), n_img * shape, scale)
+    return 1.0 - gamma_cdf(t_proc_s, n_img * shape, scale)
 
 
 @dataclass(frozen=True)
@@ -303,17 +295,17 @@ def sample_size_study(ground_truth, dataset, ns_grid, k_replicates: int,
     makes every (n_s, k) cell reproducible in any execution order and
     independent of which other sizes were requested alongside it.
     """
-    if not isinstance(k_replicates, numbers.Integral) or k_replicates < 1:
-        raise DomainError(f"k_replicates must be >= 1, got {k_replicates!r}")
+    k_replicates = check_count("k_replicates", k_replicates)
     results = []
     for n_s in ns_grid:
+        n_s = check_count("n_s", n_s)
         reps = []
-        for k in range(int(k_replicates)):
+        for k in range(k_replicates):
             rng = stream(root_seed, bit_generator,
-                         NS_SUBSET_STUDY, platform_index, int(n_s), k)
+                         NS_SUBSET_STUDY, platform_index, n_s, k)
             reps.append(run_subset_replicate(
-                ground_truth, dataset, int(n_s), fit_frequencies, budget,
+                ground_truth, dataset, n_s, fit_frequencies, budget,
                 n_img, rho_th, platform, rng, degree=degree))
-        results.append(SubsetStudyResult(sample_size=int(n_s),
+        results.append(SubsetStudyResult(sample_size=n_s,
                                          replicates=tuple(reps)))
     return results

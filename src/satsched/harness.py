@@ -24,12 +24,13 @@ from .channel import (LinkGeometry, downlink_delay, expected_uplink_delay,
 from .compute import Platform
 from .config import Scenario
 from .errors import (DomainError, EstimationError, InfeasibleBudgetError,
-                     InfeasibleConstraintError, InfeasibleLinkError)
+                     InfeasibleConstraintError, InfeasibleLinkError,
+                     check_count, check_real)
 from .estimation import fit_frequency_model, sample_size_study
 from .numerics import GammaLaw, ks_statistic
 from .rand import NS_GROUND_TRUTH, stream
-from .scheduler import (LatencyBudget, MomentModel, planner_grid,
-                        processing_budget, select_and_price)
+from .scheduler import (LatencyBudget, planner_grid, processing_budget,
+                        select_and_price)
 
 _METHODS = ("gamma", "cantelli")
 
@@ -47,10 +48,10 @@ def _pooled_shape(image_shape: float, gap: float) -> float:
 
 
 # a field the constructor derives from the others
-_derived = functools.partial(field, init=False, compare=False, repr=False)
+_derived = functools.partial(field, init=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Synthetic per-image execution-time laws plus their pooled summary.
 
@@ -73,11 +74,14 @@ class GroundTruth:
       the whole range (per-image shape is 1/cv^2 everywhere).
 
     The four init fields are the value; the constructor derives the rest,
-    so ``dataclasses.replace`` stays consistent. ``planner_grid_hz`` is the
-    planner's pre-scan grid for the platform range (the shared array of
+    so ``dataclasses.replace`` stays consistent. It keeps
+    ``work_multipliers`` as its own read-only float64 copy, so nothing
+    derived from it goes stale. ``planner_grid_hz`` is the planner's
+    pre-scan grid for the platform range (the shared array of
     :func:`~satsched.scheduler.planner_grid`), and ``planner_grid_shapes``
     and ``planner_grid_scales`` are the pooled shapes and scales on it; all
-    three are read-only.
+    three are read-only. Two ground truths are equal only when they are the
+    same object, and hash by identity.
     """
 
     platform: Platform
@@ -94,17 +98,19 @@ class GroundTruth:
     _fmax_denominator: float = _derived()
 
     def __post_init__(self):
-        cv = self.cv_at_fmax
-        if not isinstance(cv, (float, int)) or not 0.0 < float(cv) < 1.0:
+        cv = check_real("cv", self.cv_at_fmax)
+        if not 0.0 < cv < 1.0:
             raise DomainError(f"cv must lie in (0, 1) for a peaked law, got {cv!r}")
         if self.variance_model not in ("structural", "constant"):
             raise DomainError(f"unknown variance_model {self.variance_model!r}")
         put = functools.partial(object.__setattr__, self)
         p = self.platform
         work = p.mu_c * p.work_flops / (p.n_cores * p.n_flops)
-        put("cv_at_fmax", float(cv))
-        put("log_multiplier_gap",
-            max(0.0, float(-np.mean(np.log(self.work_multipliers)))))
+        mult = np.array(self.work_multipliers, dtype=np.float64)
+        mult.flags.writeable = False
+        put("cv_at_fmax", cv)
+        put("work_multipliers", mult)
+        put("log_multiplier_gap", max(0.0, float(-np.mean(np.log(mult)))))
         put("_work_s_hz", work)
         put("_cv2", self.cv_at_fmax * self.cv_at_fmax)
         put("_fmax_denominator", work + p.mu_sync_s * p.f_max_hz)
@@ -217,13 +223,12 @@ def synthesize_ground_truth(platform: Platform, cv: float, n_images: int,
     pooled means stay calibrated; their log-mean gap (>= 0 by Jensen) is
     what separates the pooled fit from the per-image law.
     """
-    if int(n_images) < 1:
-        raise DomainError(f"n_images must be >= 1, got {n_images!r}")
-    if float(image_sigma) < 0.0:
+    n_images = check_count("n_images", n_images)
+    image_sigma = check_real("image_sigma", image_sigma)
+    if image_sigma < 0.0:
         raise DomainError(f"image_sigma must be >= 0, got {image_sigma!r}")
-    n_images = int(n_images)
     if image_sigma > 0.0:
-        raw = np.exp(rng.normal(0.0, float(image_sigma), size=n_images))
+        raw = np.exp(rng.normal(0.0, image_sigma, size=n_images))
         mult = raw / raw.mean()
     else:
         mult = np.ones(n_images, dtype=np.float64)
@@ -243,9 +248,8 @@ def ground_truth_for(scenario: Scenario, platform_index: int) -> GroundTruth:
 
 def fit_frequency_grid(platform: Platform, n_frequencies: int) -> np.ndarray:
     """Evenly spaced fit frequencies spanning the platform's range."""
-    if int(n_frequencies) < 2:
-        raise DomainError(f"need >= 2 fit frequencies, got {n_frequencies!r}")
-    return np.linspace(platform.f_min_hz, platform.f_max_hz, int(n_frequencies))
+    return np.linspace(platform.f_min_hz, platform.f_max_hz,
+                       check_count("n_frequencies", n_frequencies, least=2))
 
 
 @dataclass(frozen=True)
@@ -396,12 +400,11 @@ def run_fig3(scenario: Scenario, out_dir: str) -> dict:
     return {"paths": paths, "results": results}
 
 
-def _priced_row(scenario, gt, budget, method, n_img, platform,
-                moments) -> tuple:
+def _priced_row(scenario, gt, budget, method, n_img, platform) -> tuple:
     """(frequency, energy, feasible) for one planner instance."""
     try:
         sel = select_and_price(method, gt, budget, n_img, scenario.rho_th,
-                               platform, moments=moments if method == "cantelli" else None)
+                               platform)
         return sel.frequency_hz, sel.energy_j, True
     except InfeasibleConstraintError:
         return None, None, False
@@ -421,13 +424,12 @@ def run_fig4(scenario: Scenario, out_dir: str) -> dict:
         gt = ground_truth_for(scenario, pi)
         budget = budget_from_legs(scenario,
                                   comm_legs(scenario, scenario.elevation_deg))
-        moments = MomentModel.from_shape_scale_model(gt)
         per_platform = []
         for n_img in range(1, scenario.fig4_n_img_max + 1):
             feas = {}
             for mi, method in enumerate(_METHODS):
                 f_hz, e_j, ok = _priced_row(scenario, gt, budget, method,
-                                            n_img, platform, moments)
+                                            n_img, platform)
                 rows.append((pi, mi, n_img, platform.name, method,
                              f_hz, e_j, ok))
                 per_platform.append((method, n_img, f_hz, e_j, ok))
@@ -460,7 +462,6 @@ def run_fig5(scenario: Scenario, out_dir: str) -> dict:
     rows = []
     for pi, platform in enumerate(scenario.platforms):
         gt = ground_truth_for(scenario, pi)
-        moments = MomentModel.from_shape_scale_model(gt)
         for n_img in scenario.fig5_n_img[platform.name]:
             for elevation in scenario.elevation_sweep_deg:
                 legs = comm_legs(scenario, elevation)
@@ -474,8 +475,7 @@ def run_fig5(scenario: Scenario, out_dir: str) -> dict:
                         f_hz, e_j, ok = None, None, False
                     else:
                         f_hz, e_j, ok = _priced_row(
-                            scenario, gt, budget, method, n_img, platform,
-                            moments)
+                            scenario, gt, budget, method, n_img, platform)
                     rows.append((pi, mi, n_img, -elevation, platform.name,
                                  method, elevation, legs.expected_uplink_s,
                                  t_proc, f_hz, e_j, ok))

@@ -33,8 +33,11 @@ at about a fifth of the cost. The planner's grid pre-scan settles lanes
 with the tangent bracket first, brackets the rest fully, and runs the exact
 kernel only on the lanes whose feasibility flag is still in doubt.
 
-Everything here is a pure function. Argument validation lives one level up
-in :mod:`satsched.numerics`; kernels assume in-domain inputs.
+Everything here is a pure function and assumes in-domain inputs; nothing
+here checks an argument. The callers do: the public functions of
+:mod:`satsched.numerics` with the helpers of :mod:`satsched.errors`, and
+the scheduler and harness, which call some kernels directly, on values they
+have checked or derived themselves.
 """
 
 import math

@@ -2,18 +2,21 @@
 
 This module is domain-free: it knows nothing about links, GPUs, or deadlines.
 Everything downstream (channel, compute, estimation, scheduler) builds on the
-functions here. Heavy inner loops are delegated to :mod:`satsched.kernels`.
+functions here. Heavy inner loops are delegated to :mod:`satsched.kernels`,
+which does no argument checking: the public functions here check scalars
+with the helpers of :mod:`satsched.errors` and arrays with numpy, and raise
+DomainError, before they call a kernel.
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import DomainError, EstimationError
+from .errors import (DomainError, EstimationError, check_count, check_positive,
+                     check_real)
 
 try:
     from numpy.exceptions import RankWarning as _RankWarning
@@ -23,25 +26,9 @@ except ImportError:  # numpy < 1.25
 _SQRT_2PI = 2.5066282746310002
 
 
-def _require_finite_scalar(name: str, value) -> float:
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
-def _require_positive(name: str, value) -> float:
-    value = _require_finite_scalar(name, value)
-    if value <= 0.0:
-        raise DomainError(f"{name} must be > 0, got {value!r}")
-    return value
-
-
 def q_function(x: float) -> float:
     """Gaussian tail probability P(Z > x) for a standard normal Z."""
-    x = _require_finite_scalar("x", x)
+    x = check_real("x", x)
     return kernels.q_func(x)
 
 
@@ -51,7 +38,7 @@ def normal_quantile(p: float) -> float:
     Rational initial guess polished with two Halley steps against the
     erfc-based CDF.
     """
-    p = _require_finite_scalar("p", p)
+    p = check_real("p", p)
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p!r}")
     x = kernels.norm_ppf_approx(p)
@@ -77,7 +64,8 @@ def gamma_cdf(t, shape, scale):
             0.3 x shape are evaluated by Temme's expansion, which has no
             loop, so large shapes near the mode do not raise.
     """
-    if any(isinstance(v, np.ndarray) for v in (t, shape, scale)):
+    if (isinstance(t, np.ndarray) or isinstance(shape, np.ndarray)
+            or isinstance(scale, np.ndarray)):
         t_b, a_b, s_b = np.broadcast_arrays(
             np.asarray(t, dtype=np.float64),
             np.asarray(shape, dtype=np.float64),
@@ -92,9 +80,9 @@ def gamma_cdf(t, shape, scale):
         x = np.ascontiguousarray(t_b.ravel() / s_b.ravel())
         a = np.ascontiguousarray(a_b.ravel().astype(np.float64))
         return kernels.reg_lower_gamma_arr(a, x).reshape(t_b.shape)
-    shape = _require_positive("shape", shape)
-    scale = _require_positive("scale", scale)
-    t = _require_finite_scalar("t", t)
+    shape = check_positive("shape", shape)
+    scale = check_positive("scale", scale)
+    t = check_real("t", t)
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t!r}")
     return kernels.reg_lower_gamma(shape, t / scale)
@@ -107,9 +95,9 @@ def gamma_quantile(p: float, shape: float, scale: float) -> float:
         ConvergenceError: the inversion found no upper bracket or did not
             converge within its step caps, or a CDF evaluation did not.
     """
-    p = _require_finite_scalar("p", p)
-    shape = _require_positive("shape", shape)
-    scale = _require_positive("scale", scale)
+    p = check_real("p", p)
+    shape = check_positive("shape", shape)
+    scale = check_positive("scale", scale)
     if not 0.0 < p < 1.0:
         raise DomainError(f"p must lie in (0, 1), got {p!r}")
     return kernels.gamma_quantile_unit(p, shape) * scale
@@ -117,8 +105,8 @@ def gamma_quantile(p: float, shape: float, scale: float) -> float:
 
 def sample_gamma(shape: float, scale: float, rng: np.random.Generator, size=None):
     """Draw from Gamma(shape, scale) using the caller's generator."""
-    shape = _require_positive("shape", shape)
-    scale = _require_positive("scale", scale)
+    shape = check_positive("shape", shape)
+    scale = check_positive("scale", scale)
     return rng.gamma(shape, scale, size=size)
 
 
@@ -135,8 +123,8 @@ class GammaLaw:
     scale: float
 
     def __post_init__(self):
-        _require_positive("shape", self.shape)
-        _require_positive("scale", self.scale)
+        check_positive("shape", self.shape)
+        check_positive("scale", self.scale)
 
     @property
     def mean(self) -> float:
@@ -166,13 +154,11 @@ class GammaLaw:
 
     def sum_of(self, n: int) -> "GammaLaw":
         """Law of the sum of ``n`` independent copies (same scale, n-fold shape)."""
-        if not isinstance(n, numbers.Integral) or n < 1:
-            raise DomainError(f"n must be a positive integer, got {n!r}")
-        return GammaLaw(self.shape * int(n), self.scale)
+        return GammaLaw(self.shape * check_count("n", n), self.scale)
 
     def scaled_by(self, c: float) -> "GammaLaw":
         """Law of c times a draw (scale multiplies, shape unchanged)."""
-        c = _require_positive("c", c)
+        c = check_positive("c", c)
         return GammaLaw(self.shape, self.scale * c)
 
 
@@ -250,11 +236,9 @@ class Polynomial:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coefficients)
+        coeffs = tuple(check_real("coefficient", c) for c in self.coefficients)
         if len(coeffs) == 0:
             raise DomainError("polynomial needs at least one coefficient")
-        if not all(math.isfinite(c) for c in coeffs):
-            raise DomainError("polynomial coefficients must be finite")
         object.__setattr__(self, "coefficients", coeffs)
 
     @property
@@ -285,9 +269,7 @@ def polyfit(xs, ys, degree: int) -> Polynomial:
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if not isinstance(degree, numbers.Integral) or degree < 0:
-        raise DomainError(f"degree must be a nonnegative integer, got {degree!r}")
-    degree = int(degree)
+    degree = check_count("degree", degree, least=0)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise DomainError("xs and ys must be 1-d arrays of equal length")
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):

@@ -34,7 +34,6 @@ values on it.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,7 @@ import numpy as np
 from . import kernels
 from .compute import Platform, batch_law, energy
 from .errors import (DomainError, InfeasibleBudgetError,
-                     InfeasibleConstraintError)
+                     InfeasibleConstraintError, check_count, check_real)
 from .numerics import GammaLaw, gamma_cdf
 
 GRID_POINTS_DEFAULT = 2048
@@ -71,8 +70,9 @@ def planner_grid(f_min_hz: float, f_max_hz: float) -> np.ndarray:
 class LatencyBudget:
     """End-to-end deadline split into communication legs and compute slack.
 
-    All legs are realized (deterministic) values; the remaining processing
-    budget is what the planner may spend on GPU execution.
+    All legs are realized (deterministic) values, stored as floats; the
+    remaining processing budget is what the planner may spend on GPU
+    execution.
     """
 
     t_e2e_s: float
@@ -82,9 +82,12 @@ class LatencyBudget:
 
     def __post_init__(self):
         for field in ("t_e2e_s", "t_ul_s", "t_isl_s", "t_dl_s"):
-            v = float(getattr(self, field))
-            if not math.isfinite(v) or v < 0.0:
-                raise DomainError(f"{field} must be >= 0 and finite, got {v!r}")
+            v = getattr(self, field)
+            f = check_real(field, v)
+            if f < 0.0:
+                raise DomainError(f"{field} must be >= 0, got {v!r}")
+            if f is not v:
+                object.__setattr__(self, field, f)
 
     @property
     def t_proc_s(self) -> float:
@@ -94,8 +97,7 @@ class LatencyBudget:
 def processing_budget(t_e2e_s: float, t_ul_s: float, t_isl_s: float,
                       t_dl_s: float) -> LatencyBudget:
     """Assemble the budget, rejecting it when nothing is left for compute."""
-    budget = LatencyBudget(t_e2e_s=float(t_e2e_s), t_ul_s=float(t_ul_s),
-                           t_isl_s=float(t_isl_s), t_dl_s=float(t_dl_s))
+    budget = LatencyBudget(t_e2e_s, t_ul_s, t_isl_s, t_dl_s)
     if budget.t_proc_s <= 0.0:
         raise InfeasibleBudgetError(
             f"communication legs consume the whole deadline: "
@@ -155,17 +157,14 @@ class FrequencySolution:
 
 
 def _check_common(n_img, rho_th, budget):
-    # bool is an Integral, but True is no batch size
-    if (not isinstance(n_img, numbers.Integral) or isinstance(n_img, bool)
-            or n_img < 1):
-        raise DomainError(f"n_img must be a positive integer, got {n_img!r}")
-    rho_th = float(rho_th)
+    n_img = check_count("n_img", n_img)
+    rho_th = check_real("rho_th", rho_th)
     if not 0.0 < rho_th < 1.0:
         raise DomainError(f"rho_th must lie in (0, 1), got {rho_th!r}")
     if budget.t_proc_s <= 0.0:
         raise InfeasibleBudgetError(
             f"t_proc = {budget.t_proc_s:.6g} s <= 0, nothing left for compute")
-    return int(n_img), rho_th
+    return n_img, rho_th
 
 
 def _boundary_search(achieved, rho_th: float, f_min_hz: float,

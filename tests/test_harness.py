@@ -2,6 +2,7 @@
 runners and their CSV/JSON contracts, sample-log ingestion, and the CLI."""
 
 import csv
+import dataclasses
 import filecmp
 import json
 import math
@@ -162,6 +163,30 @@ def test_ground_truth_keyed_by_platform_index(scenario, gt_nano, gt_agx):
     assert np.array_equal(again.work_multipliers, gt_nano.work_multipliers)
     assert not np.array_equal(gt_nano.work_multipliers,
                               gt_agx.work_multipliers)
+
+
+def test_ground_truth_keeps_a_read_only_copy_of_its_multipliers(scenario):
+    # a fresh ground truth: a write that got through would spoil the
+    # session fixture
+    gt = ss.ground_truth_for(scenario, 0)
+    gap = gt.log_multiplier_gap
+    assert gap > 0.0 and gt.work_multipliers.dtype == np.float64
+    with pytest.raises(ValueError):
+        gt.work_multipliers[:] = 1.0
+    assert gt.log_multiplier_gap == gap
+    assert dataclasses.replace(gt).log_multiplier_gap == gap
+    mult = np.array([0.5, 1.5])
+    own = ss.GroundTruth(gt.platform, 0.1, "structural", mult)
+    mult[:] = 1.0  # the caller's array, not the ground truth's
+    assert own.work_multipliers.tolist() == [0.5, 1.5]
+
+
+def test_ground_truth_compares_and_hashes_by_identity(scenario):
+    gt = ss.ground_truth_for(scenario, 0)
+    twin = dataclasses.replace(gt, work_multipliers=gt.work_multipliers.copy())
+    assert gt == gt and gt != twin
+    assert hash(gt) == hash(gt)
+    assert len({gt, twin}) == 2
 
 
 def test_ground_truth_rejects_bad_inputs(scenario, nano):
