@@ -193,6 +193,7 @@ def miss_probability(f_hat_hz: float, ground_truth, t_proc_s: float,
     Evaluated under the ground-truth pooled law, never under whatever model
     chose f_hat: 1 - CDF(t_proc) of the batch Gamma at f_hat.
     """
+    f_hat_hz = check_positive("f_hat_hz", f_hat_hz)
     t_proc_s = check_positive("t_proc_s", t_proc_s)
     n_img = check_count("n_img", n_img)
     shape = ground_truth.shape_at(f_hat_hz)

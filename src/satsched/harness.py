@@ -25,7 +25,7 @@ from .compute import Platform
 from .config import Scenario
 from .errors import (DomainError, EstimationError, InfeasibleBudgetError,
                      InfeasibleConstraintError, InfeasibleLinkError,
-                     check_count, check_real)
+                     check_count, check_positive, check_real)
 from .estimation import fit_frequency_model, sample_size_study
 from .numerics import GammaLaw, ks_statistic
 from .rand import NS_GROUND_TRUTH, stream
@@ -37,9 +37,9 @@ _METHODS = ("gamma", "cantelli")
 
 @functools.lru_cache(maxsize=256)
 def _pooled_shape(image_shape: float, gap: float) -> float:
-    # one scalar pooled-shape solve; a boundary-search probe asks for the
-    # shape and the scale (and the moments for mean and variance) at one
-    # clock, so the cache lets them share it
+    # one scalar pooled-shape solve, kept per (per-image shape, gap): under
+    # the constant variance model every clock has the same per-image shape,
+    # so one solve serves them all
     s = math.log(image_shape) - kernels.digamma(image_shape) + gap
     solved, _, ok = kernels.solve_gamma_shape(s)
     if not ok:
@@ -49,6 +49,12 @@ def _pooled_shape(image_shape: float, gap: float) -> float:
 
 # a field the constructor derives from the others
 _derived = functools.partial(field, init=False, repr=False)
+
+# scalar (shape, scale) pairs a ground truth keeps. A plan probes about
+# ten clocks and prices one of them; plans on one ground truth probe some
+# clocks again (f_min, f_max, the pre-scan grid points), so it keeps as many
+# as _pooled_shape keeps solves.
+_LAW_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,8 +86,11 @@ class GroundTruth:
     pre-scan grid for the platform range (the shared array of
     :func:`~satsched.scheduler.planner_grid`), and ``planner_grid_shapes``
     and ``planner_grid_scales`` are the pooled shapes and scales on it; all
-    three are read-only. Two ground truths are equal only when they are the
-    same object, and hash by identity.
+    three are read-only. The pooled (shape, scale) at a float clock is
+    solved once and kept, for the ``_LAW_CACHE_SIZE`` clocks most recently
+    asked for, so ``shape_at``, ``scale_at`` and pricing at one clock share
+    one solve. Two ground truths are equal only when they are the same
+    object, and hash by identity.
     """
 
     platform: Platform
@@ -96,6 +105,8 @@ class GroundTruth:
     _work_s_hz: float = _derived()
     _cv2: float = _derived()
     _fmax_denominator: float = _derived()
+    # float clock -> (pooled shape, pooled scale), least recently used first
+    _laws: dict = _derived()
 
     def __post_init__(self):
         cv = check_real("cv", self.cv_at_fmax)
@@ -114,6 +125,7 @@ class GroundTruth:
         put("_work_s_hz", work)
         put("_cv2", self.cv_at_fmax * self.cv_at_fmax)
         put("_fmax_denominator", work + p.mu_sync_s * p.f_max_hz)
+        put("_laws", {})
         grid = planner_grid(p.f_min_hz, p.f_max_hz)
         put("planner_grid_hz", grid)
         put("planner_grid_shapes", self._pooled_shape_at(grid))
@@ -131,6 +143,8 @@ class GroundTruth:
 
     def mean_at(self, f_hz):
         """Pooled mean execution time; accepts scalar or 1-d array."""
+        if not isinstance(f_hz, np.ndarray):
+            f_hz = check_positive("f_hz", f_hz)
         return self._work_s_hz / f_hz + self.platform.mu_sync_s
 
     def image_shape_at(self, f_hz):
@@ -151,8 +165,9 @@ class GroundTruth:
         return base * float(self.work_multipliers[image_id])
 
     def per_image_law(self, image_id: int, f_hz: float) -> GammaLaw:
-        return GammaLaw(float(self.image_shape_at(float(f_hz))),
-                        float(self.image_scale_at(float(f_hz), image_id)))
+        f_hz = check_positive("f_hz", f_hz)
+        return GammaLaw(float(self.image_shape_at(f_hz)),
+                        float(self.image_scale_at(f_hz, image_id)))
 
     def shape_at(self, f_hz):
         """Pooled-fit shape: the MLE limit over the image mixture.
@@ -161,11 +176,13 @@ class GroundTruth:
         where the gap is -mean(ln multiplier) >= 0. Heterogeneity across
         images widens the pooled law, so the pooled shape never exceeds the
         per-image one. Called with the planner grid, returns the shapes
-        solved at construction.
+        solved at construction; called with a clock, the kept solve for it.
         """
-        if isinstance(f_hz, np.ndarray) and self._on_planner_grid(f_hz):
-            return self.planner_grid_shapes
-        return self._pooled_shape_at(f_hz)
+        if isinstance(f_hz, np.ndarray):
+            if self._on_planner_grid(f_hz):
+                return self.planner_grid_shapes
+            return self._pooled_shape_at(f_hz)
+        return self._law_at(f_hz)[0]
 
     def _pooled_shape_at(self, f_hz):
         ab = self.image_shape_at(f_hz)
@@ -183,10 +200,31 @@ class GroundTruth:
 
     def scale_at(self, f_hz):
         """Pooled-fit scale, fixed so the pooled mean is exact. Called with
-        the planner grid, returns the scales computed at construction."""
-        if isinstance(f_hz, np.ndarray) and self._on_planner_grid(f_hz):
-            return self.planner_grid_scales
-        return self.mean_at(f_hz) / self.shape_at(f_hz)
+        the planner grid, returns the scales computed at construction;
+        called with a clock, the kept value for it."""
+        if isinstance(f_hz, np.ndarray):
+            if self._on_planner_grid(f_hz):
+                return self.planner_grid_scales
+            return self.mean_at(f_hz) / self._pooled_shape_at(f_hz)
+        return self._law_at(f_hz)[1]
+
+    def _law_at(self, f_hz):
+        # (pooled shape, pooled scale) at one clock: the kept pair for a
+        # float already asked for, else one checked solve. Each lookup moves
+        # its pair to the back, and once _LAW_CACHE_SIZE pairs are kept a
+        # new one replaces the least recently used, so the clocks every plan
+        # probes (f_min, f_max) stay kept.
+        laws = self._laws
+        law = laws.pop(f_hz, None) if type(f_hz) is float else None
+        if law is None:
+            f_hz = check_positive("f_hz", f_hz)
+            shape = self._pooled_shape_at(f_hz)
+            law = (shape,
+                   (self._work_s_hz / f_hz + self.platform.mu_sync_s) / shape)
+            if len(laws) >= _LAW_CACHE_SIZE:
+                laws.pop(next(iter(laws)), None)
+        laws[f_hz] = law
+        return law
 
     def _on_planner_grid(self, f_hz: np.ndarray) -> bool:
         # the planner passes the shared grid array itself; an equal copy
@@ -195,8 +233,7 @@ class GroundTruth:
                 or np.array_equal(f_hz, self.planner_grid_hz))
 
     def law_at(self, f_hz: float) -> GammaLaw:
-        return GammaLaw(float(self.shape_at(float(f_hz))),
-                        float(self.scale_at(float(f_hz))))
+        return GammaLaw(*self._law_at(f_hz))
 
     def sample_image_times(self, image_ids, f_hz: float,
                            rng: np.random.Generator) -> np.ndarray:
@@ -206,7 +243,7 @@ class GroundTruth:
             return np.empty(0, dtype=np.float64)
         if np.any(ids < 0) or np.any(ids >= self.n_images):
             raise DomainError("image id out of range")
-        f = float(f_hz)
+        f = check_positive("f_hz", f_hz)
         shape = float(self.image_shape_at(f))
         base_scale = float(self.mean_at(f)) / shape
         draws = rng.standard_gamma(shape, size=ids.shape[0])
@@ -276,8 +313,9 @@ def comm_legs(scenario: Scenario, elevation_deg: float) -> CommLegs:
     channel). The downlink reuses the serving slant range and is treated as
     error-free; the relay path cost is elevation-independent.
     """
+    elevation_deg = check_real("elevation_deg", elevation_deg)
     geom = LinkGeometry(altitude_m=scenario.altitude_m,
-                        elevation_rad=math.radians(float(elevation_deg)))
+                        elevation_rad=math.radians(elevation_deg))
     d = slant_range(geom)
     gamma = snr(scenario.link_ul, d, scenario.shadow_margin_db)
     eps = fbl_error_probability(gamma, scenario.grid.blocklength,
@@ -287,7 +325,7 @@ def comm_legs(scenario: Scenario, elevation_deg: float) -> CommLegs:
     else:
         e_ul = expected_uplink_delay(scenario.grid, eps, d)
     return CommLegs(
-        elevation_deg=float(elevation_deg), slant_range_m=d,
+        elevation_deg=elevation_deg, slant_range_m=d,
         snr_linear=gamma, error_probability=eps, expected_uplink_s=e_ul,
         isl_round_trip_s=isl_round_trip(scenario.isl, scenario.grid.blocklength),
         downlink_s=downlink_delay(scenario.grid, d))

@@ -12,7 +12,9 @@ scalar solve.
 The incomplete-gamma kernel has three branches. For a > 30 and
 |x - a| < 0.3 a it evaluates Temme's uniform asymptotic expansion in
 closed form (Temme 1979, SIAM J. Math. Anal. 10:757; coefficients and
-region after DiDonato & Morris 1986, ACM TOMS 12:377). Elsewhere it sums
+region after DiDonato & Morris 1986, ACM TOMS 12:377), as straight-line
+code: the atanh series of log1pmx and the seven coefficient rows are
+written out as Horner expressions, not looped over tables. Elsewhere it sums
 the power series for x < a + 1 and Lentz's continued fraction for the
 upper tail above. Their prefactor x^a e^-x / Gamma(a) comes from log(x/a)
 and the Stirling series for a > 30, where a log x and lgamma(a) are too
@@ -27,11 +29,15 @@ instead of returning the last iterate.
 ``reg_lower_gamma_bounds`` brackets P(a, x) in closed form (no loop, no
 lgamma): tangent and chord bounds of the log-concave density, with Gamma(a)
 bracketed by Stirling-Binet; a shape below 1 is bracketed at a + 1 and
-shifted back by the recurrence. ``reg_lower_gamma_tangent`` is its tangent
-side alone, with the same bits, for shapes of at least 1: a wider bracket
-at about a fifth of the cost. The planner's grid pre-scan settles lanes
-with the tangent bracket first, brackets the rest fully, and runs the exact
-kernel only on the lanes whose feasibility flag is still in doubt.
+shifted back by the recurrence. The planner's grid pre-scan takes the
+bracket in two stages with the same bits, in one pass over its lanes:
+``reg_lower_gamma_tangent`` is the tangent side, for shapes of at least 1,
+and also returns the log density factor; ``reg_lower_gamma_chords`` is the
+chord side, on the lanes the tangent side leaves in doubt, reusing that
+factor. The chord stage skips the lower chord where it cannot reach the
+caller's threshold and gives shapes below 1 the shifted full bracket. The
+exact kernel then runs only on the lanes whose feasibility flag is still in
+doubt.
 
 Everything here is a pure function and assumes in-domain inputs; nothing
 here checks an argument. The callers do: the public functions of
@@ -63,51 +69,6 @@ _CDF_CAP_MSG = "incomplete gamma did not converge within the iteration cap"
 # series instead of lgamma.
 _TEMME_MIN_SHAPE = 30.0
 _TEMME_HALF_WIDTH = 0.3
-
-# 1/(2j+1) for j = 12 .. 1: the atanh series of log1pmx, Horner order.
-# |u| <= 0.3/1.7 in the Temme region, where 12 terms reach 1e-20 relative.
-_ATANH_ODD = tuple(1.0 / (2 * j + 1) for j in range(12, 0, -1))
-
-# Temme's coefficients d[k][n] of C_k(eta) = sum_n d[k][n] eta^n (Temme
-# 1979; DiDonato & Morris 1986; the same values as Cephes igam.c), by exact
-# rational series reversion of lambda - 1 - ln(lambda) = eta^2/2 and
-# C_k = C'_{k-1}/eta + g_k/(lambda - 1), with g_k = 1, 1/12, 1/288, ... the
-# Stirling coefficients of Gamma*(a). The triangle keeps row k to degree
-# 13 - 2k; in the region it leaves the smaller tail within 4e-14 relative
-# of mpmath (the dropped a^-7 row would cost 3e-13 at a = 20, hence the
-# shape floor of 30). Rows run from k = 6 down to 0 and each row from its
-# highest degree down, the order of the nested Horner sweep in
-# _reg_lower_gamma_lane.
-_TEMME_D = (
-    # k = 6, degree 1
-    (-0.0005921664373536939, 0.0005313079364639922),
-    # k = 5, degree 3
-    (-0.00019932570516188847, 0.0002772753244959392, -6.972813758365857e-05,
-     -0.00033679855336635813),
-    # k = 4, degree 5
-    (-3.968365047179435e-05, 6.641498215465122e-05, -1.4638452578843418e-06,
-     -0.0002990724803031902, 0.0007840392217200666, -0.0008618882909167117),
-    # k = 3, degree 7
-    (-5.6749528269915965e-06, 1.1082654115347302e-05, -2.396505113867297e-07,
-     -7.561801671883977e-05, 0.00026772063206283885, -0.0004691894943952557,
-     0.00022947209362139917, 0.0006494341563786008),
-    # k = 2, degree 9
-    (-6.298992138380055e-07, 1.3721957309062934e-06, 3.423578734096138e-08,
-     -1.2760635188618728e-05, 5.2923448829120125e-05, -0.0001073665322636516,
-     2.0093878600823047e-06, 0.0007716049382716049, -0.0026813271604938273,
-     0.004133597883597883),
-    # k = 1, degree 11
-    (-5.752545603517705e-08, 1.378633446915721e-07, 4.647127802807434e-09,
-     -1.6120900894563446e-06, 7.64916091608111e-06, -1.8098550334489977e-05,
-     -4.018775720164609e-07, 0.00020576131687242798, -0.0009902263374485596,
-     0.0026455026455026454, -0.003472222222222222, -0.001851851851851852),
-    # k = 0, degree 13
-    (-4.382036018453353e-09, 1.0261809784240309e-08, 6.707853543401498e-09,
-     -1.7665952736826078e-07, 8.296711340953087e-07, -1.85406221071516e-06,
-     -2.185448510679992e-06, 3.919263178522438e-05, -0.0001787551440329218,
-     0.0003527336860670194, 0.0011574074074074073, -0.014814814814814815,
-     0.08333333333333333, -0.3333333333333333),
-)
 
 
 def q_func(x: float) -> float:
@@ -164,23 +125,98 @@ def _reg_lower_gamma_lane(a, x):
         sigma = (x - a) / a
         if -_TEMME_HALF_WIDTH < sigma < _TEMME_HALF_WIDTH:
             # log1pmx(sigma) = log(1 + sigma) - sigma through
-            # log(1 + sigma) = 2 atanh(u), u = sigma / (2 + sigma)
+            # log(1 + sigma) = 2 atanh(u), u = sigma / (2 + sigma): the odd
+            # series 1/(2j+1), j = 12 .. 1, in Horner form; |u| <= 0.3/1.7
+            # here, where 12 terms reach 1e-20 relative
             u = sigma / (2.0 + sigma)
             u2 = u * u
-            s = 0.0
-            for c in _ATANH_ODD:
-                s = s * u2 + c
+            s = (((((((((((0.04 * u2
+                           + 0.043478260869565216) * u2
+                          + 0.047619047619047616) * u2
+                         + 0.05263157894736842) * u2
+                        + 0.058823529411764705) * u2
+                       + 0.06666666666666667) * u2
+                      + 0.07692307692307693) * u2
+                     + 0.09090909090909091) * u2
+                    + 0.1111111111111111) * u2
+                   + 0.14285714285714285) * u2
+                  + 0.2) * u2
+                 + 0.3333333333333333)
             log1pmx = 2.0 * u * u2 * s - sigma * sigma / (2.0 + sigma)
             eta = math.sqrt(-2.0 * log1pmx)
             if sigma < 0.0:
                 eta = -eta
+            # C_k(eta) = sum_n d[k][n] eta^n, k = 6 .. 0, each by Horner
+            # from its highest degree 13 - 2k down. Temme's coefficients
+            # (Temme 1979; DiDonato & Morris 1986; the same values as Cephes
+            # igam.c), by exact rational series reversion of
+            # lambda - 1 - ln(lambda) = eta^2/2 and
+            # C_k = C'_{k-1}/eta + g_k/(lambda - 1), with g_k = 1, 1/12,
+            # 1/288, ... the Stirling coefficients of Gamma*(a). In the
+            # region the truncation leaves the smaller tail within 4e-14
+            # relative of mpmath (the dropped a^-7 row would cost 3e-13 at
+            # a = 20, hence the shape floor of 30). Written out, not looped
+            # over a table: the same operations in the same order, so the
+            # same bits, without the loop overhead.
+            c6 = (-0.0005921664373536939 * eta
+                  + 0.0005313079364639922)
+            c5 = (((-0.00019932570516188847 * eta
+                    + 0.0002772753244959392) * eta
+                   - 6.972813758365857e-05) * eta
+                  - 0.00033679855336635813)
+            c4 = (((((-3.968365047179435e-05 * eta
+                      + 6.641498215465122e-05) * eta
+                     - 1.4638452578843418e-06) * eta
+                    - 0.0002990724803031902) * eta
+                   + 0.0007840392217200666) * eta
+                  - 0.0008618882909167117)
+            c3 = (((((((-5.6749528269915965e-06 * eta
+                        + 1.1082654115347302e-05) * eta
+                       - 2.396505113867297e-07) * eta
+                      - 7.561801671883977e-05) * eta
+                     + 0.00026772063206283885) * eta
+                    - 0.0004691894943952557) * eta
+                   + 0.00022947209362139917) * eta
+                  + 0.0006494341563786008)
+            c2 = (((((((((-6.298992138380055e-07 * eta
+                          + 1.3721957309062934e-06) * eta
+                         + 3.423578734096138e-08) * eta
+                        - 1.2760635188618728e-05) * eta
+                       + 5.2923448829120125e-05) * eta
+                      - 0.0001073665322636516) * eta
+                     + 2.0093878600823047e-06) * eta
+                    + 0.0007716049382716049) * eta
+                   - 0.0026813271604938273) * eta
+                  + 0.004133597883597883)
+            c1 = (((((((((((-5.752545603517705e-08 * eta
+                            + 1.378633446915721e-07) * eta
+                           + 4.647127802807434e-09) * eta
+                          - 1.6120900894563446e-06) * eta
+                         + 7.64916091608111e-06) * eta
+                        - 1.8098550334489977e-05) * eta
+                       - 4.018775720164609e-07) * eta
+                      + 0.00020576131687242798) * eta
+                     - 0.0009902263374485596) * eta
+                    + 0.0026455026455026454) * eta
+                   - 0.003472222222222222) * eta
+                  - 0.001851851851851852)
+            c0 = (((((((((((((-4.382036018453353e-09 * eta
+                              + 1.0261809784240309e-08) * eta
+                             + 6.707853543401498e-09) * eta
+                            - 1.7665952736826078e-07) * eta
+                           + 8.296711340953087e-07) * eta
+                          - 1.85406221071516e-06) * eta
+                         - 2.185448510679992e-06) * eta
+                        + 3.919263178522438e-05) * eta
+                       - 0.0001787551440329218) * eta
+                      + 0.0003527336860670194) * eta
+                     + 0.0011574074074074073) * eta
+                    - 0.014814814814814815) * eta
+                   + 0.08333333333333333) * eta
+                  - 0.3333333333333333)
             inv_a = 1.0 / a
-            total = 0.0
-            for row in _TEMME_D:
-                c = 0.0
-                for d in row:
-                    c = c * eta + d
-                total = total * inv_a + c
+            total = ((((((c6 * inv_a + c5) * inv_a + c4) * inv_a + c3) * inv_a
+                       + c2) * inv_a + c1) * inv_a + c0)
             # R = e^(-a eta^2/2) / sqrt(2 pi a) * sum_k C_k(eta) a^-k
             r = math.exp(a * log1pmx) * _INV_SQRT_2PI / math.sqrt(a) * total
             y = eta * math.sqrt(0.5 * a)
@@ -369,20 +405,66 @@ def _tangent_terms(a, x):
     return log_g, right, tan
 
 
+def _upper_chord(a, x, log_lo_density):
+    # Q(a, x) >= the chord of the density over [x, x + w], w = 1.5 sqrt(a)
+    w = 1.5 * np.sqrt(a)
+    d = (a - 1.0) * np.log1p(w / x) - w
+    return np.exp(log_lo_density + np.log(w) + _log_chord_factor(d))
+
+
+def _lower_chord(a, x, log_lo_density):
+    # P(a, x) >= the chord of the density over [x - w, x], w as above but
+    # capped at x/2
+    w = np.minimum(1.5 * np.sqrt(a), 0.5 * x)
+    d = (a - 1.0) * np.log1p(-w / x) + w
+    return np.exp(log_lo_density + np.log(w) + _log_chord_factor(d))
+
+
+# The lower chord's mass is at most its width 1.5 sqrt(a) times the mode
+# density, and the mode density is below 1/sqrt(2 pi (a - 1)) (Stirling), so
+# it stays below lo_th wherever lo_th^2 (a - 1) > 1.5^2 / (2 pi) a. The cap
+# sits 3% above 1.5^2 / (2 pi) = 0.3581, far above the chord's rounding.
+_LOWER_CHORD_CAP = 0.37
+
+
 def reg_lower_gamma_tangent(a, x):
     # The tangent side of reg_lower_gamma_bounds alone, same bits:
     # lo <= P(a, x) <= hi on arrays, x > 0, with one log1p, one log and one
     # exp pass. The tangent bound needs a log-concave density, so a lane
-    # with a < 1 gets [0, 1]. The bounds are not clipped to [0, 1].
+    # with a < 1 gets [0, 1]. The bounds are not clipped to [0, 1]. Also
+    # returns log g, which reg_lower_gamma_chords reuses on the lanes this
+    # bracket leaves in doubt.
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    _, right, tan = _tangent_terms(a, x)
+    log_g, right, tan = _tangent_terms(a, x)
     lo = np.where(right, 1.0 - tan, 0.0)
     hi = np.where(right, 1.0, tan)
     small = a < 1.0
     if small.any():
         lo[small] = 0.0
         hi[small] = 1.0
+    return lo, hi, log_g
+
+
+def reg_lower_gamma_chords(a, x, log_g, lo_th):
+    # The chord side of reg_lower_gamma_bounds, for the lanes a tangent pass
+    # left in doubt: lo <= P(a, x) <= hi, not clipped, with log_g taken from
+    # reg_lower_gamma_tangent on the same lanes instead of computed again.
+    # hi is 1 - the upper chord on every lane. lo is the lower chord only
+    # where that could reach lo_th (see _LOWER_CHORD_CAP), else 0, so a
+    # threshold the lower chord cannot meet costs no lower-chord pass. A lane
+    # with a < 1 gets the shifted full bracket of reg_lower_gamma_bounds.
+    a = np.asarray(a, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    log_lo_density = log_g - 1.0 / (12.0 * a) - np.log(x)
+    hi = 1.0 - _upper_chord(a, x, log_lo_density)
+    lo = np.zeros(a.shape)
+    reach = lo_th * lo_th * (a - 1.0) <= _LOWER_CHORD_CAP * a
+    if reach.any():
+        lo[reach] = _lower_chord(a[reach], x[reach], log_lo_density[reach])
+    small = a < 1.0
+    if small.any():
+        lo[small], hi[small] = reg_lower_gamma_bounds(a[small], x[small])
     return lo, hi
 
 
@@ -406,14 +488,9 @@ def reg_lower_gamma_bounds(a, x):
     if shift:
         a = np.where(small, a + 1.0, a)
     log_g, right, tan = _tangent_terms(a, x)
-    am1 = a - 1.0
-    w_q = 1.5 * np.sqrt(a)
-    w_p = np.minimum(w_q, 0.5 * x)
     log_lo_density = log_g - 1.0 / (12.0 * a) - np.log(x)
-    d_q = am1 * np.log1p(w_q / x) - w_q
-    d_p = am1 * np.log1p(-w_p / x) + w_p
-    q_lo = np.exp(log_lo_density + np.log(w_q) + _log_chord_factor(d_q))
-    p_lo = np.exp(log_lo_density + np.log(w_p) + _log_chord_factor(d_p))
+    q_lo = _upper_chord(a, x, log_lo_density)
+    p_lo = _lower_chord(a, x, log_lo_density)
     lo = np.maximum(p_lo, np.where(right, 1.0 - tan, 0.0))
     hi = np.minimum(1.0 - q_lo, np.where(right, 1.0, tan))
     if shift:
@@ -482,7 +559,8 @@ def warm_up() -> None:
     q_func(1.0)
     one = np.ones(2, dtype=np.float64)
     reg_lower_gamma_arr(one + 1.0, one)
-    reg_lower_gamma_tangent(one + 1.0, one)
+    _, _, log_g = reg_lower_gamma_tangent(one + 1.0, one)
+    reg_lower_gamma_chords(one + 1.0, one, log_g, 0.5)
     reg_lower_gamma_bounds(one + 1.0, one)
     digamma_arr(one)
     solve_gamma_shape_arr(one * 0.01)

@@ -23,13 +23,14 @@ float. The array CDF runs the scalar kernel lane by lane, so the scan and
 the probes score a clock alike.
 
 The scan needs only one flag per grid point (score >= rho_th), so the score
-callbacks return flags for an array. The Gamma planner's scan screens
-first: a cheap tangent bracket of the CDF settles most points, a tighter
-closed-form bracket most of the rest, and only the points still in doubt
-get the exact CDF. Every reported score comes from a float evaluation, the
-same exact path the search probes take. The grid is built once per
-frequency range (:func:`planner_grid`) and shared, so a model can keep its
-values on it.
+callbacks return flags for an array, without masked copies when every grid
+point has valid parameters. The Gamma planner's scan screens first, in one
+pass: a cheap tangent bracket of the CDF settles most points, chord bounds
+that reuse the tangent's terms settle most of the rest, and only the points
+still in doubt get the exact CDF. Every reported score comes from a float
+evaluation, the same exact path the search probes take. The grid is built
+once per frequency range (:func:`planner_grid`) and shared, so a model can
+keep its values on it.
 """
 
 import functools
@@ -262,24 +263,35 @@ def _screened_flags(t_proc: float, shape, scale, rho_th: float):
 
     Closed-form brackets of each lane's CDF settle most lanes: one whose
     lower bound is at least rho_th + _SCREEN_MARGIN is feasible, one whose
-    upper bound is below rho_th - margin is not. The cheap tangent bracket
-    (:func:`~satsched.kernels.reg_lower_gamma_tangent`) goes over every
-    lane first, the full bracket
-    (:func:`~satsched.kernels.reg_lower_gamma_bounds`, which lies inside
-    the tangent one) over the lanes it leaves, and the exact CDF over the
-    lanes still in doubt. So the flags equal the exact ones on every lane,
-    and the exact lanes are those the full bracket alone would leave.
+    upper bound is below rho_th - margin is not. One pass goes over every
+    lane: the tangent bracket
+    (:func:`~satsched.kernels.reg_lower_gamma_tangent`), whose density
+    factor the chord stage
+    (:func:`~satsched.kernels.reg_lower_gamma_chords`) reuses on the lanes
+    it leaves in doubt. The chord stage skips the lower chord wherever it
+    cannot reach rho_th + margin, and brackets shapes below 1 by the shifted
+    full bracket. The exact CDF runs on the lanes still in doubt. The chord
+    bounds are those of :func:`~satsched.kernels.reg_lower_gamma_bounds`,
+    which lies inside the tangent bracket, so the flags equal the exact
+    ones on every lane, and the exact lanes are those the full bracket
+    alone would leave.
     """
     x = t_proc / scale
-    flags, doubt = _settled(*kernels.reg_lower_gamma_tangent(shape, x), rho_th)
+    lo, hi, log_g = kernels.reg_lower_gamma_tangent(shape, x)
+    flags, doubt = _settled(lo, hi, rho_th)
     rest = np.flatnonzero(doubt)
     if rest.size:
         feasible, doubt = _settled(
-            *kernels.reg_lower_gamma_bounds(shape[rest], x[rest]), rho_th)
+            *kernels.reg_lower_gamma_chords(shape[rest], x[rest], log_g[rest],
+                                            rho_th + _SCREEN_MARGIN),
+            rho_th)
         flags[rest] = feasible
         rest = rest[doubt]
     if rest.size:
-        flags[rest] = gamma_cdf(t_proc, shape[rest], scale[rest]) >= rho_th
+        # shapes and scales are finite and positive, and t_proc > 0: the
+        # checks of gamma_cdf hold, and x is its t / scale
+        flags[rest] = kernels.reg_lower_gamma_arr(shape[rest],
+                                                  x[rest]) >= rho_th
     return flags
 
 
@@ -295,9 +307,9 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
     erroring, so damaged fits degrade gracefully.
 
     The grid pre-scan flags points with :func:`_screened_flags`, which runs
-    the exact CDF only where two closed-form brackets leave the flag in
-    doubt; the flags, and so the answer, are those of the exact CDF on every
-    point.
+    the exact CDF only where the tangent and chord brackets leave the flag
+    in doubt; the flags, and so the answer, are those of the exact CDF on
+    every point.
 
     Raises:
         InfeasibleConstraintError: even f_max misses the quantile; the error
@@ -319,6 +331,8 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
         scale = np.asarray(model.scale_at(f_hz), dtype=np.float64)
         ok = (np.isfinite(shape) & np.isfinite(scale)
               & (shape > 0.0) & (scale > 0.0))
+        if ok.all():  # always so for the ground truth: no masked copies
+            return _screened_flags(t_proc, n_img * shape, scale, rho_th)
         out = np.zeros(f_hz.shape[0], dtype=bool)
         if ok.any():
             out[ok] = _screened_flags(t_proc, n_img * shape[ok], scale[ok],
@@ -357,6 +371,11 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
         m = n_img * np.asarray(moments.mean_fn(f_hz), dtype=np.float64)
         v = n_img * np.asarray(moments.variance_fn(f_hz), dtype=np.float64)
         slack = t_proc - m
+        if np.all(np.isfinite(m) & np.isfinite(v) & (v > 0.0)):
+            # always so for the ground truth: no masked copies; a lane with
+            # slack <= 0 gets slack 0 and so scores 0
+            slack = np.maximum(slack, 0.0)
+            return 1.0 - v / (v + slack * slack) >= rho_th
         ok = np.isfinite(m) & np.isfinite(v) & (slack > 0.0) & (v >= 0.0)
         out = np.zeros(f_hz.shape[0], dtype=np.float64)
         pos = ok & (v > 0.0)

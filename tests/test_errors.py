@@ -81,6 +81,7 @@ BAD_CALLS = [
         sc, subcarriers=True)),
     ("Platform-n_cores-True", lambda sc, gt, b: dataclasses.replace(
         ss.NANO, n_cores=True)),
+    ("shape_at-True", lambda sc, gt, b: gt.shape_at(True)),
     # None and strings are no reals
     ("path_loss-str", lambda sc, gt, b: ss.path_loss("1000", 2e9)),
     ("path_loss-None", lambda sc, gt, b: ss.path_loss(None, 2e9)),
@@ -94,6 +95,13 @@ BAD_CALLS = [
     ("Platform-n_flops-str", lambda sc, gt, b: dataclasses.replace(
         ss.NANO, n_flops="2.0")),
     ("power-str", lambda sc, gt, b: ss.power("1e9", ss.NANO)),
+    ("miss_probability-f-str", lambda sc, gt, b: ss.miss_probability(
+        "5e8", gt, b.t_proc_s, 1)),
+    ("scale_at-str", lambda sc, gt, b: gt.scale_at("5e8")),
+    ("comm_legs-str", lambda sc, gt, b: ss.comm_legs(sc, "90")),
+    ("per_image_law-str", lambda sc, gt, b: gt.per_image_law(0, "5e8")),
+    ("sample_image_times-str", lambda sc, gt, b: gt.sample_image_times(
+        gt.image_ids, "5e8", _RNG)),
     # NaN and inf where a real is expected
     ("path_loss-nan", lambda sc, gt, b: ss.path_loss(math.nan, 2e9)),
     ("path_loss-inf", lambda sc, gt, b: ss.path_loss(6e5, math.inf)),
@@ -106,6 +114,9 @@ BAD_CALLS = [
         0.5, math.nan, 0.0, 0.01)),
     ("miss_probability-t_proc-inf", lambda sc, gt, b: ss.miss_probability(
         5e8, gt, math.inf, 1)),
+    ("miss_probability-f-nan", lambda sc, gt, b: ss.miss_probability(
+        math.nan, gt, b.t_proc_s, 1)),
+    ("mean_at-nan", lambda sc, gt, b: gt.mean_at(math.nan)),
     ("gamma_cdf-t-nan", lambda sc, gt, b: ss.gamma_cdf(math.nan, 3.0, 0.01)),
     ("GammaLaw-shape-inf", lambda sc, gt, b: ss.GammaLaw(math.inf, 0.01)),
     ("fbl_error_probability-nan",

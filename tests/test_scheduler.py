@@ -393,28 +393,33 @@ def test_screened_flags_equal_exact_flags():
         assert np.array_equal(flags, exact >= rho_th)
 
 
-def _check_screen_margin(monkeypatch, offset, settled, liar, trivial):
+def _check_screen_margin(monkeypatch, offset, settled, liar):
     # a bracket whose lower end clears rho_th by less than 1e-9 settles
     # nothing; by more, every lane, and then no exact CDF runs at all. The
-    # lying bracket sits on one screening pass; the other pass gets the
-    # trivial bracket [0, 1], which settles nothing
+    # lying bracket sits on one screening stage (the tangent pass or the
+    # chord stage); the other stage gets the trivial bracket [0, 1], which
+    # settles nothing
     rho_th = 0.95
     shape = np.full(6, 50.0)
     scale = np.linspace(0.8, 1.2, 6) / 50.0
     exact = ss.gamma_cdf(1.0, shape, scale)
     exact_lanes = []
-    cdf = ss.scheduler.gamma_cdf
+    arr_cdf = kernels.reg_lower_gamma_arr
 
-    def counted_cdf(t, a, sc):
+    def counted_cdf(a, x):
         exact_lanes.append(a.size)
-        return cdf(t, a, sc)
+        return arr_cdf(a, x)
 
-    monkeypatch.setattr(ss.scheduler, "gamma_cdf", counted_cdf)
-    monkeypatch.setattr(kernels, trivial,
-                        lambda a, x: (np.zeros(a.shape), np.ones(a.shape)))
-    monkeypatch.setattr(kernels, liar,
-                        lambda a, x: (np.full(a.shape, rho_th + offset),
-                                      np.ones(a.shape)))
+    def bracket(a, stage):
+        lo = rho_th + offset if stage == liar else 0.0
+        return np.full(a.shape, lo), np.ones(a.shape)
+
+    monkeypatch.setattr(kernels, "reg_lower_gamma_arr", counted_cdf)
+    monkeypatch.setattr(kernels, "reg_lower_gamma_tangent",
+                        lambda a, x: (*bracket(a, "tangent"),
+                                      np.zeros(a.shape)))
+    monkeypatch.setattr(kernels, "reg_lower_gamma_chords",
+                        lambda a, x, log_g, lo_th: bracket(a, "chords"))
     flags = ss.scheduler._screened_flags(1.0, shape, scale, rho_th)
     if settled:
         assert flags.all() and exact_lanes == []
@@ -424,17 +429,13 @@ def _check_screen_margin(monkeypatch, offset, settled, liar, trivial):
 
 @pytest.mark.parametrize("offset,settled", [(0.5e-9, False), (2e-9, True)])
 def test_screen_settles_only_past_the_margin(monkeypatch, offset, settled):
-    _check_screen_margin(monkeypatch, offset, settled,
-                         liar="reg_lower_gamma_bounds",
-                         trivial="reg_lower_gamma_tangent")
+    _check_screen_margin(monkeypatch, offset, settled, liar="chords")
 
 
 @pytest.mark.parametrize("offset,settled", [(0.5e-9, False), (2e-9, True)])
 def test_tangent_screen_settles_only_past_the_margin(monkeypatch, offset,
                                                      settled):
-    _check_screen_margin(monkeypatch, offset, settled,
-                         liar="reg_lower_gamma_tangent",
-                         trivial="reg_lower_gamma_bounds")
+    _check_screen_margin(monkeypatch, offset, settled, liar="tangent")
 
 
 @pytest.mark.parametrize("method", ["gamma", "cantelli"])
@@ -497,19 +498,35 @@ def test_prescan_exact_lane_gate(monkeypatch, gt_nano, nano, zenith_budget):
 
 def test_prescan_full_bracket_lane_gate(monkeypatch, gt_nano, nano,
                                        zenith_budget):
-    """The tangent bracket settles most pre-scan lanes, so few reach the
-    full bracket."""
+    """The tangent pass settles most pre-scan lanes, so few reach the chord
+    stage."""
     lanes = []
-    bounds = kernels.reg_lower_gamma_bounds
+    chords = kernels.reg_lower_gamma_chords
 
-    def counted_bounds(a, x):
+    def counted_chords(a, x, log_g, lo_th):
         lanes.append(a.shape[0])
-        return bounds(a, x)
+        return chords(a, x, log_g, lo_th)
 
-    monkeypatch.setattr(kernels, "reg_lower_gamma_bounds", counted_bounds)
+    monkeypatch.setattr(kernels, "reg_lower_gamma_chords", counted_chords)
     sel = ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert len(lanes) == 1 and lanes[0] <= 256
+
+
+def test_prescan_exact_lane_gate_below_shape_one(monkeypatch, scenario, nano,
+                                                 zenith_budget):
+    """With cv 0.9 and image_sigma 1 the pooled shapes fall below 1, where
+    only the shifted full bracket is informative; it leaves 435 of the 2048
+    pre-scan lanes to the exact CDF (the tangent bracket alone would leave
+    all of them)."""
+    gt = ss.synthesize_ground_truth(
+        nano, 0.9, scenario.gt_n_images,
+        ss.stream(scenario.seed, scenario.bit_generator, ss.NS_GROUND_TRUTH, 0),
+        image_sigma=1.0, variance_model=scenario.gt_variance_model)
+    assert gt.planner_grid_shapes.max() < 1.0
+    counts = _count_plan_work(monkeypatch)
+    ss.select_and_price("gamma", gt, zenith_budget, 1, RHO, nano)
+    assert counts["cdf_lanes"] <= 435
 
 
 @pytest.mark.parametrize("method", ["gamma", "cantelli"])
