@@ -35,25 +35,12 @@ from .scheduler import (LatencyBudget, planner_grid, processing_budget,
 _METHODS = ("gamma", "cantelli")
 
 
-@functools.lru_cache(maxsize=256)
-def _pooled_shape(image_shape: float, gap: float) -> float:
-    # one scalar pooled-shape solve, kept per (per-image shape, gap): under
-    # the constant variance model every clock has the same per-image shape,
-    # so one solve serves them all
-    s = math.log(image_shape) - kernels.digamma(image_shape) + gap
-    solved, _, ok = kernels.solve_gamma_shape(s)
-    if not ok:
-        raise EstimationError("pooled-shape solve failed to converge")
-    return solved
-
-
 # a field the constructor derives from the others
 _derived = functools.partial(field, init=False, repr=False)
 
 # scalar (shape, scale) pairs a ground truth keeps. A plan probes about
 # ten clocks and prices one of them; plans on one ground truth probe some
-# clocks again (f_min, f_max, the pre-scan grid points), so it keeps as many
-# as _pooled_shape keeps solves.
+# clocks again (f_min, f_max, the pre-scan grid points).
 _LAW_CACHE_SIZE = 256
 
 
@@ -149,6 +136,8 @@ class GroundTruth:
 
     def image_shape_at(self, f_hz):
         """Gamma shape of a single image's law at f (same for all images)."""
+        if not isinstance(f_hz, np.ndarray):
+            f_hz = check_positive("f_hz", f_hz)
         if self.variance_model == "constant":
             if isinstance(f_hz, np.ndarray):
                 return np.full(f_hz.shape, 1.0 / self._cv2)
@@ -162,6 +151,10 @@ class GroundTruth:
         base = self.mean_at(f_hz) / self.image_shape_at(f_hz)
         if image_id is None:
             return base
+        image_id = check_count("image_id", image_id, least=0)
+        if image_id >= self.n_images:
+            raise DomainError(
+                f"image_id must be < {self.n_images}, got {image_id}")
         return base * float(self.work_multipliers[image_id])
 
     def per_image_law(self, image_id: int, f_hz: float) -> GammaLaw:
@@ -196,7 +189,12 @@ class GroundTruth:
             if not np.all(conv):
                 raise EstimationError("pooled-shape solve failed to converge")
             return solved.reshape(ab.shape)
-        return _pooled_shape(float(ab), gap)
+        ab = float(ab)
+        solved, _, ok = kernels.solve_gamma_shape(
+            math.log(ab) - kernels.digamma(ab) + gap)
+        if not ok:
+            raise EstimationError("pooled-shape solve failed to converge")
+        return solved
 
     def scale_at(self, f_hz):
         """Pooled-fit scale, fixed so the pooled mean is exact. Called with

@@ -26,18 +26,14 @@ The series and the continued fraction raise
 inversion raises it when its bracket doubling or its Newton loop runs out,
 instead of returning the last iterate.
 
-``reg_lower_gamma_bounds`` brackets P(a, x) in closed form (no loop, no
-lgamma): tangent and chord bounds of the log-concave density, with Gamma(a)
-bracketed by Stirling-Binet; a shape below 1 is bracketed at a + 1 and
-shifted back by the recurrence. The planner's grid pre-scan takes the
-bracket in two stages with the same bits, in one pass over its lanes:
-``reg_lower_gamma_tangent`` is the tangent side, for shapes of at least 1,
-and also returns the log density factor; ``reg_lower_gamma_chords`` is the
-chord side, on the lanes the tangent side leaves in doubt, reusing that
-factor. The chord stage skips the lower chord where it cannot reach the
-caller's threshold and gives shapes below 1 the shifted full bracket. The
-exact kernel then runs only on the lanes whose feasibility flag is still in
-doubt.
+The planner's grid pre-scan brackets P(a, x) in closed form (no loop over
+lanes, no lgamma), in two stages over its lanes. ``reg_lower_gamma_tangent``
+bounds the smaller tail by the density's tangent, for shapes of at least 1,
+and returns the log density factor. ``reg_lower_gamma_chords`` takes the
+lanes it leaves in doubt: chords of the density that reuse that factor for
+shapes of at least 1, skipping the lower chord where it cannot reach the
+caller's threshold, and the power series closed by a geometric tail for
+shapes below 1. The exact kernel runs only on the lanes still in doubt.
 
 Everything here is a pure function and assumes in-domain inputs; nothing
 here checks an argument. The callers do: the public functions of
@@ -428,12 +424,14 @@ _LOWER_CHORD_CAP = 0.37
 
 
 def reg_lower_gamma_tangent(a, x):
-    # The tangent side of reg_lower_gamma_bounds alone, same bits:
     # lo <= P(a, x) <= hi on arrays, x > 0, with one log1p, one log and one
-    # exp pass. The tangent bound needs a log-concave density, so a lane
-    # with a < 1 gets [0, 1]. The bounds are not clipped to [0, 1]. Also
-    # returns log g, which reg_lower_gamma_chords reuses on the lanes this
-    # bracket leaves in doubt.
+    # exp pass. For a >= 1, log t^(a-1) e^(-t) is concave, so its tangent at
+    # x bounds the density above: Q <= g/(x-a+1) for x > a-1 and
+    # P <= g/(a-1-x) for x < a-1, where g = x^a e^(-x) / S(a) and
+    # S(a) = sqrt(2 pi) a^(a-1/2) e^(-a) <= Gamma(a) <= S(a) e^(1/(12a))
+    # (Stirling-Binet). A lane with a < 1, whose density is not log-concave,
+    # gets [0, 1]. The bounds are not clipped to [0, 1]. Also returns log g,
+    # which reg_lower_gamma_chords reuses on the lanes left in doubt.
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     log_g, right, tan = _tangent_terms(a, x)
@@ -447,13 +445,16 @@ def reg_lower_gamma_tangent(a, x):
 
 
 def reg_lower_gamma_chords(a, x, log_g, lo_th):
-    # The chord side of reg_lower_gamma_bounds, for the lanes a tangent pass
-    # left in doubt: lo <= P(a, x) <= hi, not clipped, with log_g taken from
-    # reg_lower_gamma_tangent on the same lanes instead of computed again.
+    # lo <= P(a, x) <= hi for the lanes a tangent pass left in doubt, not
+    # clipped, with log_g taken from reg_lower_gamma_tangent on the same
+    # lanes instead of computed again. For a >= 1 the chords of the
+    # log-concave density bound it below: Q >= (g/x) w (e^d - 1)/d over
+    # [x, x + w], w = 1.5 sqrt(a), and P likewise over [x - w, x] (w capped
+    # at x/2), where d is the change of the log density across the chord.
     # hi is 1 - the upper chord on every lane. lo is the lower chord only
     # where that could reach lo_th (see _LOWER_CHORD_CAP), else 0, so a
     # threshold the lower chord cannot meet costs no lower-chord pass. A lane
-    # with a < 1 gets the shifted full bracket of reg_lower_gamma_bounds.
+    # with a < 1 gets _series_bracket.
     a = np.asarray(a, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     log_lo_density = log_g - 1.0 / (12.0 * a) - np.log(x)
@@ -464,39 +465,37 @@ def reg_lower_gamma_chords(a, x, log_g, lo_th):
         lo[reach] = _lower_chord(a[reach], x[reach], log_lo_density[reach])
     small = a < 1.0
     if small.any():
-        lo[small], hi[small] = reg_lower_gamma_bounds(a[small], x[small])
+        lo[small], hi[small] = _series_bracket(a[small], x[small])
     return lo, hi
 
 
-def reg_lower_gamma_bounds(a, x):
-    # Closed-form bracket lo <= P(a, x) <= hi on arrays, x > 0, no loop.
-    # For a >= 1, log t^(a-1) e^(-t) is concave, so its tangent at x bounds
-    # the density above and its chords bound it below.
-    # Tangent: Q <= g/(x-a+1) for x > a-1, P <= g/(a-1-x) for x < a-1.
-    # Chord:   Q >= (g/x) w (e^d - 1)/d over [x, x+w], w = 1.5 sqrt(a), and
-    # P likewise over [x-w, x] (w capped at x/2), where d is the change of
-    # the log density across the chord.
-    # Here g = x^a e^(-x) / Gamma(a), with Gamma(a) bracketed by
-    # Stirling-Binet: S(a) <= Gamma(a) <= S(a) e^(1/(12a)),
-    # S(a) = sqrt(2 pi) a^(a-1/2) e^(-a).
-    # A lane with a < 1 is bracketed at a + 1 and shifted back by
-    # P(a, x) = P(a+1, x) + g(a+1)/x, with g(a+1) bracketed as above.
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    small = a < 1.0
-    shift = small.any()  # most calls have no such lane: skip the extra passes
-    if shift:
-        a = np.where(small, a + 1.0, a)
-    log_g, right, tan = _tangent_terms(a, x)
-    log_lo_density = log_g - 1.0 / (12.0 * a) - np.log(x)
-    q_lo = _upper_chord(a, x, log_lo_density)
-    p_lo = _lower_chord(a, x, log_lo_density)
-    lo = np.maximum(p_lo, np.where(right, 1.0 - tan, 0.0))
-    hi = np.minimum(1.0 - q_lo, np.where(right, 1.0, tan))
-    if shift:
-        lo[small] += np.exp(log_lo_density[small])
-        hi[small] += np.exp(log_g[small] - np.log(x[small]))
-    return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+# terms of the power series that brackets P(a, x) below shape 1
+_SERIES_TERMS = 40
+
+
+def _series_bracket(a, x):
+    # P(a, x) = x^a e^-x / Gamma(a+1) sum_k x^k / ((a+1)...(a+k)) for a < 1.
+    # lo sums the first _SERIES_TERMS terms at x capped at a + _SERIES_TERMS
+    # (P rises in x, and no term overflows there); hi adds the rest as a
+    # geometric tail of ratio x / (a + _SERIES_TERMS), or is inf where that
+    # ratio is >= 1. ln Gamma(a+1) = ln Gamma(z) - sum_{j=1..8} ln(a+j), with
+    # z = a + 9 and the Stirling remainder of ln Gamma(z) in [1/(12z) -
+    # 1/(360z^3), 1/(12z)], at least 7e-9 from each end, far above rounding.
+    top = a + _SERIES_TERMS
+    x_lo = np.minimum(x, top)
+    ak, term, head = a.copy(), np.ones(a.shape), np.ones(a.shape)
+    for _ in range(_SERIES_TERMS - 1):
+        ak += 1.0
+        term *= x_lo / ak
+        head += term
+    tail = np.divide(term * x, top - x, out=np.full(a.shape, np.inf),
+                     where=x < top)
+    z = a + 9.0
+    log_rising = np.log(np.prod(a[:, None] + np.arange(1.0, 9.0), axis=1))
+    log_lo = (a * np.log(x_lo) - x_lo - (z - 0.5) * np.log(z) + z
+              - _HALF_LOG_2PI + log_rising - 1.0 / (12.0 * z))
+    return (np.exp(log_lo) * head,
+            np.exp(log_lo + 1.0 / (360.0 * z * z * z)) * (head + tail))
 
 
 def digamma_arr(x):
@@ -559,8 +558,8 @@ def warm_up() -> None:
     q_func(1.0)
     one = np.ones(2, dtype=np.float64)
     reg_lower_gamma_arr(one + 1.0, one)
-    _, _, log_g = reg_lower_gamma_tangent(one + 1.0, one)
-    reg_lower_gamma_chords(one + 1.0, one, log_g, 0.5)
-    reg_lower_gamma_bounds(one + 1.0, one)
+    shapes = np.array([2.0, 0.5])  # the chord stage's two brackets
+    _, _, log_g = reg_lower_gamma_tangent(shapes, one)
+    reg_lower_gamma_chords(shapes, one, log_g, 0.5)
     digamma_arr(one)
     solve_gamma_shape_arr(one * 0.01)

@@ -26,11 +26,11 @@ The scan needs only one flag per grid point (score >= rho_th), so the score
 callbacks return flags for an array, without masked copies when every grid
 point has valid parameters. The Gamma planner's scan screens first, in one
 pass: a cheap tangent bracket of the CDF settles most points, chord bounds
-that reuse the tangent's terms settle most of the rest, and only the points
-still in doubt get the exact CDF. Every reported score comes from a float
-evaluation, the same exact path the search probes take. The grid is built
-once per frequency range (:func:`planner_grid`) and shared, so a model can
-keep its values on it.
+that reuse the tangent's terms (a series bracket for shapes below 1) settle
+most of the rest, and only the points still in doubt get the exact CDF.
+Every reported score comes from a float evaluation, the same exact path the
+search probes take. The grid is built once per frequency range
+(:func:`planner_grid`) and shared, so a model can keep its values on it.
 """
 
 import functools
@@ -269,12 +269,10 @@ def _screened_flags(t_proc: float, shape, scale, rho_th: float):
     factor the chord stage
     (:func:`~satsched.kernels.reg_lower_gamma_chords`) reuses on the lanes
     it leaves in doubt. The chord stage skips the lower chord wherever it
-    cannot reach rho_th + margin, and brackets shapes below 1 by the shifted
-    full bracket. The exact CDF runs on the lanes still in doubt. The chord
-    bounds are those of :func:`~satsched.kernels.reg_lower_gamma_bounds`,
-    which lies inside the tangent bracket, so the flags equal the exact
-    ones on every lane, and the exact lanes are those the full bracket
-    alone would leave.
+    cannot reach rho_th + margin, and brackets shapes below 1 by the power
+    series of the CDF. The exact CDF runs on the lanes still in doubt. Every
+    bracket holds the exact CDF, so the flags equal the exact ones on every
+    lane.
     """
     x = t_proc / scale
     lo, hi, log_g = kernels.reg_lower_gamma_tangent(shape, x)

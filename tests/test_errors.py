@@ -127,6 +127,15 @@ BAD_CALLS = [
         ss.NANO, f_max_hz=math.inf)),
     ("db_to_linear-nan", lambda sc, gt, b: ss.db_to_linear(math.nan)),
     ("Polynomial-inf", lambda sc, gt, b: ss.Polynomial((1.0, math.inf))),
+    # per-image law parameters: the clock and the image id
+    ("image_shape_at-str", lambda sc, gt, b: gt.image_shape_at("5e8")),
+    ("image_shape_at-nan", lambda sc, gt, b: gt.image_shape_at(math.nan)),
+    ("image_scale_at-id-negative", lambda sc, gt, b: gt.image_scale_at(
+        5e8, -1)),
+    ("image_scale_at-id-past-end", lambda sc, gt, b: gt.image_scale_at(
+        5e8, gt.n_images)),
+    ("image_scale_at-id-float", lambda sc, gt, b: gt.image_scale_at(
+        5e8, 1.5)),
 ]
 
 

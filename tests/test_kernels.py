@@ -279,13 +279,37 @@ def test_temme_branch_equals_table_loop_bit_for_bit():
 _BRACKET_ROUNDING = 1e-15
 
 
+def _full_bracket(a, x):
+    """Closed-form bracket lo <= P(a, x) <= hi on arrays, a >= 1, x > 0,
+    in one function: the tangent and chord bounds joined and clipped to
+    [0, 1]. The tangent and chord stages are checked against it."""
+    # For a >= 1, log t^(a-1) e^(-t) is concave, so its tangent at x bounds
+    # the density above and its chords bound it below.
+    # Tangent: Q <= g/(x-a+1) for x > a-1, P <= g/(a-1-x) for x < a-1.
+    # Chord:   Q >= (g/x) w (e^d - 1)/d over [x, x+w], w = 1.5 sqrt(a), and
+    # P likewise over [x-w, x] (w capped at x/2), where d is the change of
+    # the log density across the chord.
+    # Here g = x^a e^(-x) / Gamma(a), with Gamma(a) bracketed by
+    # Stirling-Binet: S(a) <= Gamma(a) <= S(a) e^(1/(12a)),
+    # S(a) = sqrt(2 pi) a^(a-1/2) e^(-a).
+    a = np.asarray(a, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    log_g, right, tan = kernels._tangent_terms(a, x)
+    log_lo_density = log_g - 1.0 / (12.0 * a) - np.log(x)
+    q_lo = kernels._upper_chord(a, x, log_lo_density)
+    p_lo = kernels._lower_chord(a, x, log_lo_density)
+    lo = np.maximum(p_lo, np.where(right, 1.0 - tan, 0.0))
+    hi = np.minimum(1.0 - q_lo, np.where(right, 1.0, tan))
+    return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+
+
 def test_bracket_holds_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261018)
     a = np.exp(rng.uniform(0.0, math.log(1e5), 120))
     a[:2] = (1.0, 1e5)
     x = np.maximum(a + rng.uniform(-8.0, 8.0, a.size) * np.sqrt(a), 1e-3)
-    lo, hi = kernels.reg_lower_gamma_bounds(a, x)
+    lo, hi = _full_bracket(a, x)
     assert np.all(lo <= hi)
     with mpmath.workdps(50):
         for ai, xi, li, ui in zip(a, x, lo, hi):
@@ -294,14 +318,15 @@ def test_bracket_holds_against_mpmath():
 
 
 def test_bracket_below_shape_one_holds_against_mpmath():
-    # shapes below 1 are bracketed at a + 1 and shifted back by the recurrence
+    # the chord stage brackets shapes below 1 by the power series of P
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261021)
     a = rng.uniform(0.02, 1.0, 200)
     x = np.exp(rng.uniform(math.log(1e-4), math.log(40.0), a.size))
-    lo, hi = kernels.reg_lower_gamma_bounds(a, x)
+    _, _, log_g = kernels.reg_lower_gamma_tangent(a, x)
+    lo, hi = kernels.reg_lower_gamma_chords(a, x, log_g, 0.0)
     assert np.all(lo <= hi)
-    assert np.median(hi - lo) < 0.05  # informative, not [0, 1]
+    assert np.median(hi - lo) < 1e-5
     with mpmath.workdps(50):
         for ai, xi, li, ui in zip(a, x, lo, hi):
             p = float(mpmath.gammainc(ai, 0, xi, regularized=True))
@@ -324,20 +349,20 @@ def test_tangent_bracket_holds_against_mpmath():
 
 
 def test_tangent_bracket_is_the_full_brackets_tangent_side(monkeypatch):
-    # with its chords switched off, reg_lower_gamma_bounds is its tangent
-    # side alone; the tangent kernel equals it bit for bit, and with the
+    # with its chords switched off, the full bracket is its tangent side
+    # alone; the tangent kernel equals it bit for bit, and with the
     # chords on, the full bracket lies inside the tangent one
     rng = np.random.default_rng(20261102)
     a = np.exp(rng.uniform(0.0, math.log(1e5), 4000))
     x = np.maximum(a - 1.0 + rng.uniform(-10.0, 10.0, a.size) * np.sqrt(a),
                    1e-3)
     lo, hi, _ = kernels.reg_lower_gamma_tangent(a, x)
-    full_lo, full_hi = kernels.reg_lower_gamma_bounds(a, x)
+    full_lo, full_hi = _full_bracket(a, x)
     assert np.all(full_lo >= np.clip(lo, 0.0, 1.0))
     assert np.all(full_hi <= np.clip(hi, 0.0, 1.0))
     monkeypatch.setattr(kernels, "_log_chord_factor",
                         lambda d: np.full(d.shape, -np.inf))
-    tan_lo, tan_hi = kernels.reg_lower_gamma_bounds(a, x)
+    tan_lo, tan_hi = _full_bracket(a, x)
     assert np.array_equal(np.clip(lo, 0.0, 1.0), tan_lo)
     assert np.array_equal(np.clip(hi, 0.0, 1.0), tan_hi)
 
@@ -352,24 +377,21 @@ def test_tangent_bracket_is_trivial_below_shape_one():
 
 
 def test_chord_stage_on_tangent_terms_is_the_full_bracket():
-    # the chord stage on the tangent pass's log g, joined with the tangent
-    # bracket, is reg_lower_gamma_bounds bit for bit; a shape below 1 gets
-    # the shifted full bracket itself
+    # on shapes of at least 1, the chord stage on the tangent pass's log g,
+    # joined with the tangent bracket, is the full bracket bit for bit
     rng = np.random.default_rng(20261103)
     a = np.exp(rng.uniform(math.log(0.05), math.log(1e6), 4000))
     x = np.maximum(a - 1.0 + rng.uniform(-10.0, 10.0, a.size) * np.sqrt(a),
                    1e-3)
     t_lo, t_hi, log_g = kernels.reg_lower_gamma_tangent(a, x)
     lo, hi = kernels.reg_lower_gamma_chords(a, x, log_g, 0.0)
-    full_lo, full_hi = kernels.reg_lower_gamma_bounds(a, x)
+    full_lo, full_hi = _full_bracket(a, x)
     big = a >= 1.0
     assert 0 < big.sum() < a.size
     assert np.array_equal(np.clip(np.maximum(lo, t_lo), 0.0, 1.0)[big],
                           full_lo[big])
     assert np.array_equal(np.clip(np.minimum(hi, t_hi), 0.0, 1.0)[big],
                           full_hi[big])
-    assert np.array_equal(lo[~big], full_lo[~big])
-    assert np.array_equal(hi[~big], full_hi[~big])
 
 
 def test_lower_chord_skip_is_sound():

@@ -374,14 +374,21 @@ def test_unknown_method_rejected(gt_nano, nano, zenith_budget):
 
 def test_screened_flags_equal_exact_flags():
     """Over random lanes, the screened flags equal the exact CDF's flags.
-    A fifth of the lanes sit within 1e-12 of the rho_th quantile."""
+    A fifth of the lanes sit within 1e-12 of the rho_th quantile. The last 20
+    sets have shapes below 1 only, and x up to past a + _SERIES_TERMS, where
+    the series bracket has no upper bound and the exact CDF decides."""
     rng = np.random.default_rng(20261019)
-    for _ in range(80):
+    past_series = 0
+    for i in range(100):
         n = 128
         rho_th = rng.uniform(0.01, 0.99)
         t_proc = rng.uniform(0.05, 2.0)
-        shape = np.exp(rng.uniform(math.log(0.3), math.log(3000.0), n))
-        x = shape + rng.uniform(-6.0, 6.0, n) * np.sqrt(shape)
+        if i < 80:
+            shape = np.exp(rng.uniform(math.log(0.3), math.log(3000.0), n))
+            x = shape + rng.uniform(-6.0, 6.0, n) * np.sqrt(shape)
+        else:
+            shape = np.exp(rng.uniform(math.log(0.02), 0.0, n))
+            x = np.exp(rng.uniform(math.log(1e-4), math.log(80.0), n))
         edge = rng.random(n) < 0.2
         x[edge] = [kernels.gamma_quantile_unit(rho_th, a) * (1.0 + e)
                    for a, e in zip(shape[edge],
@@ -391,6 +398,9 @@ def test_screened_flags_equal_exact_flags():
         flags = ss.scheduler._screened_flags(t_proc, shape, scale, rho_th)
         assert flags.dtype == bool
         assert np.array_equal(flags, exact >= rho_th)
+        past_series += np.sum(t_proc / scale
+                              >= shape + kernels._SERIES_TERMS)
+    assert past_series > 0
 
 
 def _check_screen_margin(monkeypatch, offset, settled, liar):
@@ -485,7 +495,6 @@ def _count_plan_work(monkeypatch):
     monkeypatch.setattr(kernels, "reg_lower_gamma_arr", counted_cdf)
     monkeypatch.setattr(kernels, "solve_gamma_shape", counted_solve)
     monkeypatch.setattr(ss.scheduler, "_boundary_search", counted_search)
-    ss.harness._pooled_shape.cache_clear()
     return counts
 
 
@@ -516,9 +525,8 @@ def test_prescan_full_bracket_lane_gate(monkeypatch, gt_nano, nano,
 def test_prescan_exact_lane_gate_below_shape_one(monkeypatch, scenario, nano,
                                                  zenith_budget):
     """With cv 0.9 and image_sigma 1 the pooled shapes fall below 1, where
-    only the shifted full bracket is informative; it leaves 435 of the 2048
-    pre-scan lanes to the exact CDF (the tangent bracket alone would leave
-    all of them)."""
+    the tangent bracket settles nothing; the chord stage's series bracket
+    settles all 2048 pre-scan lanes, so no lane runs the exact CDF."""
     gt = ss.synthesize_ground_truth(
         nano, 0.9, scenario.gt_n_images,
         ss.stream(scenario.seed, scenario.bit_generator, ss.NS_GROUND_TRUTH, 0),
@@ -526,7 +534,7 @@ def test_prescan_exact_lane_gate_below_shape_one(monkeypatch, scenario, nano,
     assert gt.planner_grid_shapes.max() < 1.0
     counts = _count_plan_work(monkeypatch)
     ss.select_and_price("gamma", gt, zenith_budget, 1, RHO, nano)
-    assert counts["cdf_lanes"] <= 435
+    assert counts["cdf_lanes"] == 0
 
 
 @pytest.mark.parametrize("method", ["gamma", "cantelli"])
