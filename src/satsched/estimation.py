@@ -24,8 +24,7 @@ from .errors import (DomainError, EstimationError, InfeasibleConstraintError,
                      check_count, check_positive)
 from .numerics import GammaLaw, Polynomial, fit_gamma_mle, gamma_cdf, polyfit
 from .rand import NS_SUBSET_STUDY, stream
-from .scheduler import (LatencyBudget, MomentModel, processing_budget,
-                        solve_optimal_frequency)
+from .scheduler import LatencyBudget, MomentModel, solve_optimal_frequency
 
 _POSITIVITY_GRID = 1000
 

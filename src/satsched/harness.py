@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,11 +74,12 @@ class GroundTruth:
     pre-scan grid for the platform range (the shared array of
     :func:`~satsched.scheduler.planner_grid`), and ``planner_grid_shapes``
     and ``planner_grid_scales`` are the pooled shapes and scales on it; all
-    three are read-only. The pooled (shape, scale) at a float clock is
-    solved once and kept, for the ``_LAW_CACHE_SIZE`` clocks most recently
-    asked for, so ``shape_at``, ``scale_at`` and pricing at one clock share
-    one solve. Two ground truths are equal only when they are the same
-    object, and hash by identity.
+    three are read-only. The pooled (shape, scale) at a clock is solved
+    once and kept, for the ``_LAW_CACHE_SIZE`` clocks most recently asked
+    for, so ``shape_at``, ``scale_at`` and pricing at one clock share one
+    solve. Two ground truths are equal only when they are the same object,
+    and hash by identity; a pickle or copy holds the four init fields and
+    derives the rest again.
     """
 
     platform: Platform
@@ -92,8 +94,8 @@ class GroundTruth:
     _work_s_hz: float = _derived()
     _cv2: float = _derived()
     _fmax_denominator: float = _derived()
-    # float clock -> (pooled shape, pooled scale), least recently used first
-    _laws: dict = _derived()
+    # float clock -> (pooled shape, pooled scale), an lru_cache of _solve_law
+    _laws: object = _derived()
 
     def __post_init__(self):
         cv = check_real("cv", self.cv_at_fmax)
@@ -112,13 +114,21 @@ class GroundTruth:
         put("_work_s_hz", work)
         put("_cv2", self.cv_at_fmax * self.cv_at_fmax)
         put("_fmax_denominator", work + p.mu_sync_s * p.f_max_hz)
-        put("_laws", {})
+        # a weak proxy, not a bound method, so the cache makes no reference
+        # cycle and a dropped ground truth is freed at once, not by the
+        # cycle collector
+        put("_laws", functools.lru_cache(maxsize=_LAW_CACHE_SIZE)(
+            functools.partial(type(self)._solve_law, weakref.proxy(self))))
         grid = planner_grid(p.f_min_hz, p.f_max_hz)
         put("planner_grid_hz", grid)
         put("planner_grid_shapes", self._pooled_shape_at(grid))
         put("planner_grid_scales", self.mean_at(grid) / self.planner_grid_shapes)
         for arr in (self.planner_grid_shapes, self.planner_grid_scales):
             arr.flags.writeable = False
+
+    def __reduce__(self):
+        return type(self), (self.platform, self.cv_at_fmax,
+                            self.variance_model, self.work_multipliers)
 
     @property
     def n_images(self) -> int:
@@ -207,22 +217,19 @@ class GroundTruth:
         return self._law_at(f_hz)[1]
 
     def _law_at(self, f_hz):
-        # (pooled shape, pooled scale) at one clock: the kept pair for a
-        # float already asked for, else one checked solve. Each lookup moves
-        # its pair to the back, and once _LAW_CACHE_SIZE pairs are kept a
-        # new one replaces the least recently used, so the clocks every plan
-        # probes (f_min, f_max) stay kept.
-        laws = self._laws
-        law = laws.pop(f_hz, None) if type(f_hz) is float else None
-        if law is None:
+        # (pooled shape, pooled scale) at one clock, kept for the
+        # _LAW_CACHE_SIZE clocks most recently asked for. A float goes
+        # straight to the cache, which checks it on a miss; anything else is
+        # checked first, so a bool, a string or a list raises DomainError
+        # and an int or numpy clock shares the float clock's entry.
+        if type(f_hz) is not float:
             f_hz = check_positive("f_hz", f_hz)
-            shape = self._pooled_shape_at(f_hz)
-            law = (shape,
-                   (self._work_s_hz / f_hz + self.platform.mu_sync_s) / shape)
-            if len(laws) >= _LAW_CACHE_SIZE:
-                laws.pop(next(iter(laws)), None)
-        laws[f_hz] = law
-        return law
+        return self._laws(f_hz)
+
+    def _solve_law(self, f_hz):
+        f_hz = check_positive("f_hz", f_hz)
+        shape = self._pooled_shape_at(f_hz)
+        return shape, (self._work_s_hz / f_hz + self.platform.mu_sync_s) / shape
 
     def _on_planner_grid(self, f_hz: np.ndarray) -> bool:
         # the planner passes the shared grid array itself; an equal copy

@@ -26,14 +26,9 @@ The series and the continued fraction raise
 inversion raises it when its bracket doubling or its Newton loop runs out,
 instead of returning the last iterate.
 
-The planner's grid pre-scan brackets P(a, x) in closed form (no loop over
-lanes, no lgamma), in two stages over its lanes. ``reg_lower_gamma_tangent``
-bounds the smaller tail by the density's tangent, for shapes of at least 1,
-and returns the log density factor. ``reg_lower_gamma_chords`` takes the
-lanes it leaves in doubt: chords of the density that reuse that factor for
-shapes of at least 1, skipping the lower chord where it cannot reach the
-caller's threshold, and the power series closed by a geometric tail for
-shapes below 1. The exact kernel runs only on the lanes still in doubt.
+The planner's grid pre-scan asks only whether P(a, x) >= p on each lane;
+:func:`reg_lower_gamma_at_least` answers that, exactly, and its docstring
+describes how closed-form brackets spare most lanes the exact kernel.
 
 Everything here is a pure function and assumes in-domain inputs; nothing
 here checks an argument. The callers do: the public functions of
@@ -423,7 +418,7 @@ def _lower_chord(a, x, log_lo_density):
 _LOWER_CHORD_CAP = 0.37
 
 
-def reg_lower_gamma_tangent(a, x):
+def _reg_lower_gamma_tangent(a, x):
     # lo <= P(a, x) <= hi on arrays, x > 0, with one log1p, one log and one
     # exp pass. For a >= 1, log t^(a-1) e^(-t) is concave, so its tangent at
     # x bounds the density above: Q <= g/(x-a+1) for x > a-1 and
@@ -431,9 +426,7 @@ def reg_lower_gamma_tangent(a, x):
     # S(a) = sqrt(2 pi) a^(a-1/2) e^(-a) <= Gamma(a) <= S(a) e^(1/(12a))
     # (Stirling-Binet). A lane with a < 1, whose density is not log-concave,
     # gets [0, 1]. The bounds are not clipped to [0, 1]. Also returns log g,
-    # which reg_lower_gamma_chords reuses on the lanes left in doubt.
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+    # which the chord stage reuses on the lanes left in doubt.
     log_g, right, tan = _tangent_terms(a, x)
     lo = np.where(right, 1.0 - tan, 0.0)
     hi = np.where(right, 1.0, tan)
@@ -444,43 +437,38 @@ def reg_lower_gamma_tangent(a, x):
     return lo, hi, log_g
 
 
-def reg_lower_gamma_chords(a, x, log_g, lo_th):
-    # lo <= P(a, x) <= hi for the lanes a tangent pass left in doubt, not
-    # clipped, with log_g taken from reg_lower_gamma_tangent on the same
-    # lanes instead of computed again. For a >= 1 the chords of the
-    # log-concave density bound it below: Q >= (g/x) w (e^d - 1)/d over
-    # [x, x + w], w = 1.5 sqrt(a), and P likewise over [x - w, x] (w capped
-    # at x/2), where d is the change of the log density across the chord.
-    # hi is 1 - the upper chord on every lane. lo is the lower chord only
-    # where that could reach lo_th (see _LOWER_CHORD_CAP), else 0, so a
-    # threshold the lower chord cannot meet costs no lower-chord pass. A lane
-    # with a < 1 gets _series_bracket.
-    a = np.asarray(a, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
+def _reg_lower_gamma_chords(a, x, log_g, lo_th):
+    # lo <= P(a, x) <= hi on arrays, a >= 1, not clipped, with log_g taken
+    # from the tangent pass on the same lanes instead of computed again. The
+    # chords of the log-concave density bound it below: Q >= (g/x) w
+    # (e^d - 1)/d over [x, x + w], w = 1.5 sqrt(a), and P likewise over
+    # [x - w, x] (w capped at x/2), where d is the change of the log density
+    # across the chord. hi is 1 - the upper chord on every lane. lo is the
+    # lower chord only where that could reach lo_th (see _LOWER_CHORD_CAP),
+    # else 0, so a threshold the lower chord cannot meet costs no lower-chord
+    # pass.
     log_lo_density = log_g - 1.0 / (12.0 * a) - np.log(x)
     hi = 1.0 - _upper_chord(a, x, log_lo_density)
     lo = np.zeros(a.shape)
     reach = lo_th * lo_th * (a - 1.0) <= _LOWER_CHORD_CAP * a
     if reach.any():
         lo[reach] = _lower_chord(a[reach], x[reach], log_lo_density[reach])
-    small = a < 1.0
-    if small.any():
-        lo[small], hi[small] = _series_bracket(a[small], x[small])
     return lo, hi
 
 
-# terms of the power series that brackets P(a, x) below shape 1
+# terms of the power series that brackets P(a, x) below _SERIES_CUTOFF
 _SERIES_TERMS = 40
 
 
 def _series_bracket(a, x):
-    # P(a, x) = x^a e^-x / Gamma(a+1) sum_k x^k / ((a+1)...(a+k)) for a < 1.
+    # P(a, x) = x^a e^-x / Gamma(a+1) sum_k x^k / ((a+1)...(a+k)).
     # lo sums the first _SERIES_TERMS terms at x capped at a + _SERIES_TERMS
     # (P rises in x, and no term overflows there); hi adds the rest as a
     # geometric tail of ratio x / (a + _SERIES_TERMS), or is inf where that
     # ratio is >= 1. ln Gamma(a+1) = ln Gamma(z) - sum_{j=1..8} ln(a+j), with
     # z = a + 9 and the Stirling remainder of ln Gamma(z) in [1/(12z) -
-    # 1/(360z^3), 1/(12z)], at least 7e-9 from each end, far above rounding.
+    # 1/(360z^3), 1/(12z)]; for z < 13 the true remainder is at least 2e-9
+    # from each end, far above rounding.
     top = a + _SERIES_TERMS
     x_lo = np.minimum(x, top)
     ak, term, head = a.copy(), np.ones(a.shape), np.ones(a.shape)
@@ -496,6 +484,60 @@ def _series_bracket(a, x):
               - _HALF_LOG_2PI + log_rising - 1.0 / (12.0 * z))
     return (np.exp(log_lo) * head,
             np.exp(log_lo + 1.0 / (360.0 * z * z * z)) * (head + tail))
+
+
+# a bracket settles a lane only when it clears p by this much
+_SCREEN_MARGIN = 1e-9
+# doubt lanes below this shape take the series bracket, where the chords are
+# loose and 40 terms reach well past the usual quantiles; the rest the chords
+_SERIES_CUTOFF = 4.0
+
+
+def _settled(lo, hi, p):
+    # lanes a bracket proves P >= p, and lanes it leaves in doubt
+    above = lo >= p + _SCREEN_MARGIN
+    return above, ~above & (hi >= p - _SCREEN_MARGIN)
+
+
+def reg_lower_gamma_at_least(a, x, p):
+    """Flags P(a, x) >= p on 1-d float64 arrays, the exact kernel's on every
+    lane, a > 0, x > 0, 0 < p < 1.
+
+    Closed-form brackets lo <= P <= hi spare most lanes the exact kernel
+    (:func:`reg_lower_gamma_arr`). A bracket settles a lane when
+    lo >= p + _SCREEN_MARGIN (flag set) or hi < p - _SCREEN_MARGIN (flag
+    clear), a margin far above the rounding of the bracket and of the exact
+    kernel. Each stage takes the lanes the last one left in doubt:
+
+    1. the tangent bracket, on every lane (trivial below shape 1);
+    2. below shape _SERIES_CUTOFF the power series of P closed by a
+       geometric tail, above it chords of the density that reuse the tangent
+       pass's density factor (the lower chord only where it could reach p);
+    3. the exact kernel.
+
+    Unchecked; the stages are looked up as module globals at call time.
+    """
+    lo, hi, log_g = _reg_lower_gamma_tangent(a, x)
+    flags, doubt = _settled(lo, hi, p)
+    doubt = np.flatnonzero(doubt)
+    if doubt.size == 0:
+        return flags
+    series = a[doubt] < _SERIES_CUTOFF
+    chords = doubt[~series]
+    series = doubt[series]
+    exact = series[:0]
+    if series.size:
+        flags[series], left = _settled(
+            *_series_bracket(a[series], x[series]), p)
+        exact = series[left]
+    if chords.size:
+        flags[chords], left = _settled(
+            *_reg_lower_gamma_chords(a[chords], x[chords], log_g[chords],
+                                     p + _SCREEN_MARGIN), p)
+        exact = np.concatenate((exact, chords[left]))
+    if exact.size:
+        flags[exact] = reg_lower_gamma_arr(a[exact], x[exact]) >= p
+    return flags
 
 
 def digamma_arr(x):
@@ -558,8 +600,9 @@ def warm_up() -> None:
     q_func(1.0)
     one = np.ones(2, dtype=np.float64)
     reg_lower_gamma_arr(one + 1.0, one)
-    shapes = np.array([2.0, 0.5])  # the chord stage's two brackets
-    _, _, log_g = reg_lower_gamma_tangent(shapes, one)
-    reg_lower_gamma_chords(shapes, one, log_g, 0.5)
+    # one lane on each side of _SERIES_CUTOFF, both left in doubt by the
+    # tangent pass
+    shapes = np.array([2.0, 8.0])
+    reg_lower_gamma_at_least(shapes, shapes, 0.5)
     digamma_arr(one)
     solve_gamma_shape_arr(one * 0.01)

@@ -24,12 +24,11 @@ the probes score a clock alike.
 
 The scan needs only one flag per grid point (score >= rho_th), so the score
 callbacks return flags for an array, without masked copies when every grid
-point has valid parameters. The Gamma planner's scan screens first, in one
-pass: a cheap tangent bracket of the CDF settles most points, chord bounds
-that reuse the tangent's terms (a series bracket for shapes below 1) settle
-most of the rest, and only the points still in doubt get the exact CDF.
-Every reported score comes from a float evaluation, the same exact path the
-search probes take. The grid is built once per frequency range
+point has valid parameters. The Gamma planner's flags come from
+:func:`~satsched.kernels.reg_lower_gamma_at_least`, which runs the exact
+CDF only where closed-form brackets leave a flag in doubt. Every reported
+score comes from a float evaluation, the same exact path the search probes
+take. The grid is built once per frequency range
 (:func:`planner_grid`) and shared, so a model can keep its values on it.
 """
 
@@ -49,9 +48,6 @@ GRID_POINTS_DEFAULT = 2048
 # the boundary search stops when its bracket shrinks below this fraction of
 # the span; well under the 1e-4-span tightness that callers verify
 _BRACKET_REL_TOL = 1e-9
-# a closed-form bracket settles a pre-scan lane only when it clears rho_th by
-# this much, far above the rounding of the bracket and of the exact CDF
-_SCREEN_MARGIN = 1e-9
 
 
 @functools.lru_cache(maxsize=64)
@@ -252,47 +248,6 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
                              non_monotone=non_monotone)
 
 
-def _settled(lo, hi, rho_th: float):
-    # lanes a bracket proves feasible, and lanes it leaves in doubt
-    feasible = lo >= rho_th + _SCREEN_MARGIN
-    return feasible, ~feasible & (hi >= rho_th - _SCREEN_MARGIN)
-
-
-def _screened_flags(t_proc: float, shape, scale, rho_th: float):
-    """Flags CDF(t_proc) >= rho_th per lane, exact CDF only where in doubt.
-
-    Closed-form brackets of each lane's CDF settle most lanes: one whose
-    lower bound is at least rho_th + _SCREEN_MARGIN is feasible, one whose
-    upper bound is below rho_th - margin is not. One pass goes over every
-    lane: the tangent bracket
-    (:func:`~satsched.kernels.reg_lower_gamma_tangent`), whose density
-    factor the chord stage
-    (:func:`~satsched.kernels.reg_lower_gamma_chords`) reuses on the lanes
-    it leaves in doubt. The chord stage skips the lower chord wherever it
-    cannot reach rho_th + margin, and brackets shapes below 1 by the power
-    series of the CDF. The exact CDF runs on the lanes still in doubt. Every
-    bracket holds the exact CDF, so the flags equal the exact ones on every
-    lane.
-    """
-    x = t_proc / scale
-    lo, hi, log_g = kernels.reg_lower_gamma_tangent(shape, x)
-    flags, doubt = _settled(lo, hi, rho_th)
-    rest = np.flatnonzero(doubt)
-    if rest.size:
-        feasible, doubt = _settled(
-            *kernels.reg_lower_gamma_chords(shape[rest], x[rest], log_g[rest],
-                                            rho_th + _SCREEN_MARGIN),
-            rho_th)
-        flags[rest] = feasible
-        rest = rest[doubt]
-    if rest.size:
-        # shapes and scales are finite and positive, and t_proc > 0: the
-        # checks of gamma_cdf hold, and x is its t / scale
-        flags[rest] = kernels.reg_lower_gamma_arr(shape[rest],
-                                                  x[rest]) >= rho_th
-    return flags
-
-
 def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
                             rho_th: float, platform: Platform) -> FrequencySolution:
     """Lowest clock whose batch Gamma law meets the deadline quantile.
@@ -304,10 +259,9 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
     evaluates to nonpositive parameters count as infeasible rather than
     erroring, so damaged fits degrade gracefully.
 
-    The grid pre-scan flags points with :func:`_screened_flags`, which runs
-    the exact CDF only where the tangent and chord brackets leave the flag
-    in doubt; the flags, and so the answer, are those of the exact CDF on
-    every point.
+    The grid pre-scan flags points with
+    :func:`~satsched.kernels.reg_lower_gamma_at_least`, whose flags, and so
+    the answer, are those of the exact CDF on every point.
 
     Raises:
         InfeasibleConstraintError: even f_max misses the quantile; the error
@@ -330,11 +284,11 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
         ok = (np.isfinite(shape) & np.isfinite(scale)
               & (shape > 0.0) & (scale > 0.0))
         if ok.all():  # always so for the ground truth: no masked copies
-            return _screened_flags(t_proc, n_img * shape, scale, rho_th)
+            return kernels.reg_lower_gamma_at_least(n_img * shape,
+                                                    t_proc / scale, rho_th)
         out = np.zeros(f_hz.shape[0], dtype=bool)
-        if ok.any():
-            out[ok] = _screened_flags(t_proc, n_img * shape[ok], scale[ok],
-                                      rho_th)
+        out[ok] = kernels.reg_lower_gamma_at_least(
+            n_img * shape[ok], t_proc / scale[ok], rho_th)
         return out
 
     return _boundary_search(achieved, rho_th, platform.f_min_hz,
@@ -369,17 +323,13 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
         m = n_img * np.asarray(moments.mean_fn(f_hz), dtype=np.float64)
         v = n_img * np.asarray(moments.variance_fn(f_hz), dtype=np.float64)
         slack = t_proc - m
-        if np.all(np.isfinite(m) & np.isfinite(v) & (v > 0.0)):
-            # always so for the ground truth: no masked copies; a lane with
-            # slack <= 0 gets slack 0 and so scores 0
-            slack = np.maximum(slack, 0.0)
-            return 1.0 - v / (v + slack * slack) >= rho_th
-        ok = np.isfinite(m) & np.isfinite(v) & (slack > 0.0) & (v >= 0.0)
-        out = np.zeros(f_hz.shape[0], dtype=np.float64)
-        pos = ok & (v > 0.0)
-        out[pos] = 1.0 - v[pos] / (v[pos] + slack[pos] * slack[pos])
-        out[ok & (v == 0.0)] = 1.0  # variance-free mean-crossing limit
-        return out >= rho_th
+        # the float score's verdict on every lane: v = 0 meets the bound
+        # (the mean-crossing limit) also where slack^2 underflows to 0, and
+        # a NaN score (v infinite) fails
+        with np.errstate(all="ignore"):
+            score = 1.0 - v / (v + slack * slack)
+        return (((score >= rho_th) | (v == 0.0)) & np.isfinite(m)
+                & (slack > 0.0) & (v >= 0.0))
 
     return _boundary_search(achieved, rho_th, platform.f_min_hz,
                             platform.f_max_hz, "cantelli moment bound")

@@ -1,14 +1,18 @@
 """Harness end-to-end: ground-truth synthesis, communication legs, figure
 runners and their CSV/JSON contracts, sample-log ingestion, and the CLI."""
 
+import copy
 import csv
 import dataclasses
 import filecmp
+import gc
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +191,46 @@ def test_ground_truth_compares_and_hashes_by_identity(scenario):
     assert gt == gt and gt != twin
     assert hash(gt) == hash(gt)
     assert len({gt, twin}) == 2
+
+
+def test_ground_truth_checks_a_clock_before_its_law_cache(scenario):
+    # a fresh ground truth, so its cache holds only this test's clocks
+    gt = ss.ground_truth_for(scenario, 0)
+    law = gt.law_at(1e9)
+    for bad in (True, "1e9", [1e9], math.nan, -1e9):
+        with pytest.raises(DomainError):
+            gt.shape_at(bad)
+    for clock in (10 ** 9, np.float64(1e9), np.int64(10 ** 9)):
+        assert gt.law_at(clock) == law
+        assert gt.shape_at(clock) is gt.shape_at(1e9)
+    gt.law_at(1.0)  # True == 1.0 and hashes alike, but a bool is no clock
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(DomainError):
+            gt.scale_at(bad)
+
+
+def test_ground_truth_pickles_and_copies_as_its_init_fields(scenario):
+    gt = ss.ground_truth_for(scenario, 0)
+    law = gt.law_at(5e8)
+    for twin in (pickle.loads(pickle.dumps(gt)), copy.deepcopy(gt),
+                 copy.copy(gt)):
+        assert twin is not gt and twin.law_at(5e8) == law
+        assert np.array_equal(twin.work_multipliers, gt.work_multipliers)
+        assert np.array_equal(twin.planner_grid_shapes,
+                              gt.planner_grid_shapes)
+
+
+def test_ground_truth_is_freed_once_dropped(scenario):
+    # no reference cycle: dropping the last reference frees it at once
+    gt = ss.ground_truth_for(scenario, 0)
+    gt.law_at(5e8)
+    ref = weakref.ref(gt)
+    gc.disable()
+    try:
+        del gt
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_ground_truth_rejects_bad_inputs(scenario, nano):

@@ -318,15 +318,32 @@ def test_bracket_holds_against_mpmath():
 
 
 def test_bracket_below_shape_one_holds_against_mpmath():
-    # the chord stage brackets shapes below 1 by the power series of P
+    # the screen brackets shapes below 1 by the power series of P
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261021)
     a = rng.uniform(0.02, 1.0, 200)
     x = np.exp(rng.uniform(math.log(1e-4), math.log(40.0), a.size))
-    _, _, log_g = kernels.reg_lower_gamma_tangent(a, x)
-    lo, hi = kernels.reg_lower_gamma_chords(a, x, log_g, 0.0)
+    lo, hi = kernels._series_bracket(a, x)
     assert np.all(lo <= hi)
     assert np.median(hi - lo) < 1e-5
+    with mpmath.workdps(50):
+        for ai, xi, li, ui in zip(a, x, lo, hi):
+            p = float(mpmath.gammainc(ai, 0, xi, regularized=True))
+            assert li - _BRACKET_ROUNDING <= p <= ui + _BRACKET_ROUNDING, (ai, xi)
+
+
+def test_series_bracket_up_to_the_cutoff_holds_against_mpmath():
+    # the screen takes the series bracket on every shape below the cutoff,
+    # so also from 1 up, where the tangent and chords are loose; past
+    # x = a + _SERIES_TERMS hi is inf
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261105)
+    a = rng.uniform(1.0, kernels._SERIES_CUTOFF, 200)
+    x = np.exp(rng.uniform(math.log(1e-4), math.log(60.0), a.size))
+    lo, hi = kernels._series_bracket(a, x)
+    assert np.all(lo <= hi)
+    assert np.median(hi - lo) < 1e-5
+    assert np.isinf(hi).any()
     with mpmath.workdps(50):
         for ai, xi, li, ui in zip(a, x, lo, hi):
             p = float(mpmath.gammainc(ai, 0, xi, regularized=True))
@@ -340,7 +357,7 @@ def test_tangent_bracket_holds_against_mpmath():
     a[:2] = (1.0, 1e5)
     x = np.maximum(a - 1.0 + rng.uniform(-8.0, 8.0, a.size) * np.sqrt(a),
                    1e-3)
-    lo, hi, _ = kernels.reg_lower_gamma_tangent(a, x)
+    lo, hi, _ = kernels._reg_lower_gamma_tangent(a, x)
     assert np.all(lo <= hi)
     with mpmath.workdps(50):
         for ai, xi, li, ui in zip(a, x, lo, hi):
@@ -356,7 +373,7 @@ def test_tangent_bracket_is_the_full_brackets_tangent_side(monkeypatch):
     a = np.exp(rng.uniform(0.0, math.log(1e5), 4000))
     x = np.maximum(a - 1.0 + rng.uniform(-10.0, 10.0, a.size) * np.sqrt(a),
                    1e-3)
-    lo, hi, _ = kernels.reg_lower_gamma_tangent(a, x)
+    lo, hi, _ = kernels._reg_lower_gamma_tangent(a, x)
     full_lo, full_hi = _full_bracket(a, x)
     assert np.all(full_lo >= np.clip(lo, 0.0, 1.0))
     assert np.all(full_hi <= np.clip(hi, 0.0, 1.0))
@@ -371,7 +388,7 @@ def test_tangent_bracket_is_trivial_below_shape_one():
     # the tangent bound needs a log-concave density, so shape >= 1
     a = np.array([0.3, 0.999, 1.0, 2.0])
     x = np.array([5.0, 5.0, 5.0, 20.0])
-    lo, hi, _ = kernels.reg_lower_gamma_tangent(a, x)
+    lo, hi, _ = kernels._reg_lower_gamma_tangent(a, x)
     assert lo[:2].tolist() == [0.0, 0.0] and hi[:2].tolist() == [1.0, 1.0]
     assert lo[2] > 0.9 and lo[3] > 0.99
 
@@ -383,8 +400,8 @@ def test_chord_stage_on_tangent_terms_is_the_full_bracket():
     a = np.exp(rng.uniform(math.log(0.05), math.log(1e6), 4000))
     x = np.maximum(a - 1.0 + rng.uniform(-10.0, 10.0, a.size) * np.sqrt(a),
                    1e-3)
-    t_lo, t_hi, log_g = kernels.reg_lower_gamma_tangent(a, x)
-    lo, hi = kernels.reg_lower_gamma_chords(a, x, log_g, 0.0)
+    t_lo, t_hi, log_g = kernels._reg_lower_gamma_tangent(a, x)
+    lo, hi = kernels._reg_lower_gamma_chords(a, x, log_g, 0.0)
     full_lo, full_hi = _full_bracket(a, x)
     big = a >= 1.0
     assert 0 < big.sum() < a.size
@@ -403,15 +420,15 @@ def test_lower_chord_skip_is_sound():
     a[0] = 1.0
     x = np.maximum(a - 1.0 + rng.uniform(-4.0, 4.0, a.size) * np.sqrt(a),
                    1e-3)
-    _, _, log_g = kernels.reg_lower_gamma_tangent(a, x)
-    lo, hi = kernels.reg_lower_gamma_chords(a, x, log_g, 0.0)
+    _, _, log_g = kernels._reg_lower_gamma_tangent(a, x)
+    lo, hi = kernels._reg_lower_gamma_chords(a, x, log_g, 0.0)
     mode_bound = 1.5 ** 2 / (2.0 * math.pi)
     assert np.all(lo * lo * (a - 1.0) <= mode_bound * a * (1.0 + 1e-12))
     assert kernels._LOWER_CHORD_CAP > mode_bound
     lo_th = 0.95
     skip = lo_th * lo_th * (a - 1.0) > kernels._LOWER_CHORD_CAP * a
     assert skip.mean() > 0.9
-    lo_95, hi_95 = kernels.reg_lower_gamma_chords(a, x, log_g, lo_th)
+    lo_95, hi_95 = kernels._reg_lower_gamma_chords(a, x, log_g, lo_th)
     assert np.all(lo_95[skip] == 0.0) and np.all(lo[skip] < lo_th)
     assert np.array_equal(lo_95[~skip], lo[~skip])
     assert np.array_equal(hi_95, hi)

@@ -249,6 +249,17 @@ def test_cantelli_choice_never_cheaper(gt_nano, nano, zenith_budget):
         assert cant.reliability >= gam.reliability
 
 
+def test_cantelli_variance_free_plan_with_underflowing_slack(nano):
+    """With no variance, any positive slack meets the bound, also one whose
+    square underflows to 0: every grid point is feasible, as its float score
+    of 1 says."""
+    budget = ss.LatencyBudget(1e-170, 0.0, 0.0, 0.0)
+    free = ss.MomentModel(lambda f: 0.0 * f, lambda f: 0.0 * f)
+    sol = ss.solve_cantelli_frequency(free, budget, 1, RHO, nano)
+    assert sol.frequency_hz == nano.f_min_hz
+    assert sol.predicted_reliability == 1.0 and not sol.non_monotone
+
+
 def test_midpoint_overprovision_cost(gt_nano, nano, zenith_budget):
     # mid-range batch: the two-moment plan pays a clear energy premium
     gam = ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano)
@@ -374,20 +385,24 @@ def test_unknown_method_rejected(gt_nano, nano, zenith_budget):
 
 def test_screened_flags_equal_exact_flags():
     """Over random lanes, the screened flags equal the exact CDF's flags.
-    A fifth of the lanes sit within 1e-12 of the rho_th quantile. The last 20
-    sets have shapes below 1 only, and x up to past a + _SERIES_TERMS, where
-    the series bracket has no upper bound and the exact CDF decides."""
+    A fifth of the lanes sit within 1e-12 of the rho_th quantile. Sets 80 to
+    99 have shapes below 1 only, and x up to past a + _SERIES_TERMS, where
+    the series bracket has no upper bound and the exact CDF decides; the
+    last 20 sets do the same with shapes from 1 up to the series cutoff."""
     rng = np.random.default_rng(20261019)
     past_series = 0
-    for i in range(100):
+    for i in range(120):
         n = 128
         rho_th = rng.uniform(0.01, 0.99)
         t_proc = rng.uniform(0.05, 2.0)
         if i < 80:
             shape = np.exp(rng.uniform(math.log(0.3), math.log(3000.0), n))
             x = shape + rng.uniform(-6.0, 6.0, n) * np.sqrt(shape)
-        else:
+        elif i < 100:
             shape = np.exp(rng.uniform(math.log(0.02), 0.0, n))
+            x = np.exp(rng.uniform(math.log(1e-4), math.log(80.0), n))
+        else:
+            shape = rng.uniform(1.0, kernels._SERIES_CUTOFF, n)
             x = np.exp(rng.uniform(math.log(1e-4), math.log(80.0), n))
         edge = rng.random(n) < 0.2
         x[edge] = [kernels.gamma_quantile_unit(rho_th, a) * (1.0 + e)
@@ -395,7 +410,7 @@ def test_screened_flags_equal_exact_flags():
                                    rng.uniform(-1e-12, 1e-12, edge.sum()))]
         scale = t_proc / np.maximum(x, 1e-6)
         exact = ss.gamma_cdf(t_proc, shape, scale)
-        flags = ss.scheduler._screened_flags(t_proc, shape, scale, rho_th)
+        flags = kernels.reg_lower_gamma_at_least(shape, t_proc / scale, rho_th)
         assert flags.dtype == bool
         assert np.array_equal(flags, exact >= rho_th)
         past_series += np.sum(t_proc / scale
@@ -425,12 +440,12 @@ def _check_screen_margin(monkeypatch, offset, settled, liar):
         return np.full(a.shape, lo), np.ones(a.shape)
 
     monkeypatch.setattr(kernels, "reg_lower_gamma_arr", counted_cdf)
-    monkeypatch.setattr(kernels, "reg_lower_gamma_tangent",
+    monkeypatch.setattr(kernels, "_reg_lower_gamma_tangent",
                         lambda a, x: (*bracket(a, "tangent"),
                                       np.zeros(a.shape)))
-    monkeypatch.setattr(kernels, "reg_lower_gamma_chords",
+    monkeypatch.setattr(kernels, "_reg_lower_gamma_chords",
                         lambda a, x, log_g, lo_th: bracket(a, "chords"))
-    flags = ss.scheduler._screened_flags(1.0, shape, scale, rho_th)
+    flags = kernels.reg_lower_gamma_at_least(shape, 1.0 / scale, rho_th)
     if settled:
         assert flags.all() and exact_lanes == []
     else:
@@ -448,16 +463,46 @@ def test_tangent_screen_settles_only_past_the_margin(monkeypatch, offset,
     _check_screen_margin(monkeypatch, offset, settled, liar="tangent")
 
 
-@pytest.mark.parametrize("method", ["gamma", "cantelli"])
+def _damaged_moments(gt, grid, t_proc, n_img):
+    """The ground truth's per-image moments, with one damaged (mean,
+    variance) pair on each clock of ``grid``: NaN, infinite, signed-zero,
+    negative and subnormal values, and a mean that leaves no slack at all,
+    with and without variance. None keeps the true value."""
+    tight = t_proc / n_img
+    assert n_img * tight == t_proc
+    pairs = [(math.nan, None), (None, math.nan), (-math.inf, None),
+             (None, math.inf), (None, -0.0), (None, -1e-3),
+             (5e-324, 5e-324), (tight, 0.0), (tight, None)]
+    true = ss.MomentModel.from_shape_scale_model(gt)
+
+    def damaged(fn, k):
+        def moment(f_hz):
+            out = np.array(fn(f_hz), dtype=np.float64)
+            for g, pair in zip(grid, pairs):
+                if pair[k] is not None:
+                    out[f_hz == g] = pair[k]
+            return out
+        return moment
+
+    return ss.MomentModel(damaged(true.mean_fn, 0),
+                          damaged(true.variance_fn, 1))
+
+
+@pytest.mark.parametrize("method", ["gamma", "cantelli", "cantelli-damaged"])
 def test_prescan_callback_returns_flags(monkeypatch, method, gt_nano, nano,
                                         zenith_budget):
     """The array form of each planner's callback returns one bool flag per
-    grid point, the float form a score with the same verdict."""
+    grid point, the float form a score with the same verdict, also on a
+    moment model damaged on every checked point."""
     search = ss.scheduler._boundary_search
     seen = []
+    grid = np.linspace(nano.f_min_hz, nano.f_max_hz, 9)
+    moments = None
+    if method == "cantelli-damaged":
+        method = "cantelli"
+        moments = _damaged_moments(gt_nano, grid, zenith_budget.t_proc_s, 3)
 
     def checked_search(achieved, rho_th, *args, **kwargs):
-        grid = np.linspace(nano.f_min_hz, nano.f_max_hz, 9)
         flags = achieved(grid)
         assert flags.dtype == bool and flags.shape == grid.shape
         assert [achieved(float(f)) >= rho_th for f in grid] == flags.tolist()
@@ -465,8 +510,12 @@ def test_prescan_callback_returns_flags(monkeypatch, method, gt_nano, nano,
         return search(achieved, rho_th, *args, **kwargs)
 
     monkeypatch.setattr(ss.scheduler, "_boundary_search", checked_search)
-    ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano)
+    ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano,
+                        moments=moments)
     assert len(seen) == 1 and seen[0].any() and not seen[0].all()
+    if moments is not None:
+        assert seen[0].tolist() == [False] * 4 + [True, False, True, False,
+                                                  False]
 
 
 def _count_plan_work(monkeypatch):
@@ -505,35 +554,62 @@ def test_prescan_exact_lane_gate(monkeypatch, gt_nano, nano, zenith_budget):
     assert 2 <= counts["cdf_lanes"] <= 64
 
 
-def test_prescan_full_bracket_lane_gate(monkeypatch, gt_nano, nano,
-                                       zenith_budget):
-    """The tangent pass settles most pre-scan lanes, so few reach the chord
-    stage."""
+@pytest.fixture(scope="module")
+def gt_nano_wide(scenario, nano):
+    # cv 0.9 and image_sigma 1: pooled shapes below 1 on the whole grid
+    return ss.synthesize_ground_truth(
+        nano, 0.9, scenario.gt_n_images,
+        ss.stream(scenario.seed, scenario.bit_generator, ss.NS_GROUND_TRUTH, 0),
+        image_sigma=1.0, variance_model=scenario.gt_variance_model)
+
+
+def _count_chord_lanes(monkeypatch):
     lanes = []
-    chords = kernels.reg_lower_gamma_chords
+    chords = kernels._reg_lower_gamma_chords
 
     def counted_chords(a, x, log_g, lo_th):
         lanes.append(a.shape[0])
         return chords(a, x, log_g, lo_th)
 
-    monkeypatch.setattr(kernels, "reg_lower_gamma_chords", counted_chords)
+    monkeypatch.setattr(kernels, "_reg_lower_gamma_chords", counted_chords)
+    return lanes
+
+
+def test_prescan_full_bracket_lane_gate(monkeypatch, gt_nano, nano,
+                                       zenith_budget):
+    """The tangent pass settles most pre-scan lanes, so few reach the chord
+    stage."""
+    lanes = _count_chord_lanes(monkeypatch)
     sel = ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert len(lanes) == 1 and lanes[0] <= 256
 
 
-def test_prescan_exact_lane_gate_below_shape_one(monkeypatch, scenario, nano,
-                                                 zenith_budget):
+def test_prescan_exact_lane_gate_below_shape_one(monkeypatch, gt_nano_wide,
+                                                 nano, zenith_budget):
     """With cv 0.9 and image_sigma 1 the pooled shapes fall below 1, where
-    the tangent bracket settles nothing; the chord stage's series bracket
-    settles all 2048 pre-scan lanes, so no lane runs the exact CDF."""
-    gt = ss.synthesize_ground_truth(
-        nano, 0.9, scenario.gt_n_images,
-        ss.stream(scenario.seed, scenario.bit_generator, ss.NS_GROUND_TRUTH, 0),
-        image_sigma=1.0, variance_model=scenario.gt_variance_model)
-    assert gt.planner_grid_shapes.max() < 1.0
+    the tangent bracket settles nothing; the series bracket settles all 2048
+    pre-scan lanes, so no lane runs the chords or the exact CDF."""
+    assert gt_nano_wide.planner_grid_shapes.max() < 1.0
     counts = _count_plan_work(monkeypatch)
-    ss.select_and_price("gamma", gt, zenith_budget, 1, RHO, nano)
+    chord_lanes = _count_chord_lanes(monkeypatch)
+    ss.select_and_price("gamma", gt_nano_wide, zenith_budget, 1, RHO, nano)
+    assert counts["cdf_lanes"] == 0 and sum(chord_lanes) == 0
+
+
+@pytest.mark.parametrize("n_img", [2, 3])
+def test_prescan_series_bracket_settles_shapes_below_the_cutoff(
+        monkeypatch, gt_nano_wide, nano, zenith_budget, n_img):
+    """The batch shapes of these plans lie between 1 and the series cutoff,
+    where the tangent and chord bounds are loose; the lanes the tangent
+    leaves in doubt take the series bracket, and none runs the exact CDF
+    (171 and 182 lanes did with the cutoff at 1)."""
+    batch = n_img * gt_nano_wide.planner_grid_shapes
+    assert 1.0 <= batch.min() and batch.max() < kernels._SERIES_CUTOFF
+    counts = _count_plan_work(monkeypatch)
+    sel = ss.select_and_price("gamma", gt_nano_wide, zenith_budget, n_img,
+                              RHO, nano)
+    assert sel.frequency_hz > nano.f_min_hz
     assert counts["cdf_lanes"] == 0
 
 
