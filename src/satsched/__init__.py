@@ -11,11 +11,10 @@ relaying, and a deterministic downlink.
 __version__ = "0.1.0"
 
 from .channel import (EARTH_RADIUS_M, SPEED_OF_LIGHT, IslPath, LinkGeometry,
-                      LinkParams, OfdmGrid, db_to_linear,
-                      downlink_delay, expected_uplink_delay,
-                      fbl_error_probability, isl_round_trip, linear_to_db,
-                      path_loss, ring_chord_m, slant_range, snr,
-                      uplink_delay_pmf)
+                      LinkParams, OfdmGrid, db_to_linear, downlink_delay,
+                      expected_uplink_delay, fbl_error_probability,
+                      isl_round_trip, path_loss, ring_chord_m, slant_range,
+                      snr, uplink_delay_pmf)
 from .compute import (AGX, BUILTIN_PLATFORMS, NANO, Platform, batch_law,
                       energy, mean_exec_time, power)
 from .config import (DEFAULT_CONFIG, Scenario, default_config, load_config,
@@ -61,7 +60,7 @@ __all__ = [
     "fit_gamma_mle", "fit_moment_model", "fit_report", "gamma_cdf",
     "gamma_quantile", "generator_from", "ground_truth_for",
     "ingest_samples_csv",
-    "isl_round_trip", "ks_statistic", "linear_to_db", "load_config",
+    "isl_round_trip", "ks_statistic", "load_config",
     "load_scenario", "mean_exec_time", "merge_config", "miss_probability",
     "normal_quantile", "path_loss", "polyfit", "power", "processing_budget",
     "q_function", "resolve", "ring_chord_m", "run_fig3", "run_fig4",

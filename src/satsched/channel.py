@@ -28,10 +28,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (check_real("db", db) / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    return 10.0 * math.log10(check_positive("ratio", x))
-
-
 @dataclass(frozen=True)
 class LinkGeometry:
     """Satellite-device geometry on a spherical Earth.
@@ -53,10 +49,6 @@ class LinkGeometry:
                 <= math.pi / 2.0 + 1e-12):
             raise DomainError(
                 f"elevation_rad must lie in (0, pi/2], got {self.elevation_rad!r}")
-
-    @property
-    def slant_range_m(self) -> float:
-        return slant_range(self)
 
 
 def slant_range(geom: LinkGeometry) -> float:

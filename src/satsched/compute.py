@@ -123,7 +123,8 @@ def batch_law(per_image: GammaLaw, n_img: int) -> GammaLaw:
     Gamma is closed under iid summation at fixed scale: the batch is
     Gamma(n_img * shape, scale).
     """
-    return per_image.sum_of(check_count("n_img", n_img))
+    return GammaLaw(per_image.shape * check_count("n_img", n_img),
+                    per_image.scale)
 
 
 def energy(f_hz: float, platform: Platform, law: GammaLaw) -> float:

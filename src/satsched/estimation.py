@@ -22,7 +22,7 @@ import numpy as np
 from .compute import Platform
 from .errors import (DomainError, EstimationError, InfeasibleConstraintError,
                      check_count, check_positive)
-from .numerics import GammaLaw, Polynomial, fit_gamma_mle, gamma_cdf, polyfit
+from .numerics import Polynomial, fit_gamma_mle, gamma_cdf, polyfit
 from .rand import NS_SUBSET_STUDY, stream
 from .scheduler import LatencyBudget, MomentModel, solve_optimal_frequency
 
@@ -112,9 +112,6 @@ class FrequencyModel:
 
     def scale_at(self, f_hz):
         return self.scale_poly(f_hz)
-
-    def law_at(self, f_hz: float) -> GammaLaw:
-        return GammaLaw(float(self.shape_at(f_hz)), float(self.scale_at(f_hz)))
 
 
 def fit_frequency_model(samples_by_freq, degree: int = 3) -> FrequencyModel:
@@ -240,11 +237,6 @@ class SubsetStudyResult:
     @property
     def max_p_miss(self) -> float:
         return float(self.p_miss_values.max())
-
-    @property
-    def iqr_p_miss(self) -> float:
-        lo, hi = np.percentile(self.p_miss_values, [25.0, 75.0])
-        return float(hi - lo)
 
     @property
     def n_infeasible(self) -> int:

@@ -70,14 +70,16 @@ class GroundTruth:
     The four init fields are the value; the constructor derives the rest,
     so ``dataclasses.replace`` stays consistent. It keeps
     ``work_multipliers`` as its own read-only float64 copy, so nothing
-    derived from it goes stale. ``planner_grid_hz`` is the planner's
-    pre-scan grid for the platform range (the shared array of
-    :func:`~satsched.scheduler.planner_grid`), and ``planner_grid_shapes``
-    and ``planner_grid_scales`` are the pooled shapes and scales on it; all
-    three are read-only. The pooled (shape, scale) at a clock is solved
-    once and kept, for the ``_LAW_CACHE_SIZE`` clocks most recently asked
-    for, so ``shape_at``, ``scale_at`` and pricing at one clock share one
-    solve. Two ground truths are equal only when they are the same object,
+    derived from it goes stale. ``planner_grid_shapes`` and
+    ``planner_grid_scales`` are the pooled shapes and scales on the
+    planner's pre-scan grid for the platform range, read-only;
+    ``shape_at`` and ``scale_at`` return them when handed that grid, which
+    they recognise by identity as the shared array of
+    :func:`~satsched.scheduler.planner_grid`. The pooled (shape, scale) at
+    a clock is solved once and kept, for the ``_LAW_CACHE_SIZE`` clocks
+    most recently asked for, so ``shape_at``, ``scale_at`` and ``law_at``
+    (the pricing lookup) at one clock share one solve. Two ground truths
+    are equal only when they are the same object,
     and hash by identity; a pickle or copy holds the four init fields and
     derives the rest again.
     """
@@ -87,7 +89,6 @@ class GroundTruth:
     variance_model: str
     work_multipliers: np.ndarray
     log_multiplier_gap: float = _derived()
-    planner_grid_hz: np.ndarray = _derived()
     planner_grid_shapes: np.ndarray = _derived()
     planner_grid_scales: np.ndarray = _derived()
     # frequency-independent parts of mean_at and image_shape_at
@@ -120,7 +121,6 @@ class GroundTruth:
         put("_laws", functools.lru_cache(maxsize=_LAW_CACHE_SIZE)(
             functools.partial(type(self)._solve_law, weakref.proxy(self))))
         grid = planner_grid(p.f_min_hz, p.f_max_hz)
-        put("planner_grid_hz", grid)
         put("planner_grid_shapes", self._pooled_shape_at(grid))
         put("planner_grid_scales", self.mean_at(grid) / self.planner_grid_shapes)
         for arr in (self.planner_grid_shapes, self.planner_grid_scales):
@@ -167,19 +167,15 @@ class GroundTruth:
                 f"image_id must be < {self.n_images}, got {image_id}")
         return base * float(self.work_multipliers[image_id])
 
-    def per_image_law(self, image_id: int, f_hz: float) -> GammaLaw:
-        f_hz = check_positive("f_hz", f_hz)
-        return GammaLaw(float(self.image_shape_at(f_hz)),
-                        float(self.image_scale_at(f_hz, image_id)))
-
     def shape_at(self, f_hz):
         """Pooled-fit shape: the MLE limit over the image mixture.
 
         Solves ln(a) - digamma(a) = [ln(a_img) - digamma(a_img)] + gap,
         where the gap is -mean(ln multiplier) >= 0. Heterogeneity across
         images widens the pooled law, so the pooled shape never exceeds the
-        per-image one. Called with the planner grid, returns the shapes
-        solved at construction; called with a clock, the kept solve for it.
+        per-image one. Called with the planner grid (the shared array
+        itself), returns the shapes solved at construction; called with a
+        clock, the kept solve for it.
         """
         if isinstance(f_hz, np.ndarray):
             if self._on_planner_grid(f_hz):
@@ -187,29 +183,23 @@ class GroundTruth:
             return self._pooled_shape_at(f_hz)
         return self._law_at(f_hz)[0]
 
-    def _pooled_shape_at(self, f_hz):
+    def _pooled_shape_at(self, f_hz: np.ndarray) -> np.ndarray:
         ab = self.image_shape_at(f_hz)
         gap = self.log_multiplier_gap
         if gap == 0.0:
             return ab
-        if isinstance(ab, np.ndarray):
-            flat = np.ascontiguousarray(ab.ravel().astype(np.float64))
-            s = np.log(flat) - kernels.digamma_arr(flat) + gap
-            solved, conv = kernels.solve_gamma_shape_arr(np.ascontiguousarray(s))
-            if not np.all(conv):
-                raise EstimationError("pooled-shape solve failed to converge")
-            return solved.reshape(ab.shape)
-        ab = float(ab)
-        solved, _, ok = kernels.solve_gamma_shape(
-            math.log(ab) - kernels.digamma(ab) + gap)
-        if not ok:
+        flat = np.ascontiguousarray(ab.ravel().astype(np.float64))
+        s = np.log(flat) - kernels.digamma_arr(flat) + gap
+        solved, conv = kernels.solve_gamma_shape_arr(np.ascontiguousarray(s))
+        if not np.all(conv):
             raise EstimationError("pooled-shape solve failed to converge")
-        return solved
+        return solved.reshape(ab.shape)
 
     def scale_at(self, f_hz):
         """Pooled-fit scale, fixed so the pooled mean is exact. Called with
-        the planner grid, returns the scales computed at construction;
-        called with a clock, the kept value for it."""
+        the planner grid (the shared array itself), returns the scales
+        computed at construction; called with a clock, the kept value for
+        it."""
         if isinstance(f_hz, np.ndarray):
             if self._on_planner_grid(f_hz):
                 return self.planner_grid_scales
@@ -228,16 +218,25 @@ class GroundTruth:
 
     def _solve_law(self, f_hz):
         f_hz = check_positive("f_hz", f_hz)
-        shape = self._pooled_shape_at(f_hz)
+        shape = self.image_shape_at(f_hz)
+        gap = self.log_multiplier_gap
+        if gap != 0.0:
+            shape, _, ok = kernels.solve_gamma_shape(
+                math.log(shape) - kernels.digamma(shape) + gap)
+            if not ok:
+                raise EstimationError("pooled-shape solve failed to converge")
         return shape, (self._work_s_hz / f_hz + self.platform.mu_sync_s) / shape
 
     def _on_planner_grid(self, f_hz: np.ndarray) -> bool:
-        # the planner passes the shared grid array itself; an equal copy
-        # is recognised too
-        return (f_hz is self.planner_grid_hz
-                or np.array_equal(f_hz, self.planner_grid_hz))
+        # by identity: planner_grid hands out the array the planner scans,
+        # a rebuilt one too if its LRU dropped the one seen here (same
+        # values); an equal copy takes the array solve, to the same bits
+        p = self.platform
+        return f_hz is planner_grid(p.f_min_hz, p.f_max_hz)
 
     def law_at(self, f_hz: float) -> GammaLaw:
+        """Pooled per-image law at one clock: the pair shape_at and
+        scale_at return, from one cache lookup."""
         return GammaLaw(*self._law_at(f_hz))
 
     def sample_image_times(self, image_ids, f_hz: float,
@@ -508,7 +507,10 @@ def run_fig5(scenario: Scenario, out_dir: str) -> dict:
         for n_img in scenario.fig5_n_img[platform.name]:
             for elevation in scenario.elevation_sweep_deg:
                 legs = comm_legs(scenario, elevation)
-                t_proc = scenario.t_e2e_s - legs.total_s
+                # LatencyBudget.t_proc_s's order, so a feasible row shows
+                # the budget its plans had; -inf where the uplink diverges
+                t_proc = (scenario.t_e2e_s - legs.expected_uplink_s
+                          - legs.isl_round_trip_s - legs.downlink_s)
                 try:
                     budget = budget_from_legs(scenario, legs)
                 except (InfeasibleBudgetError, InfeasibleLinkError):
@@ -545,7 +547,9 @@ def ingest_samples_csv(path: str) -> dict:
 
     Expected header: image_id,frequency_hz,exec_time_s. Real hardware logs
     in this shape can replace the synthetic ground truth without code
-    changes.
+    changes. Each row needs an integer image id >= 0 and a finite
+    frequency and time > 0; DomainError names the first row that breaks
+    this as path:line.
     """
     by_freq = {}
     try:
@@ -566,9 +570,10 @@ def ingest_samples_csv(path: str) -> dict:
             if len(row) != 3:
                 raise DomainError(f"{path}:{lineno}: expected 3 columns")
             try:
-                f = float(row[1])
-                t = float(row[2])
-            except ValueError as exc:
+                check_count("image_id", int(row[0]), least=0)
+                f = check_positive("frequency_hz", float(row[1]))
+                t = check_positive("exec_time_s", float(row[2]))
+            except ValueError as exc:  # DomainError is a ValueError too
                 raise DomainError(f"{path}:{lineno}: {exc}") from exc
             by_freq.setdefault(f, []).append(t)
     if not by_freq:

@@ -75,12 +75,7 @@ def norm_ppf_approx(p: float) -> float:
     if p >= 1.0:
         return math.inf
     if p < 0.02425:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
-                   - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
-                 + 4.374664141464968e+00) * q + 2.938163982698783e+00) / \
-               ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
-                  + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0)
+        return _acklam_lower_tail(p)
     if p <= 0.97575:
         q = p - 0.5
         r = q * q
@@ -90,12 +85,17 @@ def norm_ppf_approx(p: float) -> float:
                (((((-5.447609879822406e+01 * r + 1.615858368580409e+02) * r
                    - 1.556989798598866e+02) * r + 6.680131188771972e+01) * r
                  - 1.328068155288572e+01) * r + 1.0)
-    q = math.sqrt(-2.0 * math.log(1.0 - p))
-    return -(((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
-                - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
-              + 4.374664141464968e+00) * q + 2.938163982698783e+00) / \
-            ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
-               + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0)
+    # the upper tail mirrors the lower one: x(p) = -x(1 - p)
+    return -_acklam_lower_tail(1.0 - p)
+
+
+def _acklam_lower_tail(p: float) -> float:
+    q = math.sqrt(-2.0 * math.log(p))
+    return (((((-7.784894002430293e-03 * q - 3.223964580411365e-01) * q
+               - 2.400758277161838e+00) * q - 2.549732539343734e+00) * q
+             + 4.374664141464968e+00) * q + 2.938163982698783e+00) / \
+           ((((7.784695709041462e-03 * q + 3.224671290700398e-01) * q
+              + 2.445134137142996e+00) * q + 3.754408661907416e+00) * q + 1.0)
 
 
 def reg_lower_gamma(a: float, x: float) -> float:

@@ -134,33 +134,6 @@ class GammaLaw:
     def variance(self) -> float:
         return self.shape * self.scale * self.scale
 
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def cv(self) -> float:
-        """Coefficient of variation, std/mean = 1/sqrt(shape)."""
-        return 1.0 / math.sqrt(self.shape)
-
-    def cdf(self, t):
-        return gamma_cdf(t, self.shape, self.scale)
-
-    def quantile(self, p: float) -> float:
-        return gamma_quantile(p, self.shape, self.scale)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        return sample_gamma(self.shape, self.scale, rng, size=size)
-
-    def sum_of(self, n: int) -> "GammaLaw":
-        """Law of the sum of ``n`` independent copies (same scale, n-fold shape)."""
-        return GammaLaw(self.shape * check_count("n", n), self.scale)
-
-    def scaled_by(self, c: float) -> "GammaLaw":
-        """Law of c times a draw (scale multiplies, shape unchanged)."""
-        c = check_positive("c", c)
-        return GammaLaw(self.shape, self.scale * c)
-
 
 @dataclass(frozen=True)
 class GammaFitResult:
@@ -240,10 +213,6 @@ class Polynomial:
         if len(coeffs) == 0:
             raise DomainError("polynomial needs at least one coefficient")
         object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
 
     def __call__(self, x):
         if isinstance(x, np.ndarray):

@@ -42,7 +42,7 @@ from . import kernels
 from .compute import Platform, batch_law, energy
 from .errors import (DomainError, InfeasibleBudgetError,
                      InfeasibleConstraintError, check_count, check_real)
-from .numerics import GammaLaw, gamma_cdf
+from .numerics import gamma_cdf
 
 GRID_POINTS_DEFAULT = 2048
 # the boundary search stops when its bracket shrinks below this fraction of
@@ -125,12 +125,6 @@ class MomentModel:
             return model.shape_at(f_hz) * scale * scale
 
         return cls(mean_fn=mean_fn, variance_fn=variance_fn)
-
-    def mean_at(self, f_hz: float) -> float:
-        return float(self.mean_fn(f_hz))
-
-    def variance_at(self, f_hz: float) -> float:
-        return float(self.variance_fn(f_hz))
 
 
 @dataclass(frozen=True)
@@ -355,7 +349,9 @@ def select_and_price(method: str, ground_truth, budget: LatencyBudget,
     ground truth itself) or "cantelli" (moment bound under ``moments``,
     defaulting to the ground truth's moments). Energy and reliability are
     always evaluated under ``ground_truth``, regardless of what the planner
-    believed.
+    believed: its ``law_at(f)`` gives the pooled per-image law at the chosen
+    clock (a ground truth used as a default model or moments also needs
+    ``shape_at`` and ``scale_at``).
     """
     if method == "gamma":
         sol = solve_optimal_frequency(model if model is not None else ground_truth,
@@ -368,8 +364,7 @@ def select_and_price(method: str, ground_truth, budget: LatencyBudget,
     else:
         raise DomainError(f"unknown method {method!r}; use 'gamma' or 'cantelli'")
     f_hz = sol.frequency_hz
-    per_image = GammaLaw(ground_truth.shape_at(f_hz), ground_truth.scale_at(f_hz))
-    law = batch_law(per_image, n_img)
+    law = batch_law(ground_truth.law_at(f_hz), n_img)
     return PricedSelection(
         method=method,
         frequency_hz=f_hz,

@@ -52,14 +52,18 @@ def test_link_geometry_rejects_horizon_and_below():
 
 # ----------------------------------------------------------------- path loss
 
+def _db(ratio):
+    return 10.0 * math.log10(ratio)
+
+
 def test_path_loss_at_table_point():
-    loss_db = ss.linear_to_db(ss.path_loss(600e3, 2e9))
+    loss_db = _db(ss.path_loss(600e3, 2e9))
     assert loss_db == pytest.approx(154.03, abs=0.01)
 
 
 def test_path_loss_doubling_distance_adds_6dB():
-    base = ss.linear_to_db(ss.path_loss(600e3, 2e9))
-    double = ss.linear_to_db(ss.path_loss(1200e3, 2e9))
+    base = _db(ss.path_loss(600e3, 2e9))
+    double = _db(ss.path_loss(1200e3, 2e9))
     assert double - base == pytest.approx(20 * math.log10(2.0), abs=1e-9)
 
 
@@ -78,13 +82,13 @@ def test_path_loss_rejects_nonpositive_inputs():
 # ----------------------------------------------------------------------- snr
 
 def test_snr_zenith_uplink_budget(scenario):
-    gamma_db = ss.linear_to_db(ss.snr(scenario.link_ul, 600e3))
+    gamma_db = _db(ss.snr(scenario.link_ul, 600e3))
     assert gamma_db == pytest.approx(22.4, abs=0.1)
 
 
 def test_snr_shadow_margin_subtracts_in_db(scenario):
-    base = ss.linear_to_db(ss.snr(scenario.link_ul, 600e3))
-    shadowed = ss.linear_to_db(ss.snr(scenario.link_ul, 600e3, shadow_db=3.0))
+    base = _db(ss.snr(scenario.link_ul, 600e3))
+    shadowed = _db(ss.snr(scenario.link_ul, 600e3, shadow_db=3.0))
     assert shadowed - base == pytest.approx(-3.0, abs=1e-9)
     # 3.0103 dB of shadowing halves the linear SNR
     half_db = 10 * math.log10(2.0)
@@ -100,7 +104,7 @@ def test_link_params_validation():
 
 def test_db_helpers_round_trip():
     for x in (0.01, 1.0, 375.0):
-        assert ss.db_to_linear(ss.linear_to_db(x)) == pytest.approx(x, rel=1e-12)
+        assert ss.db_to_linear(_db(x)) == pytest.approx(x, rel=1e-12)
 
 
 # ---------------------------------------------------------------- fbl errors

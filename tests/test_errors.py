@@ -68,7 +68,6 @@ BAD_CALLS = [
     ("select_and_price-n_img-True", lambda sc, gt, b: ss.select_and_price(
         "gamma", gt, b, True, 0.95, gt.platform)),
     ("batch_law-True", lambda sc, gt, b: ss.batch_law(_law(), True)),
-    ("sum_of-True", lambda sc, gt, b: _law().sum_of(True)),
     ("miss_probability-True", lambda sc, gt, b: ss.miss_probability(
         5e8, gt, b.t_proc_s, True)),
     ("draw_subset-True", lambda sc, gt, b: ss.draw_subset(
@@ -99,7 +98,7 @@ BAD_CALLS = [
         "5e8", gt, b.t_proc_s, 1)),
     ("scale_at-str", lambda sc, gt, b: gt.scale_at("5e8")),
     ("comm_legs-str", lambda sc, gt, b: ss.comm_legs(sc, "90")),
-    ("per_image_law-str", lambda sc, gt, b: gt.per_image_law(0, "5e8")),
+    ("image_scale_at-str", lambda sc, gt, b: gt.image_scale_at("5e8", 0)),
     ("sample_image_times-str", lambda sc, gt, b: gt.sample_image_times(
         gt.image_ids, "5e8", _RNG)),
     # NaN and inf where a real is expected

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import weakref
@@ -125,7 +126,8 @@ def test_pooled_law_mean_is_exact(gt_agx, agx):
         f = frac * agx.f_max_hz
         law = gt_agx.law_at(f)
         assert law.mean == pytest.approx(gt_agx.mean_at(f), rel=1e-12)
-        per_image = gt_agx.per_image_law(5, f)
+        per_image = ss.GammaLaw(gt_agx.image_shape_at(f),
+                                gt_agx.image_scale_at(f, 5))
         expected = gt_agx.mean_at(f) * float(gt_agx.work_multipliers[5])
         assert per_image.mean == pytest.approx(expected, rel=1e-12)
 
@@ -452,6 +454,37 @@ def test_fig5_energy_rises_as_elevation_drops(fig5_run):
             assert energies[-1] > energies[0]
 
 
+def test_fig5_t_proc_is_the_planners_budget(scenario, tmp_path, monkeypatch):
+    # the unformatted rows: a 9-digit CSV would hide a last-bit difference
+    written = {}
+    write_csv = ss.harness._write_csv
+
+    def capture(path, header, rows):
+        rows = list(rows)
+        written[os.path.basename(path)] = (header, rows)
+        return write_csv(path, header, rows)
+
+    monkeypatch.setattr(ss.harness, "_write_csv", capture)
+    ss.run_fig5(scenario, str(tmp_path))
+    header, rows = written["fig5.csv"]
+    col = header.index("t_proc_s")
+    elevation_col = header.index("elevation_deg")
+    budgeted = 0
+    for row in rows:
+        legs = ss.comm_legs(scenario, row[elevation_col])
+        try:
+            budget = ss.budget_from_legs(scenario, legs)
+        except ss.InfeasibleLinkError:
+            assert row[col] == -math.inf
+            continue
+        except InfeasibleBudgetError:
+            assert row[col] <= 0.0
+            continue
+        assert row[col] == budget.t_proc_s, row  # bit for bit
+        budgeted += 1
+    assert budgeted > len(rows) // 2
+
+
 # ---------------------------------------------------------------- ingestion
 
 def _write_samples(path, rows):
@@ -496,6 +529,32 @@ def test_ingest_rejects_malformed_logs(tmp_path):
 
     with pytest.raises(DomainError):
         ss.ingest_samples_csv(str(tmp_path / "missing.csv"))
+
+
+# one malformed data row per case, after a good first row (line 2), so the
+# error must name line 3
+BAD_SAMPLE_ROWS = [
+    ("id-text", "x,1e9,0.05"),
+    ("id-negative", "-1,1e9,0.05"),
+    ("id-fraction", "1.5,1e9,0.05"),
+    ("frequency-negative", "1,-4e8,0.05"),
+    ("frequency-zero", "1,0,0.05"),
+    ("frequency-nan", "1,nan,0.05"),
+    ("frequency-inf", "1,inf,0.05"),
+    ("time-negative", "1,1e9,-0.05"),
+    ("time-zero", "1,1e9,0"),
+    ("time-nan", "1,1e9,nan"),
+]
+
+
+@pytest.mark.parametrize("row", [r for _, r in BAD_SAMPLE_ROWS],
+                         ids=[i for i, _ in BAD_SAMPLE_ROWS])
+def test_ingest_rejects_bad_values_with_line_number(tmp_path, row):
+    path = tmp_path / "log.csv"
+    path.write_text("image_id,frequency_hz,exec_time_s\n0,1e9,0.05\n"
+                    + row + "\n")
+    with pytest.raises(DomainError, match=f"{re.escape(str(path))}:3: "):
+        ss.ingest_samples_csv(str(path))
 
 
 def test_fit_report_is_json_ready(scenario, gt_nano, nano):

@@ -181,7 +181,7 @@ def test_agrees_with_fixed_point_closed_form(gt_nano, nano, zenith_budget):
     t_proc = zenith_budget.t_proc_s
     f = nano.f_max_hz
     for _ in range(200):
-        spread = k * math.sqrt(n_img * moments.variance_at(f))
+        spread = k * math.sqrt(n_img * float(moments.variance_fn(f)))
         f_next = n_img * a_coef / (t_proc - n_img * nano.mu_sync_s - spread)
         if abs(f_next - f) <= 1e-13 * f:
             f = f_next
@@ -208,8 +208,8 @@ def test_moment_bound_score_at_solution(gt_nano, nano, zenith_budget):
     n_img = 3
     moments = ss.MomentModel.from_shape_scale_model(gt_nano)
     sol = ss.solve_cantelli_frequency(moments, zenith_budget, n_img, RHO, nano)
-    m = n_img * moments.mean_at(sol.frequency_hz)
-    v = n_img * moments.variance_at(sol.frequency_hz)
+    m = n_img * float(moments.mean_fn(sol.frequency_hz))
+    v = n_img * float(moments.variance_fn(sol.frequency_hz))
     slack = zenith_budget.t_proc_s - m
     assert slack > 0.0
     score = 1.0 - v / (v + slack * slack)
@@ -328,13 +328,14 @@ def test_plan_kernel_work_gate(monkeypatch, gt_nano, nano, zenith_budget):
 
 def test_planner_grid_shapes_are_a_fresh_solve(gt_nano, nano):
     grid = np.linspace(nano.f_min_hz, nano.f_max_hz, ss.scheduler.GRID_POINTS_DEFAULT)
-    assert np.array_equal(gt_nano.planner_grid_hz, grid)
-    assert gt_nano.shape_at(grid) is gt_nano.planner_grid_shapes
+    shared = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
+    assert np.array_equal(shared, grid)
+    assert gt_nano.shape_at(shared) is gt_nano.planner_grid_shapes
     # the same clocks as a (1, n) array are not the planner grid, so they
     # get a fresh solve
     uncached = gt_nano.shape_at(grid[np.newaxis, :])[0]
     assert np.array_equal(gt_nano.planner_grid_shapes, uncached)
-    for arr in (gt_nano.planner_grid_hz, gt_nano.planner_grid_shapes):
+    for arr in (shared, gt_nano.planner_grid_shapes):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -363,9 +364,10 @@ def test_planner_grid_scales_are_cached(gt_nano, nano):
     """The planner's grid is one shared read-only array per platform range,
     and the ground truth keeps its pooled scales on it."""
     grid = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
-    assert grid is gt_nano.planner_grid_hz
     assert gt_nano.scale_at(grid) is gt_nano.planner_grid_scales
-    assert gt_nano.scale_at(np.array(grid)) is gt_nano.planner_grid_scales
+    # an equal copy is solved afresh, to the same values
+    assert np.array_equal(gt_nano.scale_at(np.array(grid)),
+                          gt_nano.planner_grid_scales)
     assert np.array_equal(
         gt_nano.planner_grid_scales,
         gt_nano.mean_at(grid) / gt_nano.planner_grid_shapes)
@@ -583,6 +585,31 @@ def test_prescan_full_bracket_lane_gate(monkeypatch, gt_nano, nano,
     sel = ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert len(lanes) == 1 and lanes[0] <= 256
+
+
+# exact CDF lanes of the n_img 1-12 gamma plans at zenith, measured with
+# the lower chord (and, in the comment, without it)
+@pytest.mark.parametrize("platform_name,rho_th,lanes_with_chord", [
+    ("nano", 0.1, 225),  # 1363 without the lower chord
+    ("nano", 0.3, 524),  # 1034
+    ("agx", 0.1, 188),   # 1322
+    ("agx", 0.3, 503),   # 1058
+])
+def test_prescan_lower_chord_lane_gate(monkeypatch, scenario, zenith_budget,
+                                       platform_name, rho_th,
+                                       lanes_with_chord):
+    """At a low rho_th the lower chord settles the lanes that sit above the
+    quantile; without it about 2-6x as many lanes run the exact CDF."""
+    pi = [p.name for p in scenario.platforms].index(platform_name)
+    gt = ss.ground_truth_for(scenario, pi)
+    counts = _count_plan_work(monkeypatch)
+    for n_img in range(1, 13):
+        try:  # the pre-scan runs on an infeasible plan as well
+            ss.solve_optimal_frequency(gt, zenith_budget, n_img, rho_th,
+                                       gt.platform)
+        except InfeasibleConstraintError:
+            pass
+    assert counts["cdf_lanes"] <= 1.5 * lanes_with_chord
 
 
 def test_prescan_exact_lane_gate_below_shape_one(monkeypatch, gt_nano_wide,

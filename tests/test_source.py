@@ -35,3 +35,64 @@ def test_no_module_imports_a_name_it_never_uses():
               if path.name != "__init__.py"}
     assert len(unused) >= 12
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__")
+                                         and name.endswith("__"))
+
+
+def _unreferenced_privates(sources: dict) -> list:
+    # module-level private functions and private methods that no module of
+    # ``sources`` (module name -> source) names, as a bare name or as an
+    # attribute; a def alone is no reference
+    defined = []
+    named = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((module, node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined.extend((module, f"{node.name}.{f.name}")
+                               for f in node.body
+                               if isinstance(f, ast.FunctionDef))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted(f"{module}:{name}" for module, name in defined
+                  if _is_private(name.rpartition(".")[2])
+                  and name.rpartition(".")[2] not in named)
+
+
+def test_unreferenced_private_scan_finds_one():
+    sources = {
+        "a": "def _used(): pass\ndef _dead(): pass\ndef __dunder__(): pass\n"
+             "class C:\n    def _m(self): pass\n    def _gone(self): pass\n"
+             "    def __init__(self): self._m()\n",
+        "b": "from a import _used\n_used()\n",
+    }
+    assert _unreferenced_privates(sources) == ["a:C._gone", "a:_dead"]
+
+
+def test_no_private_function_goes_unread():
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PKG.glob("*.py"))}
+    assert len(sources) >= 13
+    assert _unreferenced_privates(sources) == []
+
+
+def _init_imports() -> list:
+    # the names __init__.py binds with "from .module import ..."
+    tree = ast.parse((PKG / "__init__.py").read_text(encoding="utf-8"))
+    return [a.asname or a.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+def test_all_lists_exactly_the_names_init_imports():
+    imported = _init_imports()
+    assert len(imported) == len(set(imported)) >= 80
+    assert len(ss.__all__) == len(set(ss.__all__))
+    assert sorted(ss.__all__) == sorted(imported)
