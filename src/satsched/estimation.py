@@ -10,16 +10,17 @@ Three layers:
    of the image set, plan a frequency with each, and score the true deadline
    miss probability of that plan under the ground truth.
 
-A "ground truth" here is any object exposing shape_at(f), scale_at(f) for
-the pooled per-image law and sample_image_times(image_ids, f, rng) for
-per-image draws; the harness module provides the synthetic one.
+A "ground truth" here is any object exposing law_at(f) for the pooled
+per-image law at one clock and sample_image_times(image_ids, f, rng) for
+per-image draws, where f is a clock or a 1-d array of clocks (one row of
+draws per clock); the harness module provides the synthetic one.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .compute import Platform
+from .compute import Platform, batch_law
 from .errors import (DomainError, EstimationError, InfeasibleConstraintError,
                      check_count, check_positive)
 from .numerics import Polynomial, fit_gamma_mle, gamma_cdf, polyfit
@@ -187,14 +188,13 @@ def miss_probability(f_hat_hz: float, ground_truth, t_proc_s: float,
     """True deadline-miss probability of operating at f_hat.
 
     Evaluated under the ground-truth pooled law, never under whatever model
-    chose f_hat: 1 - CDF(t_proc) of the batch Gamma at f_hat.
+    chose f_hat: 1 - CDF(t_proc) of the batch Gamma at f_hat, the batch law
+    that ``select_and_price`` prices a choice with.
     """
     f_hat_hz = check_positive("f_hat_hz", f_hat_hz)
     t_proc_s = check_positive("t_proc_s", t_proc_s)
-    n_img = check_count("n_img", n_img)
-    shape = ground_truth.shape_at(f_hat_hz)
-    scale = ground_truth.scale_at(f_hat_hz)
-    return 1.0 - gamma_cdf(t_proc_s, n_img * shape, scale)
+    law = batch_law(ground_truth.law_at(f_hat_hz), n_img)
+    return 1.0 - gamma_cdf(t_proc_s, law.shape, law.scale)
 
 
 @dataclass(frozen=True)
@@ -255,9 +255,9 @@ def run_subset_replicate(ground_truth, dataset, n_s: int, fit_frequencies,
     flagged infeasible, and is still scored.
     """
     ids = draw_subset(dataset, n_s, rng)
-    samples_by_freq = {}
-    for f in sorted(float(f) for f in fit_frequencies):
-        samples_by_freq[f] = ground_truth.sample_image_times(ids, f, rng)
+    freqs = sorted(float(f) for f in fit_frequencies)
+    samples_by_freq = dict(zip(freqs, ground_truth.sample_image_times(
+        ids, np.array(freqs), rng)))
     infeasible = False
     model = None
     try:

@@ -239,19 +239,32 @@ class GroundTruth:
         scale_at return, from one cache lookup."""
         return GammaLaw(*self._law_at(f_hz))
 
-    def sample_image_times(self, image_ids, f_hz: float,
+    def sample_image_times(self, image_ids, f_hz,
                            rng: np.random.Generator) -> np.ndarray:
-        """One execution-time draw per listed image at frequency f."""
+        """One execution-time draw per listed image at frequency f.
+
+        ``f_hz`` may also be a 1-d array of clocks: then row k holds the
+        draws at ``f_hz[k]``, and the rows are drawn in turn, so they and
+        the generator's state after the call equal one call per clock.
+        """
         ids = np.asarray(image_ids, dtype=np.int64)
-        if ids.size == 0:
-            return np.empty(0, dtype=np.float64)
+        if isinstance(f_hz, np.ndarray):
+            clocks = np.asarray(f_hz, dtype=np.float64)
+            if clocks.ndim != 1:
+                raise DomainError("f_hz must be a clock or a 1-d array of clocks")
+            if not (np.all(clocks > 0.0) and np.all(np.isfinite(clocks))):
+                raise DomainError("every clock in f_hz must be finite and > 0")
+        else:
+            clocks = np.array([check_positive("f_hz", f_hz)])
         if np.any(ids < 0) or np.any(ids >= self.n_images):
             raise DomainError("image id out of range")
-        f = check_positive("f_hz", f_hz)
-        shape = float(self.image_shape_at(f))
-        base_scale = float(self.mean_at(f)) / shape
-        draws = rng.standard_gamma(shape, size=ids.shape[0])
-        return draws * (base_scale * self.work_multipliers[ids])
+        shapes = self.image_shape_at(clocks)
+        out = np.empty((clocks.size, ids.size))
+        for row, shape in zip(out, shapes.tolist()):
+            rng.standard_gamma(shape, size=ids.size, out=row)
+        out *= np.multiply.outer(self.mean_at(clocks) / shapes,
+                                 self.work_multipliers[ids])
+        return out if isinstance(f_hz, np.ndarray) else out[0]
 
 
 def synthesize_ground_truth(platform: Platform, cv: float, n_images: int,

@@ -9,7 +9,6 @@ DomainError, before they call a kernel.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +16,6 @@ import numpy as np
 from . import kernels
 from .errors import (DomainError, EstimationError, check_count, check_positive,
                      check_real)
-
-try:
-    from numpy.exceptions import RankWarning as _RankWarning
-except ImportError:  # numpy < 1.25
-    from numpy import RankWarning as _RankWarning
 
 _SQRT_2PI = 2.5066282746310002
 
@@ -173,12 +167,14 @@ def fit_gamma_mle(samples) -> GammaFitResult:
         x = x.ravel()
     if x.size < 2:
         raise DomainError(f"need at least 2 samples, got {x.size}")
-    if not np.all(np.isfinite(x)):
+    # min and max carry a NaN through, so the two ends check every sample
+    lo, hi = float(x.min()), float(x.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise DomainError("samples must be finite")
-    if np.any(x <= 0.0):
+    if lo <= 0.0:
         raise DomainError("samples must be strictly positive")
     mean = float(x.mean())
-    spread = float(x.max() - x.min())
+    spread = hi - lo
     if spread <= 1e-9 * mean:
         raise EstimationError(
             "sample is degenerate (zero or near-zero spread), shape diverges")
@@ -230,7 +226,8 @@ def polyfit(xs, ys, degree: int) -> Polynomial:
     """Least-squares polynomial fit in the power basis.
 
     Abscissae are rescaled to [-1, 1] internally for conditioning and the
-    coefficients mapped back before returning.
+    coefficients mapped back before returning. The coefficients equal
+    ``np.polynomial.Polynomial.fit(xs, ys, degree).convert()`` bit for bit.
 
     Raises:
         DomainError: length mismatch, too few points, bad degree.
@@ -241,34 +238,46 @@ def polyfit(xs, ys, degree: int) -> Polynomial:
     degree = check_count("degree", degree, least=0)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise DomainError("xs and ys must be 1-d arrays of equal length")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise DomainError("xs and ys must be finite")
     if xs.size < degree + 1:
         raise DomainError(
             f"need at least degree+1={degree + 1} points, got {xs.size}")
-    if degree > 0 and float(xs.max() - xs.min()) == 0.0:
+    lo, hi = float(xs.min()), float(xs.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)
+            and np.all(np.isfinite(ys))):
+        raise DomainError("xs and ys must be finite")
+    if degree > 0 and lo == hi:
         raise EstimationError("all abscissae identical: design matrix is singular")
-    # Polynomial.fit(xs, ys, degree).convert() on coefficient arrays, step
-    # for step, without its per-operation object overhead
-    npoly = np.polynomial.polynomial
-    domain = np.array((xs.min(), xs.max()))
-    if domain[0] == domain[1]:  # degree 0 on one abscissa
-        domain += (-1.0, 1.0)
-    off, scl = np.polynomial.polyutils.mapparms(domain, (-1.0, 1.0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", category=_RankWarning)
-        try:
-            window_coef = npoly.polyfit(off + scl * xs, ys, degree)
-        except (_RankWarning, np.linalg.LinAlgError) as exc:
-            raise EstimationError(f"polynomial fit failed: {exc}") from exc
-    # Horner in the window variable off + scl * x
-    line = npoly.polyadd(off, npoly.polymul(scl, (0.0, 1.0)))
-    coef = npoly.polyadd(window_coef[-1], npoly.polymul(line, 0))
+    # Polynomial.fit(xs, ys, degree).convert(), one operation at a time.
+    # The window variable off + scl * x maps [lo, hi] onto [-1, 1].
+    if lo == hi:  # degree 0 on one abscissa
+        lo, hi = lo - 1.0, hi + 1.0
+    off = (-hi - lo) / (hi - lo)
+    scl = 2.0 / (hi - lo)
+    # Vandermonde rows by power, each column of the design scaled to unit
+    # norm; every power reaches |1| at a window end, so no norm is 0
+    m = degree + 1
+    xw = off + scl * xs
+    powers = np.empty((m, xs.size))
+    powers[0] = 1.0
+    for i in range(1, m):
+        powers[i] = powers[i - 1] * xw
+    norms = np.sqrt(np.square(powers).sum(1))
+    try:
+        window_coef, _, rank, _ = np.linalg.lstsq(
+            powers.T / norms, ys, xs.size * np.finfo(np.float64).eps)
+    except np.linalg.LinAlgError as exc:
+        raise EstimationError(f"polynomial fit failed: {exc}") from exc
+    if rank != m:
+        raise EstimationError(
+            f"polynomial fit failed: design matrix has rank {rank} < {m}")
+    # Horner in the window variable: coef <- c_k + coef * (off + scl x)
+    window_coef = (window_coef / norms).tolist()
+    coef = [window_coef[-1]]
     for c in window_coef[-2::-1]:
-        coef = npoly.polyadd(c, npoly.polymul(coef, line))
-    if coef.size < degree + 1:
-        coef = np.concatenate([coef, np.zeros(degree + 1 - coef.size)])
-    return Polynomial(coefficients=tuple(float(c) for c in coef[:degree + 1]))
+        coef = ([coef[0] * off + c]
+                + [coef[j] * off + coef[j - 1] * scl for j in range(1, len(coef))]
+                + [coef[-1] * scl])
+    return Polynomial(coefficients=tuple(coef))
 
 
 def ks_statistic(samples, law: GammaLaw) -> float:

@@ -220,6 +220,39 @@ def test_miss_probability_saturates_under_impossible_budget(gt_nano, nano):
     assert ss.miss_probability(nano.f_min_hz, gt_nano, 0.05, 8) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_miss_probability_is_one_minus_priced_reliability(
+        scenario, gt_nano, gt_agx, zenith_budget):
+    """miss_probability and select_and_price price a clock with one batch
+    law, so they agree to the last bit at the planner's choice."""
+    for gt in (gt_nano, gt_agx):
+        n_img = scenario.fig3_n_img[gt.platform.name]
+        for method in ("gamma", "cantelli"):
+            priced = ss.select_and_price(method, gt, zenith_budget, n_img,
+                                         scenario.rho_th, gt.platform)
+            p_miss = ss.miss_probability(priced.frequency_hz, gt,
+                                         zenith_budget.t_proc_s, n_img)
+            assert p_miss == 1.0 - priced.reliability
+
+
+class _LawAndDrawsOnly:
+    """The ground-truth contract of the estimation module and nothing more."""
+
+    def __init__(self, gt):
+        self.law_at = gt.law_at
+        self.sample_image_times = gt.sample_image_times
+
+
+def test_replicate_needs_only_law_at_and_sample_image_times(
+        scenario, gt_nano, zenith_budget, nano):
+    freqs = ss.fit_frequency_grid(nano, scenario.fit_n_frequencies)
+    reps = [ss.run_subset_replicate(
+        gt, gt_nano.image_ids, 30, freqs, zenith_budget,
+        scenario.fig3_n_img["nano"], scenario.rho_th, nano,
+        ss.stream(scenario.seed, scenario.bit_generator, 9, 2))
+        for gt in (gt_nano, _LawAndDrawsOnly(gt_nano))]
+    assert reps[0] == reps[1]
+
+
 def test_miss_probability_monte_carlo(scenario, gt_nano, zenith_budget, nano):
     f_star = ss.solve_optimal_frequency(
         gt_nano, zenith_budget, 4, scenario.rho_th, nano).frequency_hz

@@ -164,6 +164,64 @@ def test_sampling_is_seeded_and_multiplier_scaled(scenario, gt_nano, nano):
         gt_nano.sample_image_times([gt_nano.n_images], f, ss.stream(*key))
 
 
+def _one_clock_draws(gt, ids, f, rng):
+    """Per-clock sampling as it was written before array clocks."""
+    ids = np.asarray(ids, dtype=np.int64)
+    shape = float(gt.image_shape_at(f))
+    base_scale = float(gt.mean_at(f)) / shape
+    draws = rng.standard_gamma(shape, size=ids.shape[0])
+    return draws * (base_scale * gt.work_multipliers[ids])
+
+
+@pytest.mark.parametrize("n", [1, 7, 10_000])
+def test_array_clocks_equal_one_call_per_clock(scenario, gt_nano, gt_agx,
+                                               nano, n):
+    constant = ss.synthesize_ground_truth(
+        nano, 0.1, 56, ss.stream(scenario.seed, scenario.bit_generator, 11, 6),
+        variance_model="constant")
+    key = (scenario.seed, scenario.bit_generator, 11, 5)
+    for gt in (gt_nano, gt_agx, constant):
+        if n == 7:  # repeated ids, the first and the last image
+            ids = [3, 3, 0, 5, 3, gt.n_images - 1, 0]
+        else:
+            ids = ss.stream(*key).integers(0, gt.n_images, size=n)
+        clocks = ss.fit_frequency_grid(gt.platform, 8)
+        rng_rows, rng_calls, rng_ref = (ss.stream(*key) for _ in range(3))
+        rows = gt.sample_image_times(ids, clocks, rng_rows)
+        assert rows.shape == (8, n)
+        for row, f in zip(rows, clocks.tolist()):
+            assert (row.tobytes()
+                    == gt.sample_image_times(ids, f, rng_calls).tobytes()
+                    == _one_clock_draws(gt, ids, f, rng_ref).tobytes())
+        assert rng_rows.random() == rng_calls.random() == rng_ref.random()
+
+
+def test_array_clocks_reject_bad_ids_and_clocks(scenario, gt_nano, nano):
+    key = (scenario.seed, scenario.bit_generator, 11, 7)
+    clocks = ss.fit_frequency_grid(nano, 8)
+    for ids in ([gt_nano.n_images], [0, -1]):
+        with pytest.raises(DomainError):
+            gt_nano.sample_image_times(ids, clocks, ss.stream(*key))
+    for bad in (0.0, -5e8, math.nan, math.inf):
+        for pos in (0, 4, 7):
+            c = clocks.copy()
+            c[pos] = bad
+            with pytest.raises(DomainError):
+                gt_nano.sample_image_times([0, 1], c, ss.stream(*key))
+    with pytest.raises(DomainError):
+        gt_nano.sample_image_times([0, 1], clocks.reshape(2, 4),
+                                   ss.stream(*key))
+
+
+def test_array_clocks_with_no_ids_draw_nothing(scenario, gt_nano, nano):
+    key = (scenario.seed, scenario.bit_generator, 11, 8)
+    rng = ss.stream(*key)
+    rows = gt_nano.sample_image_times([], ss.fit_frequency_grid(nano, 8), rng)
+    assert rows.shape == (8, 0)
+    assert gt_nano.sample_image_times([], nano.f_max_hz, rng).shape == (0,)
+    assert rng.random() == ss.stream(*key).random()
+
+
 def test_ground_truth_keyed_by_platform_index(scenario, gt_nano, gt_agx):
     again = ss.ground_truth_for(scenario, 0)
     assert np.array_equal(again.work_multipliers, gt_nano.work_multipliers)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import satsched as ss
+from satsched import kernels
 from satsched.errors import DomainError, EstimationError
 
 
@@ -235,6 +236,91 @@ def test_mle_rejects_degenerate_inputs():
         ss.fit_gamma_mle(np.array([1.0, 0.0, 3.0]))
 
 
+def _reference_fit_gamma_mle(samples):
+    """fit_gamma_mle as written with one pass per check, kept as the
+    reference for the two-end checks."""
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        x = x.ravel()
+    if x.size < 2:
+        raise DomainError(f"need at least 2 samples, got {x.size}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("samples must be finite")
+    if np.any(x <= 0.0):
+        raise DomainError("samples must be strictly positive")
+    mean = float(x.mean())
+    spread = float(x.max() - x.min())
+    if spread <= 1e-9 * mean:
+        raise EstimationError(
+            "sample is degenerate (zero or near-zero spread), shape diverges")
+    s = math.log(mean) - float(np.mean(np.log(x)))
+    if s <= 0.0:
+        raise EstimationError(
+            "log-moment gap is nonpositive; sample too concentrated to fit")
+    shape, iters, conv = kernels.solve_gamma_shape(s)
+    converged = bool(conv)
+    fallback = False
+    if not converged or shape <= 0.0 or not math.isfinite(shape):
+        var = float(x.var(ddof=0))
+        if var <= 0.0:
+            raise EstimationError("zero-variance sample, cannot fit")
+        shape = mean * mean / var
+        fallback = True
+    scale = mean / shape
+    return ss.GammaFitResult(shape=float(shape), scale=float(scale),
+                             iterations=int(iters), converged=converged,
+                             used_moment_fallback=fallback)
+
+
+def _assert_same_fit(got, want):
+    assert (got.shape.hex(), got.scale.hex(), got.iterations, got.converged,
+            got.used_moment_fallback) == (
+        want.shape.hex(), want.scale.hex(), want.iterations, want.converged,
+        want.used_moment_fallback)
+
+
+@pytest.mark.parametrize("bad", [
+    [1.0, math.nan], [math.nan, 2.0, 3.0], [1.0, math.inf], [-math.inf, 1.0],
+    [0.0, 1.0], [2.0, -1.0, 3.0], [-1.0, math.inf], [math.nan, -1.0],
+    [0.0, math.nan], [[1.0, 2.0], [3.0, -0.5]],
+])
+def test_mle_two_end_checks_raise_the_reference_message(bad):
+    with pytest.raises(DomainError) as want:
+        _reference_fit_gamma_mle(bad)
+    with pytest.raises(DomainError) as got:
+        ss.fit_gamma_mle(bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_mle_equals_reference_on_fig3_replicate_rows(scenario, gt_nano, gt_agx):
+    """Every per-clock sample the default fig3 fits for replicates 0-2."""
+    fits = 0
+    for pi, gt in enumerate((gt_nano, gt_agx)):
+        clocks = ss.fit_frequency_grid(gt.platform, scenario.fit_n_frequencies)
+        for n_s in scenario.fig3_sample_sizes:
+            for k in range(3):
+                rng = ss.stream(scenario.seed, scenario.bit_generator,
+                                ss.NS_SUBSET_STUDY, pi, n_s, k)
+                ids = ss.draw_subset(gt.image_ids, n_s, rng)
+                for row in gt.sample_image_times(ids, clocks, rng):
+                    _assert_same_fit(ss.fit_gamma_mle(row),
+                                     _reference_fit_gamma_mle(row))
+                    fits += 1
+    assert fits == 2 * len(scenario.fig3_sample_sizes) * 3 * len(clocks)
+
+
+def test_mle_moment_fallback_equals_reference(monkeypatch):
+    # no finite positive sample makes the Newton solve fail, so stand in a
+    # solve that does not converge
+    monkeypatch.setattr(kernels, "solve_gamma_shape",
+                        lambda s: (math.nan, 100, 0))
+    ys = ss.sample_gamma(5.0, 0.01, ss.generator_from(ss.child_seed(123, 6)),
+                         size=1000)
+    got = ss.fit_gamma_mle(ys)
+    assert got.used_moment_fallback and not got.converged
+    _assert_same_fit(got, _reference_fit_gamma_mle(ys))
+
+
 # ------------------------------------------------------------------- polyfit
 
 def _eliminate(xs, ys, degree):
@@ -287,10 +373,19 @@ def test_polyfit_matches_normal_equations_on_noisy_cubic():
     assert r2 > 0.99
 
 
-def test_polyfit_equals_numpy_fit_convert_bit_for_bit():
+def _numpy_fit_convert(xs, ys, degree):
+    want = np.polynomial.Polynomial.fit(xs, ys, deg=degree).convert().coef
+    return np.concatenate([want, np.zeros(degree + 1 - want.size)])
+
+
+def test_polyfit_equals_numpy_fit_convert_bit_for_bit(scenario, gt_nano,
+                                                      gt_agx):
     """The functional fit composes back to the power basis in the order
     ``Polynomial.fit(...).convert()`` does, so the coefficients agree to
-    the last bit, on degree-3 fits at the scale of clock frequencies too."""
+    the last bit: on random fits at unit scale and at the scale of clock
+    frequencies, on the regressions fig3 runs (8 fit clocks, degree 3,
+    ordinates the size of fitted shapes and of fitted scales), and at
+    degree 0 on one abscissa."""
     rng = np.random.default_rng(20261020)
     for i in range(400):
         degree = int(rng.integers(0, 5))
@@ -298,10 +393,20 @@ def test_polyfit_equals_numpy_fit_convert_bit_for_bit():
         span = 1e9 if i % 2 else 1.0
         xs = rng.uniform(0.3, 1.3, n) * span
         ys = rng.normal(size=n) * 10.0 ** rng.uniform(-6.0, 6.0)
-        want = np.polynomial.Polynomial.fit(xs, ys, deg=degree).convert().coef
-        want = np.concatenate([want, np.zeros(degree + 1 - want.size)])
         got = ss.polyfit(xs, ys, degree).coefficients
-        assert np.array_equal(np.array(got), want), (degree, n, span)
+        assert np.array_equal(np.array(got), _numpy_fit_convert(xs, ys, degree)), (
+            degree, n, span)
+    for gt in (gt_nano, gt_agx):
+        xs = ss.fit_frequency_grid(gt.platform, scenario.fit_n_frequencies)
+        for exact in (gt.shape_at(xs), gt.scale_at(xs)):
+            for _ in range(100):
+                ys = exact * (1.0 + 0.05 * rng.normal(size=xs.size))
+                got = ss.polyfit(xs, ys, scenario.fit_degree).coefficients
+                assert np.array(got).tobytes() == _numpy_fit_convert(
+                    xs, ys, scenario.fit_degree).tobytes()
+    for x, y in ((1e9, 3.5), (0.25, -2.0), (-7.0, 1e-12)):
+        got = ss.polyfit([x], [y], 0).coefficients
+        assert np.array_equal(np.array(got), _numpy_fit_convert([x], [y], 0))
 
 
 def test_polyfit_rejects_rank_deficient_design():
@@ -309,7 +414,7 @@ def test_polyfit_rejects_rank_deficient_design():
     ys = np.linspace(0, 1, 10)
     with pytest.raises(EstimationError):
         ss.polyfit(xs, ys, 2)
-    # two distinct abscissae cannot fix a cubic: numpy's RankWarning
+    # two distinct abscissae cannot fix a cubic: the rank check
     with pytest.raises(EstimationError):
         ss.polyfit(np.array([1.0, 1.0, 2.0, 2.0]), np.arange(4.0), 3)
 
