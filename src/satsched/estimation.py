@@ -16,7 +16,7 @@ per-image draws, where f is a clock or a 1-d array of clocks (one row of
 draws per clock); the harness module provides the synthetic one.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,9 +25,8 @@ from .errors import (DomainError, EstimationError, InfeasibleConstraintError,
                      check_count, check_positive)
 from .numerics import Polynomial, fit_gamma_mle, gamma_cdf, polyfit
 from .rand import NS_SUBSET_STUDY, stream
-from .scheduler import LatencyBudget, MomentModel, solve_optimal_frequency
-
-_POSITIVITY_GRID = 1000
+from .scheduler import (LatencyBudget, MomentModel, planner_grid,
+                        solve_optimal_frequency)
 
 
 @dataclass(frozen=True)
@@ -83,8 +82,13 @@ class FrequencyModel:
     """Gamma shape/scale as polynomial functions of clock frequency.
 
     Built from per-frequency MLE fits regressed against frequency. Both
-    polynomials must stay strictly positive across the fitted domain; this
-    is checked on a 1000-point grid at construction.
+    polynomials must be positive and finite across the fitted domain; this
+    is checked at construction on the planner's pre-scan grid over the
+    domain, :func:`~satsched.scheduler.planner_grid`, and the values are
+    kept as ``planner_grid_shapes`` and ``planner_grid_scales`` (read-only).
+    ``shape_at`` and ``scale_at`` return them when handed that grid, which
+    they recognise by identity, as the ground truth does: fitted over the
+    platform range, the model's grid is the one a plan scans.
     """
 
     shape_poly: Polynomial
@@ -95,23 +99,39 @@ class FrequencyModel:
     r2_scale: float
     domain_lo_hz: float
     domain_hi_hz: float
+    planner_grid_shapes: np.ndarray = field(init=False, repr=False,
+                                            compare=False)
+    planner_grid_scales: np.ndarray = field(init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         if not self.domain_lo_hz < self.domain_hi_hz:
             raise DomainError("frequency domain must have positive width")
-        grid = np.linspace(self.domain_lo_hz, self.domain_hi_hz, _POSITIVITY_GRID)
+        grid = planner_grid(self.domain_lo_hz, self.domain_hi_hz)
         shapes = self.shape_poly(grid)
         scales = self.scale_poly(grid)
-        if np.any(shapes <= 0.0) or np.any(scales <= 0.0):
+        # min and max carry a NaN through, so the four ends check every value
+        if not (shapes.min() > 0.0 and scales.min() > 0.0
+                and shapes.max() < np.inf and scales.max() < np.inf):
             raise EstimationError(
-                "fitted shape/scale dip to zero or below inside the frequency "
-                "domain; the model is unusable")
+                "fitted shape/scale are nonpositive or not finite somewhere "
+                "inside the frequency domain; the model is unusable")
+        for name, arr in (("shapes", shapes), ("scales", scales)):
+            arr.flags.writeable = False
+            object.__setattr__(self, "planner_grid_" + name, arr)
+
+    def _on_planner_grid(self, f_hz) -> bool:
+        return f_hz is planner_grid(self.domain_lo_hz, self.domain_hi_hz)
 
     def shape_at(self, f_hz):
         """Fitted shape at f; accepts a scalar or a 1-d frequency array."""
+        if isinstance(f_hz, np.ndarray) and self._on_planner_grid(f_hz):
+            return self.planner_grid_shapes
         return self.shape_poly(f_hz)
 
     def scale_at(self, f_hz):
+        if isinstance(f_hz, np.ndarray) and self._on_planner_grid(f_hz):
+            return self.planner_grid_scales
         return self.scale_poly(f_hz)
 
 

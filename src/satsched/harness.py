@@ -72,10 +72,14 @@ class GroundTruth:
     ``work_multipliers`` as its own read-only float64 copy, so nothing
     derived from it goes stale. ``planner_grid_shapes`` and
     ``planner_grid_scales`` are the pooled shapes and scales on the
-    planner's pre-scan grid for the platform range, read-only;
-    ``shape_at`` and ``scale_at`` return them when handed that grid, which
-    they recognise by identity as the shared array of
-    :func:`~satsched.scheduler.planner_grid`. The pooled (shape, scale) at
+    planner's pre-scan grid for the platform range, read-only, positive and
+    finite by construction; ``shape_at`` and ``scale_at`` return them when
+    handed that grid, which they recognise by identity as the shared array
+    of :func:`~satsched.scheduler.planner_grid`. ``planner_grid_means``
+    (shape * scale) and ``planner_grid_variances`` (shape * scale * scale)
+    are the moments on that grid, in the operation order of
+    :meth:`~satsched.scheduler.MomentModel.from_shape_scale_model`, whose
+    Cantelli moments return them there. The pooled (shape, scale) at
     a clock is solved once and kept, for the ``_LAW_CACHE_SIZE`` clocks
     most recently asked for, so ``shape_at``, ``scale_at`` and ``law_at``
     (the pricing lookup) at one clock share one solve. Two ground truths
@@ -91,6 +95,8 @@ class GroundTruth:
     log_multiplier_gap: float = _derived()
     planner_grid_shapes: np.ndarray = _derived()
     planner_grid_scales: np.ndarray = _derived()
+    planner_grid_means: np.ndarray = _derived()
+    planner_grid_variances: np.ndarray = _derived()
     # frequency-independent parts of mean_at and image_shape_at
     _work_s_hz: float = _derived()
     _cv2: float = _derived()
@@ -121,10 +127,13 @@ class GroundTruth:
         put("_laws", functools.lru_cache(maxsize=_LAW_CACHE_SIZE)(
             functools.partial(type(self)._solve_law, weakref.proxy(self))))
         grid = planner_grid(p.f_min_hz, p.f_max_hz)
-        put("planner_grid_shapes", self._pooled_shape_at(grid))
-        put("planner_grid_scales", self.mean_at(grid) / self.planner_grid_shapes)
-        for arr in (self.planner_grid_shapes, self.planner_grid_scales):
+        shapes = self._pooled_shape_at(grid)
+        scales = self.mean_at(grid) / shapes
+        means = shapes * scales
+        for name, arr in (("shapes", shapes), ("scales", scales),
+                          ("means", means), ("variances", means * scales)):
             arr.flags.writeable = False
+            put("planner_grid_" + name, arr)
 
     def __reduce__(self):
         return type(self), (self.platform, self.cv_at_fmax,
@@ -514,20 +523,24 @@ def run_fig5(scenario: Scenario, out_dir: str) -> dict:
     and fig5_meta.json.
     """
     _ensure_dir(out_dir)
+    # the legs and budget depend on the elevation alone
+    sweep = []
+    for elevation in scenario.elevation_sweep_deg:
+        legs = comm_legs(scenario, elevation)
+        # LatencyBudget.t_proc_s's order, so a feasible row shows the
+        # budget its plans had; -inf where the uplink diverges
+        t_proc = (scenario.t_e2e_s - legs.expected_uplink_s
+                  - legs.isl_round_trip_s - legs.downlink_s)
+        try:
+            budget = budget_from_legs(scenario, legs)
+        except (InfeasibleBudgetError, InfeasibleLinkError):
+            budget = None
+        sweep.append((elevation, legs, t_proc, budget))
     rows = []
     for pi, platform in enumerate(scenario.platforms):
         gt = ground_truth_for(scenario, pi)
         for n_img in scenario.fig5_n_img[platform.name]:
-            for elevation in scenario.elevation_sweep_deg:
-                legs = comm_legs(scenario, elevation)
-                # LatencyBudget.t_proc_s's order, so a feasible row shows
-                # the budget its plans had; -inf where the uplink diverges
-                t_proc = (scenario.t_e2e_s - legs.expected_uplink_s
-                          - legs.isl_round_trip_s - legs.downlink_s)
-                try:
-                    budget = budget_from_legs(scenario, legs)
-                except (InfeasibleBudgetError, InfeasibleLinkError):
-                    budget = None
+            for elevation, legs, t_proc, budget in sweep:
                 for mi, method in enumerate(_METHODS):
                     if budget is None:
                         f_hz, e_j, ok = None, None, False

@@ -18,7 +18,9 @@ written out as Horner expressions, not looped over tables. Elsewhere it sums
 the power series for x < a + 1 and Lentz's continued fraction for the
 upper tail above. Their prefactor x^a e^-x / Gamma(a) comes from log(x/a)
 and the Stirling series for a > 30, where a log x and lgamma(a) are too
-large to subtract accurately, and from lgamma for a <= 30.
+large to subtract accurately, and from lgamma for a <= 30. Just left of
+the Temme region, for 0.5 < x/a <= 0.7, log(x/a) - (x - a)/a would cancel,
+so there the atanh series gives it, as in the Temme branch.
 
 The series and the continued fraction raise
 :class:`~satsched.errors.ConvergenceError` when an evaluation uses up
@@ -60,6 +62,9 @@ _CDF_CAP_MSG = "incomplete gamma did not converge within the iteration cap"
 # series instead of lgamma.
 _TEMME_MIN_SHAPE = 30.0
 _TEMME_HALF_WIDTH = 0.3
+# left of Temme's region, down to this sigma = (x - a) / a, the series
+# branch takes a log1pmx(sigma) from the atanh series
+_LOG1PMX_SERIES_MIN_SIGMA = -0.5
 
 
 def q_func(x: float) -> float:
@@ -221,8 +226,36 @@ def _reg_lower_gamma_lane(a, x):
         ratio = x / a
         if ratio == 0.0:
             return 0.0  # P < ratio^a, far below the smallest float
+        if _LOG1PMX_SERIES_MIN_SIGMA < sigma < 0.0:
+            # just left of Temme's region log(x/a) - sigma cancels to a
+            # sixth to a quarter of its terms; the atanh series of log1pmx
+            # as in Temme's branch, 18 terms, past 1e-19 relative at
+            # |u| <= 1/3
+            u = sigma / (2.0 + sigma)
+            u2 = u * u
+            s = (((((((((((((((((0.02702702702702703 * u2
+                                + 0.02857142857142857) * u2
+                               + 0.030303030303030304) * u2
+                              + 0.03225806451612903) * u2
+                             + 0.034482758620689655) * u2
+                            + 0.037037037037037035) * u2
+                           + 0.04) * u2
+                          + 0.043478260869565216) * u2
+                         + 0.047619047619047616) * u2
+                        + 0.05263157894736842) * u2
+                       + 0.058823529411764705) * u2
+                      + 0.06666666666666667) * u2
+                     + 0.07692307692307693) * u2
+                    + 0.09090909090909091) * u2
+                   + 0.1111111111111111) * u2
+                  + 0.14285714285714285) * u2
+                 + 0.2) * u2
+                + 0.3333333333333333)
+            a_log1pmx = a * (2.0 * u * u2 * s - sigma * sigma / (2.0 + sigma))
+        else:
+            a_log1pmx = a * (math.log(ratio) - sigma)
         r2 = 1.0 / (a * a)
-        logp = (a * (math.log(ratio) - sigma) + 0.5 * math.log(a)
+        logp = (a_log1pmx + 0.5 * math.log(a)
                 - _HALF_LOG_2PI - (1.0 / 12.0 - r2 * (
                     1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0))) / a)
     else:

@@ -28,13 +28,25 @@ point has valid parameters. The Gamma planner's flags come from
 :func:`~satsched.kernels.reg_lower_gamma_at_least`, which runs the exact
 CDF only where closed-form brackets leave a flag in doubt. Every reported
 score comes from a float evaluation, the same exact path the search probes
-take. The grid is built once per frequency range
-(:func:`planner_grid`) and shared, so a model can keep its values on it.
+take.
+
+The grid is built once per frequency range (:func:`planner_grid`) and
+shared, so a model does its frequency-only work once: it keeps its values
+on the grid as read-only ``planner_grid_*`` arrays, checked at
+construction, and hands them back when it recognises the grid by identity.
+The ground truth keeps shapes, scales, means and variances there; a fitted
+:class:`~satsched.estimation.FrequencyModel` keeps shapes and scales on
+the grid over its fitted range. The Gamma pre-scan skips its validity mask
+on kept values; the Cantelli moments of the ground truth
+(:meth:`MomentModel.from_shape_scale_model`) form no product on the grid,
+and their pre-scan skips its validity checks. A Gamma plan on the ground
+truth it is priced under reports its own score at the chosen clock as the
+reliability.
 """
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,23 +120,52 @@ class MomentModel:
 
     ``mean_fn(f)`` and ``variance_fn(f)`` return per-image values in seconds
     and seconds squared, and must accept a scalar or a 1-d frequency array
-    (a fitted Polynomial qualifies).
+    (a fitted Polynomial qualifies). ``planner_grid_means`` and
+    ``planner_grid_variances`` are set only by
+    :meth:`from_shape_scale_model`, on a model that keeps its moments on
+    the planner grid: the two functions return those arrays there, and the
+    Cantelli pre-scan trusts them to be finite and >= 0 without a mask.
     """
 
     mean_fn: object
     variance_fn: object
+    planner_grid_means: np.ndarray = field(default=None, init=False,
+                                           repr=False, compare=False)
+    planner_grid_variances: np.ndarray = field(default=None, init=False,
+                                               repr=False, compare=False)
 
     @classmethod
     def from_shape_scale_model(cls, model) -> "MomentModel":
-        """Adopt the moments implied by a shape/scale frequency model."""
+        """Adopt the moments implied by a shape/scale frequency model.
+
+        A model that keeps ``planner_grid_means`` and
+        ``planner_grid_variances`` (the ground truth does) hands them back
+        on the planner grid, which its ``_on_planner_grid`` recognises, so
+        a plan forms no product there.
+        """
+        means = getattr(model, "planner_grid_means", None)
+
+        def on_grid(f_hz) -> bool:
+            return (means is not None and isinstance(f_hz, np.ndarray)
+                    and model._on_planner_grid(f_hz))
+
         def mean_fn(f_hz: float) -> float:
+            if on_grid(f_hz):
+                return means
             return model.shape_at(f_hz) * model.scale_at(f_hz)
 
         def variance_fn(f_hz: float) -> float:
+            if on_grid(f_hz):
+                return model.planner_grid_variances
             scale = model.scale_at(f_hz)
             return model.shape_at(f_hz) * scale * scale
 
-        return cls(mean_fn=mean_fn, variance_fn=variance_fn)
+        moments = cls(mean_fn=mean_fn, variance_fn=variance_fn)
+        if means is not None:
+            object.__setattr__(moments, "planner_grid_means", means)
+            object.__setattr__(moments, "planner_grid_variances",
+                               model.planner_grid_variances)
+        return moments
 
 
 @dataclass(frozen=True)
@@ -250,8 +291,13 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
     scalar or a 1-d array of frequencies; the batch of n_img images has
     shape n_img * shape_at(f) at the same scale. Feasibility at f means
     CDF(t_proc) >= rho_th under that batch law. Frequencies where the model
-    evaluates to nonpositive parameters count as infeasible rather than
-    erroring, so damaged fits degrade gracefully.
+    evaluates to nonpositive or non-finite parameters count as infeasible
+    rather than erroring, so damaged fits degrade gracefully. A model whose
+    shape_at and scale_at return its ``planner_grid_shapes`` and
+    ``planner_grid_scales`` on the grid (the ground truth, a
+    :class:`~satsched.estimation.FrequencyModel` fitted over the platform
+    range) checked those values at construction, so the pre-scan skips the
+    per-lane validity mask there.
 
     The grid pre-scan flags points with
     :func:`~satsched.kernels.reg_lower_gamma_at_least`, whose flags, and so
@@ -273,11 +319,19 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
                 return 0.0
             # gamma_cdf's checks hold: these and _check_common's t_proc > 0
             return kernels.reg_lower_gamma(n_img * shape, t_proc / scale)
-        shape = np.asarray(model.shape_at(f_hz), dtype=np.float64)
-        scale = np.asarray(model.scale_at(f_hz), dtype=np.float64)
+        shape = model.shape_at(f_hz)
+        scale = model.scale_at(f_hz)
+        if (shape is getattr(model, "planner_grid_shapes", None)
+                and scale is getattr(model, "planner_grid_scales", None)):
+            # kept on the grid and checked positive and finite when the
+            # model was built: no per-plan mask
+            return kernels.reg_lower_gamma_at_least(n_img * shape,
+                                                    t_proc / scale, rho_th)
+        shape = np.asarray(shape, dtype=np.float64)
+        scale = np.asarray(scale, dtype=np.float64)
         ok = (np.isfinite(shape) & np.isfinite(scale)
               & (shape > 0.0) & (scale > 0.0))
-        if ok.all():  # always so for the ground truth: no masked copies
+        if ok.all():  # no masked copies
             return kernels.reg_lower_gamma_at_least(n_img * shape,
                                                     t_proc / scale, rho_th)
         out = np.zeros(f_hz.shape[0], dtype=bool)
@@ -314,16 +368,21 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
             if v == 0.0:
                 return 1.0  # variance-free mean-crossing limit
             return 1.0 - v / (v + slack * slack)
-        m = n_img * np.asarray(moments.mean_fn(f_hz), dtype=np.float64)
-        v = n_img * np.asarray(moments.variance_fn(f_hz), dtype=np.float64)
+        m = moments.mean_fn(f_hz)
+        v = moments.variance_fn(f_hz)
+        # moments kept on the grid are finite and >= 0 by construction
+        kept = (m is moments.planner_grid_means
+                and v is moments.planner_grid_variances)
+        m = n_img * np.asarray(m, dtype=np.float64)
+        v = n_img * np.asarray(v, dtype=np.float64)
         slack = t_proc - m
         # the float score's verdict on every lane: v = 0 meets the bound
         # (the mean-crossing limit) also where slack^2 underflows to 0, and
         # a NaN score (v infinite) fails
         with np.errstate(all="ignore"):
             score = 1.0 - v / (v + slack * slack)
-        return (((score >= rho_th) | (v == 0.0)) & np.isfinite(m)
-                & (slack > 0.0) & (v >= 0.0))
+        flags = ((score >= rho_th) | (v == 0.0)) & (slack > 0.0)
+        return flags if kept else flags & np.isfinite(m) & (v >= 0.0)
 
     return _boundary_search(achieved, rho_th, platform.f_min_hz,
                             platform.f_max_hz, "cantelli moment bound")
@@ -351,10 +410,14 @@ def select_and_price(method: str, ground_truth, budget: LatencyBudget,
     always evaluated under ``ground_truth``, regardless of what the planner
     believed: its ``law_at(f)`` gives the pooled per-image law at the chosen
     clock (a ground truth used as a default model or moments also needs
-    ``shape_at`` and ``scale_at``).
+    ``shape_at`` and ``scale_at``). A gamma plan made on ``ground_truth``
+    itself already scored the chosen clock with the same kernel on the same
+    batch shape and t_proc / scale, so that score is the reliability.
     """
+    on_truth = False
     if method == "gamma":
-        sol = solve_optimal_frequency(model if model is not None else ground_truth,
+        on_truth = model is None or model is ground_truth
+        sol = solve_optimal_frequency(ground_truth if on_truth else model,
                                       budget, n_img, rho_th, platform)
     elif method == "cantelli":
         if moments is None:
@@ -365,9 +428,13 @@ def select_and_price(method: str, ground_truth, budget: LatencyBudget,
         raise DomainError(f"unknown method {method!r}; use 'gamma' or 'cantelli'")
     f_hz = sol.frequency_hz
     law = batch_law(ground_truth.law_at(f_hz), n_img)
+    if on_truth:
+        reliability = sol.predicted_reliability
+    else:
+        reliability = float(gamma_cdf(budget.t_proc_s, law.shape, law.scale))
     return PricedSelection(
         method=method,
         frequency_hz=f_hz,
         energy_j=energy(f_hz, platform, law),
-        reliability=float(gamma_cdf(budget.t_proc_s, law.shape, law.scale)),
+        reliability=reliability,
         non_monotone=sol.non_monotone)

@@ -139,6 +139,83 @@ def test_model_positivity_guard():
                           domain_lo_hz=0.0, domain_hi_hz=1.0)
 
 
+def _model(shape_poly, scale_poly, lo_hz, hi_hz):
+    return ss.FrequencyModel(shape_poly=shape_poly, scale_poly=scale_poly,
+                             per_frequency_fits={}, degree=2, r2_shape=1.0,
+                             r2_scale=1.0, domain_lo_hz=lo_hz,
+                             domain_hi_hz=hi_hz)
+
+
+def test_model_positivity_guard_checks_the_planner_grid():
+    """The check runs on the planner grid over the domain: a dip between
+    two points of a 1000-point grid that one planner-grid clock falls into
+    is rejected."""
+    grid = ss.scheduler.planner_grid(0.0, 1.0)
+    old = np.linspace(0.0, 1.0, 1000)
+    # the planner-grid clock farthest from the 1000-point grid
+    gap = np.abs(grid[:, None] - old[None, :]).min(axis=1)
+    g = float(grid[np.argmax(gap)])
+    depth = (0.5 * gap.max()) ** 2
+    dips = ss.Polynomial((g * g - depth, -2.0 * g, 1.0))  # (f - g)^2 - depth
+    assert dips(old).min() > 0.0 > dips(grid).min()
+    good = ss.Polynomial((1.0,))
+    with pytest.raises(EstimationError):
+        _model(dips, good, 0.0, 1.0)
+    with pytest.raises(EstimationError):
+        _model(good, dips, 0.0, 1.0)
+
+
+def test_model_positivity_guard_rejects_overflow():
+    # positive everywhere, and past the largest float on the grid
+    huge = ss.Polynomial((1e308, 1e308))
+    with np.errstate(over="ignore"):
+        assert np.isinf(huge(ss.scheduler.planner_grid(1.0, 2.0))).any()
+        with pytest.raises(EstimationError):
+            _model(huge, ss.Polynomial((1.0,)), 1.0, 2.0)
+
+
+def test_model_positivity_guard_narrow_domain_plans_through_the_mask(
+        scenario, gt_nano, nano, zenith_budget):
+    """A model fitted over part of the platform range (what ``satsched
+    fit`` builds from a log) keeps its values on its own grid, so a plan
+    on the platform grid evaluates the polynomials and masks the lanes
+    where they fail. Its plan equals one on a copy of the model that keeps
+    nothing, and the lanes past the fitted range count as infeasible."""
+    lo, hi = 1.2 * nano.f_min_hz, 0.8 * nano.f_max_hz
+    freqs = np.linspace(lo, hi, 8)
+    rng = ss.stream(scenario.seed, scenario.bit_generator, 7, 9)
+    times = gt_nano.sample_image_times(np.arange(400) % gt_nano.n_images,
+                                       freqs, rng)
+    fitted = ss.fit_frequency_model(dict(zip(freqs.tolist(), times)))
+    assert (fitted.domain_lo_hz, fitted.domain_hi_hz) == (lo, hi)
+    grid = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
+    assert fitted.shape_at(grid) is not fitted.planner_grid_shapes
+
+    class Polynomials:  # a model's fitted curves, nothing kept
+        def __init__(self, model):
+            self.model = model
+
+        def shape_at(self, f_hz):
+            return self.model.shape_poly(f_hz)
+
+        def scale_at(self, f_hz):
+            return self.model.scale_poly(f_hz)
+
+    # the second shape turns negative past the fitted range (zero at
+    # 1.1 hi): those lanes are masked, not raised on
+    falling = _model(ss.Polynomial((50.0, -50.0 / (1.1 * hi))),
+                     fitted.scale_poly, lo, hi)
+    assert (falling.shape_at(grid) <= 0.0).any()
+    plans = [ss.solve_optimal_frequency(model, zenith_budget, 3, 0.95, nano)
+             for model in (fitted, falling)]
+    assert plans == [ss.solve_optimal_frequency(Polynomials(model),
+                                                zenith_budget, 3, 0.95, nano)
+                     for model in (fitted, falling)]
+    assert nano.f_min_hz < plans[0].frequency_hz < hi
+    plan = plans[1]
+    assert plan.non_monotone and plan.frequency_hz < 1.1 * hi
+
+
 def test_model_rejects_underdetermined_input(scenario, homogeneous_gt, nano):
     rng = ss.stream(scenario.seed, scenario.bit_generator, 7, 3)
     ids = np.arange(homogeneous_gt.n_images)

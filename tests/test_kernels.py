@@ -171,6 +171,46 @@ def test_large_shape_matches_mpmath(as_array, x):
     assert abs(float(np.asarray(got).ravel()[0]) - want) < 1e-12
 
 
+def _left_band_lanes():
+    # just left of the Temme region, sigma = (x - a) / a in (-0.5, -0.3]:
+    # 300 seeded lanes with a log-uniform from 30 up to where P would fall
+    # below e^-700, then the band's edges and the lanes that once read
+    # 2.5e-13 (x = 2100) and 1.8e-14 (x = 1950) off
+    rng = np.random.default_rng(20261019)
+    lo = kernels._LOG1PMX_SERIES_MIN_SIGMA
+    sigma = rng.uniform(lo, -0.3, 300)
+    a_max = 700.0 / (sigma - np.log1p(sigma))
+    a = np.exp(rng.uniform(math.log(31.0), np.log(a_max)))
+    lanes = list(zip(a.tolist(), (a * (1.0 + sigma)).tolist()))
+    for a in (math.nextafter(kernels._TEMME_MIN_SHAPE, math.inf), 200.0,
+              3000.0):
+        lanes += [(a, a * (1.0 + lo) * (1.0 + 1e-12)),
+                  (a, a * (1.0 - kernels._TEMME_HALF_WIDTH))]
+    lanes += [(3000.0, 2100.0), (3000.0, 1950.0)]
+    return [(a, x) for a, x in lanes if lo < (x - a) / a <= -0.3]
+
+
+def test_left_of_temme_band_matches_mpmath():
+    """In the band the series branch takes a log1pmx(sigma) from the atanh
+    series; a log(x/a) - sigma cancelled there, up to 7.8 ulps of the
+    exponent L = -ln P off. Four roundings of the exponent remain."""
+    mpmath = pytest.importorskip("mpmath")
+    lanes = _left_band_lanes()
+    assert len(lanes) >= 300
+    with mpmath.workdps(50):
+        for a, x in lanes:
+            want = mpmath.gammainc(a, 0, x, regularized=True)
+            log_p = float(mpmath.log(want))
+            assert log_p > -708.0  # P is a normal float
+            got = kernels.reg_lower_gamma(a, x)
+            allowed = 1e-14 + 4.0 * abs(log_p) * 2.0 ** -52
+            assert float(abs(got - want) / want) <= allowed, (a, x, got)
+    got = kernels.reg_lower_gamma(3000.0, 2100.0)
+    with mpmath.workdps(50):
+        want = mpmath.gammainc(3000, 0, 2100, regularized=True)
+    assert float(abs(got - want) / want) < 5e-14
+
+
 # ---------------------------------------------------------------- Temme branch
 
 # The reference tables of the Temme branch, which the kernel writes out as

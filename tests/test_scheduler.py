@@ -308,22 +308,144 @@ def test_pricing_ignores_planner_model(gt_nano, nano, zenith_budget):
         rel=1e-12)
 
 
-def test_plan_kernel_work_gate(monkeypatch, gt_nano, nano, zenith_budget):
-    """Both planners read the pooled shapes on their pre-scan grid from the
-    ground truth and probe the boundary with scalar kernels: no array shape
-    solve, and one array CDF call (the gamma pre-scan) for the pair of
-    plans."""
-    calls = {"solve_gamma_shape_arr": 0, "reg_lower_gamma_arr": 0}
-    for name in calls:
-        def counted(*args, _name=name, _fn=getattr(kernels, name)):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(kernels, name, counted)
+def _fitted_nano(scenario, gt, platform, lo_hz, hi_hz):
+    """A FrequencyModel fitted from 400 draws at 8 clocks over [lo, hi]."""
+    freqs = np.linspace(lo_hz, hi_hz, 8)
+    rng = ss.stream(scenario.seed, scenario.bit_generator, 7, 9)
+    times = gt.sample_image_times(np.arange(400) % gt.n_images, freqs, rng)
+    return ss.fit_frequency_model(dict(zip(freqs.tolist(), times)), degree=3)
+
+
+def test_plan_kernel_work_gate(monkeypatch, scenario, gt_nano, nano,
+                               zenith_budget):
+    """Plans read the values a model keeps on the planner grid, and a gamma
+    plan on the ground truth prices with its own score:
+
+    * both planners on the ground truth make no array shape solve, and one
+      array CDF call (the gamma pre-scan) for the pair of plans;
+    * the gamma plan on the ground truth makes no CDF call after the
+      search's last probe;
+    * a gamma plan on the ground truth or on a FrequencyModel fitted over
+      the platform range evaluates no Polynomial and solves no pooled
+      shape on the grid (a model fitted over a narrower range evaluates
+      both polynomials there, once each);
+    * the Cantelli grid pass takes the kept moments, so it asks the ground
+      truth for no grid shapes or scales to multiply."""
+    fitted = _fitted_nano(scenario, gt_nano, nano, nano.f_min_hz,
+                          nano.f_max_hz)
+    narrow = _fitted_nano(scenario, gt_nano, nano, 1.2 * nano.f_min_hz,
+                          0.8 * nano.f_max_hz)
+    counts = _count_plan_work(monkeypatch)
     for method in ("gamma", "cantelli"):
+        before = dict(counts)
         sel = ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano)
         assert sel.frequency_hz > nano.f_min_hz  # the boundary search ran
-    assert calls["solve_gamma_shape_arr"] == 0
-    assert calls["reg_lower_gamma_arr"] <= 1
+        if method == "gamma":
+            assert counts["cdf_after_search"] == before["cdf_after_search"]
+        else:
+            assert counts["cdf_after_search"] == before["cdf_after_search"] + 1
+            assert counts["grid_lookups"] == before["grid_lookups"]
+    assert counts["grid_shape_solves"] == 0
+    assert counts["cdf_arr_calls"] <= 1
+    assert counts["grid_polynomial_evals"] == 0
+    assert counts["grid_lookups"] == 2  # the gamma pre-scan's
+    ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano,
+                        model=fitted)
+    assert counts["grid_polynomial_evals"] == 0
+    ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano,
+                        model=narrow)
+    assert counts["grid_polynomial_evals"] == 2
+    assert counts["grid_shape_solves"] == 0
+
+
+def _masked_select_and_price(method, gt, budget, n_img, rho_th, platform):
+    """select_and_price as it ran before models kept checked grid values:
+    the gamma pre-scan masks invalid lanes on every plan, the Cantelli
+    moments are formed from the grid shapes and scales on every plan, and
+    the gamma choice is priced by a separate gamma_cdf call."""
+    t_proc = budget.t_proc_s
+    if method == "gamma":
+        def achieved(f_hz):
+            if not isinstance(f_hz, np.ndarray):
+                return kernels.reg_lower_gamma(n_img * float(gt.shape_at(f_hz)),
+                                               t_proc / float(gt.scale_at(f_hz)))
+            shape = np.asarray(gt.shape_at(f_hz), dtype=np.float64)
+            scale = np.asarray(gt.scale_at(f_hz), dtype=np.float64)
+            ok = (np.isfinite(shape) & np.isfinite(scale)
+                  & (shape > 0.0) & (scale > 0.0))
+            out = np.zeros(f_hz.shape[0], dtype=bool)
+            out[ok] = kernels.reg_lower_gamma_at_least(
+                n_img * shape[ok], t_proc / scale[ok], rho_th)
+            return out
+        sol = ss.scheduler._boundary_search(
+            achieved, rho_th, platform.f_min_hz, platform.f_max_hz, method)
+    else:
+        def variance(f_hz):
+            scale = gt.scale_at(f_hz)
+            return gt.shape_at(f_hz) * scale * scale
+
+        moments = ss.MomentModel(lambda f_hz: gt.shape_at(f_hz)
+                                 * gt.scale_at(f_hz), variance)
+        sol = ss.solve_cantelli_frequency(moments, budget, n_img, rho_th,
+                                          platform)
+    f_hz = sol.frequency_hz
+    law = ss.batch_law(gt.law_at(f_hz), n_img)
+    return ss.PricedSelection(
+        method=method, frequency_hz=f_hz, energy_j=ss.energy(f_hz, platform, law),
+        reliability=float(ss.gamma_cdf(t_proc, law.shape, law.scale)),
+        non_monotone=sol.non_monotone)
+
+
+def _plan_or_reliability(plan, *args):
+    try:
+        return plan(*args)
+    except InfeasibleConstraintError as exc:
+        return exc.achievable_reliability
+
+
+def test_kept_grid_values_plan_bit_for_bit(scenario):
+    """On a seeded grid of ground truths (both platforms and variance
+    models, cv 0.1/0.5/0.9, image_sigma 0 and 1) and plans (n_img 1-12,
+    elevations 25/50/90, rho_th 0.5/0.95/0.99), both planners give every
+    PricedSelection field, or the reliability an infeasible plan reports,
+    exactly as the masked per-plan path does, and a gamma choice's
+    reliability is gamma_cdf at it."""
+    budgets = [ss.budget_from_legs(scenario, ss.comm_legs(scenario, el))
+               for el in (25.0, 50.0, 90.0)]
+    rng = np.random.default_rng(20261019)
+    checked = infeasible = 0
+    for pi, platform in enumerate(scenario.platforms):
+        for variance_model in ("structural", "constant"):
+            for cv in (0.1, 0.5, 0.9):
+                for sigma in (0.0, 1.0):
+                    gt = ss.synthesize_ground_truth(
+                        platform, cv, scenario.gt_n_images,
+                        ss.stream(scenario.seed, scenario.bit_generator,
+                                  ss.NS_GROUND_TRUTH, pi),
+                        image_sigma=sigma, variance_model=variance_model)
+                    # a seeded quarter of the 108 (budget, rho_th, n_img)
+                    # cells of each ground truth, both planners on each
+                    for cell in rng.choice(108, size=27, replace=False):
+                        budget = budgets[cell // 36]
+                        rho_th = (0.5, 0.95, 0.99)[cell // 12 % 3]
+                        n_img = int(cell % 12) + 1
+                        for method in ("gamma", "cantelli"):
+                            args = (method, gt, budget, n_img, rho_th,
+                                    platform)
+                            got = _plan_or_reliability(ss.select_and_price,
+                                                       *args)
+                            want = _plan_or_reliability(
+                                _masked_select_and_price, *args)
+                            assert got == want, (args, got, want)
+                            checked += 1
+                            if isinstance(got, float):
+                                infeasible += 1
+                            elif method == "gamma":
+                                law = ss.batch_law(
+                                    gt.law_at(got.frequency_hz), n_img)
+                                assert got.reliability == float(ss.gamma_cdf(
+                                    budget.t_proc_s, law.shape, law.scale))
+    assert checked == 24 * 27 * 2 and 0 < infeasible < checked // 2
 
 
 def test_planner_grid_shapes_are_a_fresh_solve(gt_nano, nano):
@@ -376,6 +498,47 @@ def test_planner_grid_scales_are_cached(gt_nano, nano):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_ground_truth_keeps_grid_moments(monkeypatch, gt_nano, nano):
+    """The ground truth keeps its Cantelli moments on the planner grid, in
+    the operation order of the shape/scale closures, read-only; the moment
+    model hands them out there, and its pre-scan flags without the validity
+    checks equal the checked flags on a copy of the same moments."""
+    grid = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
+    shapes, scales = gt_nano.planner_grid_shapes, gt_nano.planner_grid_scales
+    assert np.array_equal(gt_nano.planner_grid_means, shapes * scales)
+    assert np.array_equal(gt_nano.planner_grid_variances,
+                          shapes * scales * scales)
+    kept = ss.MomentModel.from_shape_scale_model(gt_nano)
+    assert kept.mean_fn(grid) is kept.planner_grid_means
+    assert kept.planner_grid_means is gt_nano.planner_grid_means
+    assert kept.variance_fn(grid) is gt_nano.planner_grid_variances
+    for arr in (gt_nano.planner_grid_means, gt_nano.planner_grid_variances):
+        assert not arr.flags.writeable
+    # an equal copy of the grid gets the products, to the same bits
+    assert np.array_equal(kept.mean_fn(np.array(grid)),
+                          gt_nano.planner_grid_means)
+    copied = ss.MomentModel(lambda f: np.array(kept.mean_fn(f)),
+                            lambda f: np.array(kept.variance_fn(f)))
+    assert copied.planner_grid_means is None
+    search = ss.scheduler._boundary_search
+    flags = []
+
+    def capture(achieved, *args):
+        flags.append(achieved(grid))
+        return search(achieved, *args)
+
+    monkeypatch.setattr(ss.scheduler, "_boundary_search", capture)
+    for n_img, t_proc in ((1, 0.05), (3, 0.3), (6, 0.3), (12, 0.45)):
+        budget = ss.LatencyBudget(t_proc, 0.0, 0.0, 0.0)
+        for moments in (kept, copied):
+            try:
+                ss.solve_cantelli_frequency(moments, budget, n_img, RHO, nano)
+            except InfeasibleConstraintError:
+                pass
+        assert np.array_equal(flags[-2], flags[-1])
+    assert any(f.any() and not f.all() for f in flags)
 
 
 def test_unknown_method_rejected(gt_nano, nano, zenith_budget):
@@ -521,31 +684,73 @@ def test_prescan_callback_returns_flags(monkeypatch, method, gt_nano, nano,
 
 
 def _count_plan_work(monkeypatch):
-    """Count array CDF lanes, scalar pooled-shape solves and boundary-search
-    probes (scalar score calls) from here on."""
-    counts = {"cdf_lanes": 0, "shape_solves": 0, "probes": 0}
+    """Count from here on: array CDF calls and lanes, CDF calls (scalar or
+    array) made after a boundary search returned, scalar pooled-shape
+    solves, boundary-search probes (scalar score calls), and work on the
+    planner grid: array pooled-shape solves, Polynomial evaluations, and
+    ground-truth shape_at/scale_at calls."""
+    counts = {"cdf_lanes": 0, "cdf_arr_calls": 0, "cdf_after_search": 0,
+              "shape_solves": 0, "probes": 0, "grid_shape_solves": 0,
+              "grid_polynomial_evals": 0, "grid_lookups": 0}
+    searched = [False]  # set from a search's return to the next search
     arr_cdf = kernels.reg_lower_gamma_arr
+    cdf = kernels.reg_lower_gamma
     solve = kernels.solve_gamma_shape
+    solve_arr = kernels.solve_gamma_shape_arr
     search = ss.scheduler._boundary_search
+    poly = ss.Polynomial.__call__
+    gt_cls = ss.GroundTruth
+    n_grid = ss.scheduler.GRID_POINTS_DEFAULT
 
     def counted_cdf(a, x):
         counts["cdf_lanes"] += a.shape[0]
+        counts["cdf_arr_calls"] += 1
+        counts["cdf_after_search"] += searched[0]
         return arr_cdf(a, x)
+
+    def counted_scalar_cdf(a, x):
+        counts["cdf_after_search"] += searched[0]
+        return cdf(a, x)
 
     def counted_solve(s):
         counts["shape_solves"] += 1
         return solve(s)
+
+    def counted_solve_arr(s):
+        counts["grid_shape_solves"] += 1
+        return solve_arr(s)
+
+    def counted_poly(self, x):
+        if isinstance(x, np.ndarray) and x.size == n_grid:
+            counts["grid_polynomial_evals"] += 1
+        return poly(self, x)
+
+    def counted_lookup(fn):
+        def lookup(self, f_hz):
+            if isinstance(f_hz, np.ndarray):
+                counts["grid_lookups"] += 1
+            return fn(self, f_hz)
+        return lookup
 
     def counted_search(achieved, *args, **kwargs):
         def score(f_hz):
             if not isinstance(f_hz, np.ndarray):
                 counts["probes"] += 1
             return achieved(f_hz)
-        return search(score, *args, **kwargs)
+        searched[0] = False
+        try:
+            return search(score, *args, **kwargs)
+        finally:
+            searched[0] = True
 
     monkeypatch.setattr(kernels, "reg_lower_gamma_arr", counted_cdf)
+    monkeypatch.setattr(kernels, "reg_lower_gamma", counted_scalar_cdf)
     monkeypatch.setattr(kernels, "solve_gamma_shape", counted_solve)
+    monkeypatch.setattr(kernels, "solve_gamma_shape_arr", counted_solve_arr)
     monkeypatch.setattr(ss.scheduler, "_boundary_search", counted_search)
+    monkeypatch.setattr(ss.Polynomial, "__call__", counted_poly)
+    for name in ("shape_at", "scale_at"):
+        monkeypatch.setattr(gt_cls, name, counted_lookup(getattr(gt_cls, name)))
     return counts
 
 
