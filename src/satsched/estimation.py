@@ -16,6 +16,7 @@ per-image draws, where f is a clock or a 1-d array of clocks (one row of
 draws per clock); the harness module provides the synthetic one.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,18 +78,55 @@ def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _positive_at_extrema(poly: Polynomial, lo: float, hi: float) -> bool:
+    """Whether ``poly`` is positive and finite at the real part of every
+    root of its derivative inside (lo, hi): with the domain ends, the
+    points where its least value on the domain lies.
+
+    Real parts, not real roots alone, so that a double root which rounding
+    splits into a complex pair is still checked. The quadratic derivative
+    of a cubic has a closed form; higher degrees take ``numpy.roots``.
+    """
+    d = [k * c for k, c in enumerate(poly.coefficients[1:], 1)]
+    while d and d[-1] == 0.0:
+        d.pop()
+    if not all(map(math.isfinite, d)):  # overflowed: nothing certified
+        return False
+    if len(d) <= 1:  # constant or zero derivative: no interior extremum
+        return True
+    if len(d) == 2:
+        roots = [-d[0] / d[1]]
+    elif len(d) == 3:
+        c, b, a = d
+        disc = b * b - 4.0 * a * c
+        if disc < 0.0:
+            roots = [-0.5 * b / a]
+        else:  # the stable form: no cancellation between b and the root
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            roots = [q / a, c / q] if q != 0.0 else [0.0]
+    else:
+        roots = np.roots(d[::-1]).real.tolist()
+    return all(math.isfinite(r)
+               and (not lo < r < hi or 0.0 < poly(r) < math.inf)
+               for r in roots)
+
+
 @dataclass(frozen=True)
 class FrequencyModel:
     """Gamma shape/scale as polynomial functions of clock frequency.
 
     Built from per-frequency MLE fits regressed against frequency. Both
-    polynomials must be positive and finite across the fitted domain; this
-    is checked at construction on the planner's pre-scan grid over the
-    domain, :func:`~satsched.scheduler.planner_grid`, and the values are
-    kept as ``planner_grid_shapes`` and ``planner_grid_scales`` (read-only).
-    ``shape_at`` and ``scale_at`` return them when handed that grid, which
-    they recognise by identity, as the ground truth does: fitted over the
-    platform range, the model's grid is the one a plan scans.
+    polynomials must be positive and finite across the fitted domain. This
+    is checked exactly at construction, not on a sample: at the domain
+    ends, at every interior extremum (a real root of the derivative), and
+    on the planner's pre-scan grid over the domain,
+    :func:`~satsched.scheduler.planner_grid`, where the values are kept as
+    ``planner_grid_shapes`` and ``planner_grid_scales`` (read-only). So a
+    dip narrower than one grid cell (span/255) is rejected too.
+    ``shape_at`` and ``scale_at`` return the kept values when handed that
+    grid, which they recognise by identity, as the ground truth does:
+    fitted over the platform range, the model's grid is the one a plan
+    scans.
     """
 
     shape_poly: Polynomial
@@ -110,9 +148,15 @@ class FrequencyModel:
         grid = planner_grid(self.domain_lo_hz, self.domain_hi_hz)
         shapes = self.shape_poly(grid)
         scales = self.scale_poly(grid)
-        # min and max carry a NaN through, so the four ends check every value
+        # min and max carry a NaN through, so the four reductions check
+        # every grid value, the domain ends among them; the interior
+        # extrema lie off the grid
         if not (shapes.min() > 0.0 and scales.min() > 0.0
-                and shapes.max() < np.inf and scales.max() < np.inf):
+                and shapes.max() < np.inf and scales.max() < np.inf
+                and _positive_at_extrema(self.shape_poly, self.domain_lo_hz,
+                                         self.domain_hi_hz)
+                and _positive_at_extrema(self.scale_poly, self.domain_lo_hz,
+                                         self.domain_hi_hz)):
             raise EstimationError(
                 "fitted shape/scale are nonpositive or not finite somewhere "
                 "inside the frequency domain; the model is unusable")

@@ -40,7 +40,7 @@ _METHODS = ("gamma", "cantelli")
 _derived = functools.partial(field, init=False, repr=False)
 
 # scalar (shape, scale) pairs a ground truth keeps. A plan probes about
-# ten clocks and prices one of them; plans on one ground truth probe some
+# seven clocks and prices one of them; plans on one ground truth probe some
 # clocks again (f_min, f_max, the pre-scan grid points).
 _LAW_CACHE_SIZE = 256
 
@@ -72,10 +72,12 @@ class GroundTruth:
     ``work_multipliers`` as its own read-only float64 copy, so nothing
     derived from it goes stale. ``planner_grid_shapes`` and
     ``planner_grid_scales`` are the pooled shapes and scales on the
-    planner's pre-scan grid for the platform range, read-only, positive and
-    finite by construction; ``shape_at`` and ``scale_at`` return them when
-    handed that grid, which they recognise by identity as the shared array
-    of :func:`~satsched.scheduler.planner_grid`. ``planner_grid_means``
+    planner's pre-scan grid for the platform range (``GRID_POINTS_DEFAULT``
+    = 256 clocks, one array solve at construction; cells of span/255, 2.8
+    MHz on nano), read-only, positive and finite by construction;
+    ``shape_at`` and ``scale_at`` return them when handed that grid, which
+    they recognise by identity as the shared array of
+    :func:`~satsched.scheduler.planner_grid`. ``planner_grid_means``
     (shape * scale) and ``planner_grid_variances`` (shape * scale * scale)
     are the moments on that grid, in the operation order of
     :meth:`~satsched.scheduler.MomentModel.from_shape_scale_model`, whose

@@ -30,6 +30,19 @@ CDF only where closed-form brackets leave a flag in doubt. Every reported
 score comes from a float evaluation, the same exact path the search probes
 take.
 
+The grid has ``GRID_POINTS_DEFAULT`` = 256 points, so a cell is span/255
+wide: 2.8 MHz on nano and 3.6 MHz on agx. The grid only has to find the
+feasible cell, because the search pins the boundary to 1e-9 of the span
+however wide the cell is; a plan costs about seven float evaluations
+(mean over the default figures' plans above f_min: 7.0 for either
+planner, at most 8, the two cell-end scores included). The price is
+resolution. The scan sees only its grid points, so a feasible window
+narrower than one cell that lies between two of them is missed, and so
+is an infeasible window above the lowest feasible point (the plan then
+comes back without ``non_monotone``). With 2048 points (span/2047) that
+limit was 8x finer, at 8x the screened lanes per plan; the plans of the
+default figures agree between the two grids to the search tolerance.
+
 The grid is built once per frequency range (:func:`planner_grid`) and
 shared, so a model does its frequency-only work once: it keeps its values
 on the grid as read-only ``planner_grid_*`` arrays, checked at
@@ -56,7 +69,7 @@ from .errors import (DomainError, InfeasibleBudgetError,
                      InfeasibleConstraintError, check_count, check_real)
 from .numerics import gamma_cdf
 
-GRID_POINTS_DEFAULT = 2048
+GRID_POINTS_DEFAULT = 256
 # the boundary search stops when its bracket shrinks below this fraction of
 # the span; well under the 1e-4-span tightness that callers verify
 _BRACKET_REL_TOL = 1e-9
@@ -120,47 +133,54 @@ class MomentModel:
 
     ``mean_fn(f)`` and ``variance_fn(f)`` return per-image values in seconds
     and seconds squared, and must accept a scalar or a 1-d frequency array
-    (a fitted Polynomial qualifies). ``planner_grid_means`` and
-    ``planner_grid_variances`` are set only by
-    :meth:`from_shape_scale_model`, on a model that keeps its moments on
-    the planner grid: the two functions return those arrays there, and the
-    Cantelli pre-scan trusts them to be finite and >= 0 without a mask.
+    (a fitted Polynomial qualifies). ``moments_fn(f)``, when given, returns
+    the pair ``(mean_fn(f), variance_fn(f))`` from one visit to the
+    underlying model; :meth:`moments_at`, which the Cantelli planner calls,
+    uses it then. ``planner_grid_means`` and ``planner_grid_variances`` are
+    set only by :meth:`from_shape_scale_model`, on a model that keeps its
+    moments on the planner grid: the functions return those arrays there,
+    and the Cantelli pre-scan trusts them to be finite and >= 0 without a
+    mask.
     """
 
     mean_fn: object
     variance_fn: object
+    moments_fn: object = None
     planner_grid_means: np.ndarray = field(default=None, init=False,
                                            repr=False, compare=False)
     planner_grid_variances: np.ndarray = field(default=None, init=False,
                                                repr=False, compare=False)
 
+    def moments_at(self, f_hz):
+        """(mean, variance) per image at a clock or a 1-d clock array."""
+        if self.moments_fn is not None:
+            return self.moments_fn(f_hz)
+        return self.mean_fn(f_hz), self.variance_fn(f_hz)
+
     @classmethod
     def from_shape_scale_model(cls, model) -> "MomentModel":
         """Adopt the moments implied by a shape/scale frequency model.
 
-        A model that keeps ``planner_grid_means`` and
-        ``planner_grid_variances`` (the ground truth does) hands them back
-        on the planner grid, which its ``_on_planner_grid`` recognises, so
-        a plan forms no product there.
+        The mean is shape * scale and the variance that mean times scale,
+        from one ``shape_at`` and one ``scale_at`` call per clock. A model
+        that keeps ``planner_grid_means`` and ``planner_grid_variances``
+        (the ground truth does) hands them back on the planner grid, which
+        its ``_on_planner_grid`` recognises, so a plan forms no product
+        there.
         """
         means = getattr(model, "planner_grid_means", None)
 
-        def on_grid(f_hz) -> bool:
-            return (means is not None and isinstance(f_hz, np.ndarray)
-                    and model._on_planner_grid(f_hz))
-
-        def mean_fn(f_hz: float) -> float:
-            if on_grid(f_hz):
-                return means
-            return model.shape_at(f_hz) * model.scale_at(f_hz)
-
-        def variance_fn(f_hz: float) -> float:
-            if on_grid(f_hz):
-                return model.planner_grid_variances
+        def moments_fn(f_hz):
+            if (means is not None and isinstance(f_hz, np.ndarray)
+                    and model._on_planner_grid(f_hz)):
+                return means, model.planner_grid_variances
             scale = model.scale_at(f_hz)
-            return model.shape_at(f_hz) * scale * scale
+            mean = model.shape_at(f_hz) * scale
+            return mean, mean * scale
 
-        moments = cls(mean_fn=mean_fn, variance_fn=variance_fn)
+        moments = cls(mean_fn=lambda f_hz: moments_fn(f_hz)[0],
+                      variance_fn=lambda f_hz: moments_fn(f_hz)[1],
+                      moments_fn=moments_fn)
         if means is not None:
             object.__setattr__(moments, "planner_grid_means", means)
             object.__setattr__(moments, "planner_grid_variances",
@@ -358,9 +378,10 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
     t_proc = budget.t_proc_s
 
     def achieved(f_hz):
+        m, v = moments.moments_at(f_hz)
         if not isinstance(f_hz, np.ndarray):
-            m = n_img * float(moments.mean_fn(f_hz))
-            v = n_img * float(moments.variance_fn(f_hz))
+            m = n_img * float(m)
+            v = n_img * float(v)
             slack = t_proc - m
             if not (math.isfinite(m) and math.isfinite(v) and slack > 0.0
                     and v >= 0.0):
@@ -368,8 +389,6 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
             if v == 0.0:
                 return 1.0  # variance-free mean-crossing limit
             return 1.0 - v / (v + slack * slack)
-        m = moments.mean_fn(f_hz)
-        v = moments.variance_fn(f_hz)
         # moments kept on the grid are finite and >= 0 by construction
         kept = (m is moments.planner_grid_means
                 and v is moments.planner_grid_variances)

@@ -146,23 +146,35 @@ def _model(shape_poly, scale_poly, lo_hz, hi_hz):
                              domain_hi_hz=hi_hz)
 
 
-def test_model_positivity_guard_checks_the_planner_grid():
-    """The check runs on the planner grid over the domain: a dip between
-    two points of a 1000-point grid that one planner-grid clock falls into
-    is rejected."""
+@pytest.mark.parametrize("far_roots,sign", [
+    ((), 1.0),             # a linear derivative
+    ((-1.0,), 1.0),        # the closed-form quadratic derivative
+    ((-1.0, 1.5), -1.0),   # numpy.roots on the derivative
+], ids=["quadratic", "cubic", "quartic"])
+def test_model_positivity_guard_finds_a_dip_inside_one_grid_cell(far_roots,
+                                                                 sign):
+    """The check is exact, not a sample on the planner grid: a curve whose
+    one dip below zero is half a planner-grid cell wide and lies between
+    two grid points, positive at every grid point, is rejected."""
+    n_grid = ss.scheduler.GRID_POINTS_DEFAULT
     grid = ss.scheduler.planner_grid(0.0, 1.0)
-    old = np.linspace(0.0, 1.0, 1000)
-    # the planner-grid clock farthest from the 1000-point grid
-    gap = np.abs(grid[:, None] - old[None, :]).min(axis=1)
-    g = float(grid[np.argmax(gap)])
-    depth = (0.5 * gap.max()) ** 2
-    dips = ss.Polynomial((g * g - depth, -2.0 * g, 1.0))  # (f - g)^2 - depth
-    assert dips(old).min() > 0.0 > dips(grid).min()
+    cell = float(grid[1] - grid[0])
+    g = float(grid[n_grid // 2]) + 0.5 * cell
+    half = 0.25 * cell
+    # (f - g)^2 - half^2, times factors that stay one sign on [0, 1]
+    roots = [g - half, g + half] + [g + r for r in far_roots]
+    dips = ss.Polynomial(tuple(
+        sign * np.polynomial.polynomial.polyfromroots(roots)))
+    assert dips(grid).min() > 0.0 > dips(g)
     good = ss.Polynomial((1.0,))
     with pytest.raises(EstimationError):
         _model(dips, good, 0.0, 1.0)
     with pytest.raises(EstimationError):
         _model(good, dips, 0.0, 1.0)
+    # lifted clear of zero, the same curve passes
+    lifted = ss.Polynomial((dips.coefficients[0] - 2.0 * dips(g),)
+                           + dips.coefficients[1:])
+    assert _model(lifted, lifted, 0.0, 1.0).shape_poly == lifted
 
 
 def test_model_positivity_guard_rejects_overflow():

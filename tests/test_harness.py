@@ -376,7 +376,8 @@ def test_fig3_reruns_byte_identical(reduced_scenario, tmp_path):
 
 def test_fig3_exact_cdf_lanes_gate(monkeypatch, tmp_path):
     """The pre-scan screen leaves few exact CDF lanes per fitted-model plan
-    (2048 per replicate without it); reduced k_replicates, full ladder."""
+    (every grid point per replicate without it); reduced k_replicates,
+    full ladder."""
     lanes = []
     arr_cdf = kernels.reg_lower_gamma_arr
 

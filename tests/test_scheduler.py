@@ -2,6 +2,7 @@
 two-moment (Cantelli) benchmark, and pricing of either plan under the truth."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -403,6 +404,20 @@ def _plan_or_reliability(plan, *args):
         return exc.achievable_reliability
 
 
+def _seeded_truths(scenario):
+    """(platform index, ground truth) for both platforms and variance
+    models, cv 0.1/0.5/0.9 and image_sigma 0 and 1, each built afresh."""
+    for pi, platform in enumerate(scenario.platforms):
+        for variance_model in ("structural", "constant"):
+            for cv in (0.1, 0.5, 0.9):
+                for sigma in (0.0, 1.0):
+                    yield pi, ss.synthesize_ground_truth(
+                        platform, cv, scenario.gt_n_images,
+                        ss.stream(scenario.seed, scenario.bit_generator,
+                                  ss.NS_GROUND_TRUTH, pi),
+                        image_sigma=sigma, variance_model=variance_model)
+
+
 def test_kept_grid_values_plan_bit_for_bit(scenario):
     """On a seeded grid of ground truths (both platforms and variance
     models, cv 0.1/0.5/0.9, image_sigma 0 and 1) and plans (n_img 1-12,
@@ -414,38 +429,107 @@ def test_kept_grid_values_plan_bit_for_bit(scenario):
                for el in (25.0, 50.0, 90.0)]
     rng = np.random.default_rng(20261019)
     checked = infeasible = 0
-    for pi, platform in enumerate(scenario.platforms):
-        for variance_model in ("structural", "constant"):
-            for cv in (0.1, 0.5, 0.9):
-                for sigma in (0.0, 1.0):
-                    gt = ss.synthesize_ground_truth(
-                        platform, cv, scenario.gt_n_images,
-                        ss.stream(scenario.seed, scenario.bit_generator,
-                                  ss.NS_GROUND_TRUTH, pi),
-                        image_sigma=sigma, variance_model=variance_model)
-                    # a seeded quarter of the 108 (budget, rho_th, n_img)
-                    # cells of each ground truth, both planners on each
-                    for cell in rng.choice(108, size=27, replace=False):
-                        budget = budgets[cell // 36]
-                        rho_th = (0.5, 0.95, 0.99)[cell // 12 % 3]
-                        n_img = int(cell % 12) + 1
-                        for method in ("gamma", "cantelli"):
-                            args = (method, gt, budget, n_img, rho_th,
-                                    platform)
-                            got = _plan_or_reliability(ss.select_and_price,
-                                                       *args)
-                            want = _plan_or_reliability(
-                                _masked_select_and_price, *args)
-                            assert got == want, (args, got, want)
-                            checked += 1
-                            if isinstance(got, float):
-                                infeasible += 1
-                            elif method == "gamma":
-                                law = ss.batch_law(
-                                    gt.law_at(got.frequency_hz), n_img)
-                                assert got.reliability == float(ss.gamma_cdf(
-                                    budget.t_proc_s, law.shape, law.scale))
+    for _, gt in _seeded_truths(scenario):
+        # a seeded quarter of the 108 (budget, rho_th, n_img) cells of each
+        # ground truth, both planners on each
+        for cell in rng.choice(108, size=27, replace=False):
+            budget = budgets[cell // 36]
+            rho_th = (0.5, 0.95, 0.99)[cell // 12 % 3]
+            n_img = int(cell % 12) + 1
+            for method in ("gamma", "cantelli"):
+                args = (method, gt, budget, n_img, rho_th, gt.platform)
+                got = _plan_or_reliability(ss.select_and_price, *args)
+                want = _plan_or_reliability(_masked_select_and_price, *args)
+                assert got == want, (args, got, want)
+                checked += 1
+                if isinstance(got, float):
+                    infeasible += 1
+                elif method == "gamma":
+                    law = ss.batch_law(gt.law_at(got.frequency_hz), n_img)
+                    assert got.reliability == float(ss.gamma_cdf(
+                        budget.t_proc_s, law.shape, law.scale))
     assert checked == 24 * 27 * 2 and 0 < infeasible < checked // 2
+
+
+def _plans_on_a_seeded_grid(scenario, budgets, fitted):
+    """Plans of both planners on the 24 ground truths of the test above,
+    each on a seeded quarter of its 108 (budget, rho_th, n_img) cells, and
+    gamma plans on the ``fitted`` models (rebuilt, so that they keep their
+    values on the current planner grid). Keyed by platform index first,
+    then cell; an infeasible plan gives the reliability it reports."""
+    rng = np.random.default_rng(20261020)
+    plans = {}
+    for i, (pi, gt) in enumerate(_seeded_truths(scenario)):
+        assert gt.planner_grid_shapes.size == ss.scheduler.GRID_POINTS_DEFAULT
+        for cell in rng.choice(108, size=27, replace=False):
+            n_img = int(cell % 12) + 1
+            rho_th = (0.5, 0.95, 0.99)[cell // 12 % 3]
+            for method in ("gamma", "cantelli"):
+                plans[pi, i, int(cell), method] = _plan_or_reliability(
+                    ss.select_and_price, method, gt, budgets[cell // 36],
+                    n_img, rho_th, gt.platform)
+    for key, (gt, model, n_img) in fitted.items():
+        model = dataclasses.replace(model)
+        plans[key] = _plan_or_reliability(
+            ss.select_and_price, "gamma", gt, budgets[2], n_img,
+            scenario.rho_th, gt.platform, model)
+    return plans
+
+
+def test_plans_match_an_eight_times_finer_grid(monkeypatch, scenario,
+                                               gt_nano, gt_agx):
+    """Against a reference planner grid eight times finer (fresh caches and
+    models), plans on a seeded subset of the ground-truth grid above and on
+    the 200 ten-image fig3 fits (the non-monotone fits are among them) have
+    the same verdicts, the same reliability on infeasible plans and the
+    same non_monotone flags; frequency, energy and reliability agree to the
+    field tolerance (2e-9 of the span, 1e-7 relative, 1e-7 absolute)."""
+    budgets = [ss.budget_from_legs(scenario, ss.comm_legs(scenario, el))
+               for el in (25.0, 50.0, 90.0)]
+    fitted = {}
+    for pi, gt in enumerate((gt_nano, gt_agx)):
+        platform = gt.platform
+        freqs = ss.fit_frequency_grid(platform, scenario.fit_n_frequencies)
+        n_img = scenario.fig3_n_img[platform.name]
+        for k in range(100):
+            rng = ss.stream(scenario.seed, scenario.bit_generator,
+                            ss.NS_SUBSET_STUDY, pi, 10, k)
+            rep = ss.run_subset_replicate(
+                gt, gt.image_ids, 10, freqs, budgets[2], n_img,
+                scenario.rho_th, platform, rng, scenario.fit_degree,
+                keep_model=True)
+            if rep.model is not None:
+                fitted[pi, k] = (gt, rep.model, n_img)
+    got = _plans_on_a_seeded_grid(scenario, budgets, fitted)
+    # a fresh planner-grid cache for every module that builds the grid,
+    # so that the shared one (and the session's ground truths) stay as
+    # they are
+    fine = functools.lru_cache(maxsize=None)(
+        ss.scheduler.planner_grid.__wrapped__)
+    for module in (ss.scheduler, ss.harness, ss.estimation):
+        monkeypatch.setattr(module, "planner_grid", fine)
+    monkeypatch.setattr(ss.scheduler, "GRID_POINTS_DEFAULT",
+                        8 * ss.scheduler.GRID_POINTS_DEFAULT)
+    want = _plans_on_a_seeded_grid(scenario, budgets, fitted)
+    assert fine.cache_info().currsize >= 2
+    assert got.keys() == want.keys()
+    non_monotone = infeasible = 0
+    for key, ref in want.items():
+        plan = got[key]
+        assert type(plan) is type(ref), key
+        if isinstance(ref, float):
+            assert plan == ref
+            infeasible += 1
+            continue
+        platform = scenario.platforms[key[0]]  # keys start with its index
+        span = platform.f_max_hz - platform.f_min_hz
+        assert plan.non_monotone == ref.non_monotone, key
+        assert abs(plan.frequency_hz - ref.frequency_hz) <= 2e-9 * span, key
+        assert abs(plan.energy_j - ref.energy_j) <= 1e-7 * ref.energy_j, key
+        assert abs(plan.reliability - ref.reliability) <= 1e-7, key
+        non_monotone += ref.non_monotone
+    assert len(want) == 24 * 27 * 2 + len(fitted) and len(fitted) >= 150
+    assert 0 < infeasible < len(want) // 2 and non_monotone >= 10
 
 
 def test_planner_grid_shapes_are_a_fresh_solve(gt_nano, nano):
@@ -684,13 +768,15 @@ def test_prescan_callback_returns_flags(monkeypatch, method, gt_nano, nano,
 
 
 def _count_plan_work(monkeypatch):
-    """Count from here on: array CDF calls and lanes, CDF calls (scalar or
-    array) made after a boundary search returned, scalar pooled-shape
-    solves, boundary-search probes (scalar score calls), and work on the
-    planner grid: array pooled-shape solves, Polynomial evaluations, and
-    ground-truth shape_at/scale_at calls."""
-    counts = {"cdf_lanes": 0, "cdf_arr_calls": 0, "cdf_after_search": 0,
-              "shape_solves": 0, "probes": 0, "grid_shape_solves": 0,
+    """Count from here on: array CDF calls and lanes, scalar CDF calls, CDF
+    calls (scalar or array) made after a boundary search returned, scalar
+    pooled-shape solves, boundary-search probes (scalar score calls) and
+    pre-scan lanes (array score lanes), and work on the planner grid:
+    array pooled-shape solves, Polynomial evaluations, and ground-truth
+    shape_at/scale_at calls."""
+    counts = {"cdf_lanes": 0, "cdf_arr_calls": 0, "cdf_scalar_calls": 0,
+              "cdf_after_search": 0, "shape_solves": 0, "probes": 0,
+              "prescan_lanes": 0, "grid_shape_solves": 0,
               "grid_polynomial_evals": 0, "grid_lookups": 0}
     searched = [False]  # set from a search's return to the next search
     arr_cdf = kernels.reg_lower_gamma_arr
@@ -709,6 +795,7 @@ def _count_plan_work(monkeypatch):
         return arr_cdf(a, x)
 
     def counted_scalar_cdf(a, x):
+        counts["cdf_scalar_calls"] += 1
         counts["cdf_after_search"] += searched[0]
         return cdf(a, x)
 
@@ -734,7 +821,9 @@ def _count_plan_work(monkeypatch):
 
     def counted_search(achieved, *args, **kwargs):
         def score(f_hz):
-            if not isinstance(f_hz, np.ndarray):
+            if isinstance(f_hz, np.ndarray):
+                counts["prescan_lanes"] += f_hz.size
+            else:
                 counts["probes"] += 1
             return achieved(f_hz)
         searched[0] = False
@@ -761,6 +850,36 @@ def test_prescan_exact_lane_gate(monkeypatch, gt_nano, nano, zenith_budget):
     assert 2 <= counts["cdf_lanes"] <= 64
 
 
+# one block of the benchmark's plan-stream requests: (platform, n_img)
+PLAN_STREAM_BLOCK = (("nano", 1), ("nano", 2), ("nano", 3), ("nano", 4),
+                     ("nano", 5), ("nano", 6), ("agx", 1), ("agx", 3),
+                     ("agx", 5), ("agx", 6), ("agx", 8), ("agx", 10),
+                     ("agx", 12))
+
+
+def test_plan_stream_block_work_gate(monkeypatch, scenario, gt_nano, gt_agx):
+    """One block of plan-stream requests (both planners in each cell, at
+    elevations spread over 20-90 degrees) screens GRID_POINTS_DEFAULT lanes
+    per plan, runs the exact array CDF on at most 40 lanes (183 on a
+    2048-point grid) and makes at most 80 scalar CDF calls (71 there)."""
+    truths = {"nano": gt_nano, "agx": gt_agx}
+    moments = {name: ss.MomentModel.from_shape_scale_model(gt)
+               for name, gt in truths.items()}
+    elevations = np.linspace(20.0, 90.0, len(PLAN_STREAM_BLOCK))
+    counts = _count_plan_work(monkeypatch)
+    plans = 0
+    for (name, n_img), el in zip(PLAN_STREAM_BLOCK, elevations.tolist()):
+        budget = ss.budget_from_legs(scenario, ss.comm_legs(scenario, el))
+        for method in ("gamma", "cantelli"):
+            ss.select_and_price(method, truths[name], budget, n_img,
+                                scenario.rho_th, truths[name].platform,
+                                moments=moments[name])
+            plans += 1
+    assert counts["prescan_lanes"] == plans * ss.scheduler.GRID_POINTS_DEFAULT
+    assert counts["cdf_lanes"] <= 40
+    assert counts["cdf_scalar_calls"] <= 80
+
+
 @pytest.fixture(scope="module")
 def gt_nano_wide(scenario, nano):
     # cv 0.9 and image_sigma 1: pooled shapes below 1 on the whole grid
@@ -784,12 +903,13 @@ def _count_chord_lanes(monkeypatch):
 
 def test_prescan_full_bracket_lane_gate(monkeypatch, gt_nano, nano,
                                        zenith_budget):
-    """The tangent pass settles most pre-scan lanes, so few reach the chord
-    stage."""
+    """The tangent pass settles most pre-scan lanes, so at most an eighth
+    of them reach the chord stage."""
     lanes = _count_chord_lanes(monkeypatch)
     sel = ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano)
     assert sel.frequency_hz > nano.f_min_hz
-    assert len(lanes) == 1 and lanes[0] <= 256
+    assert len(lanes) == 1
+    assert lanes[0] <= ss.scheduler.GRID_POINTS_DEFAULT // 8
 
 
 # exact CDF lanes of the n_img 1-12 gamma plans at zenith, measured with
@@ -820,8 +940,8 @@ def test_prescan_lower_chord_lane_gate(monkeypatch, scenario, zenith_budget,
 def test_prescan_exact_lane_gate_below_shape_one(monkeypatch, gt_nano_wide,
                                                  nano, zenith_budget):
     """With cv 0.9 and image_sigma 1 the pooled shapes fall below 1, where
-    the tangent bracket settles nothing; the series bracket settles all 2048
-    pre-scan lanes, so no lane runs the chords or the exact CDF."""
+    the tangent bracket settles nothing; the series bracket settles every
+    pre-scan lane, so no lane runs the chords or the exact CDF."""
     assert gt_nano_wide.planner_grid_shapes.max() < 1.0
     counts = _count_plan_work(monkeypatch)
     chord_lanes = _count_chord_lanes(monkeypatch)
@@ -948,8 +1068,11 @@ def test_boundary_search_matches_reference_bisection(monkeypatch, scenario,
 # a frequency box for searches on hand-made scores
 F_MIN, F_MAX = 3.0e8, 9.2e8
 SPAN = F_MAX - F_MIN
-GRID = np.linspace(F_MIN, F_MAX, ss.scheduler.GRID_POINTS_DEFAULT)
+N_GRID = ss.scheduler.GRID_POINTS_DEFAULT
+GRID = np.linspace(F_MIN, F_MAX, N_GRID)
 CELL = GRID[1] - GRID[0]
+# a grid point in the upper half, and the cell above the middle point
+UPPER, MID = N_GRID * 3 // 5, N_GRID // 2
 TOL = ss.scheduler._BRACKET_REL_TOL * SPAN
 
 
@@ -976,9 +1099,9 @@ def test_boundary_search_worst_case_probe_gate(rho_th):
     plus the two cell-end scores, and still returns the bracket
     certificate."""
     bound = 2 * math.ceil(math.log2(CELL / TOL)) + 2
-    assert bound == 40
+    assert bound == 46
     for frac in np.linspace(0.001, 0.999, 23):
-        r = GRID[1234] + frac * CELL
+        r = GRID[UPPER] + frac * CELL
         # a step from 0 to 1 at r, and a plateau at 0.0 below r that then
         # jumps to just above rho_th and rises slowly
         for score in (lambda f: np.where(f >= r, 1.0, 0.0),
@@ -1000,7 +1123,7 @@ def test_boundary_search_steep_constraint_probe_gate():
     counts = []
     for i, frac in enumerate(np.linspace(0.01, 0.99, 30)):
         rho_th = (0.05, 0.5, 0.95)[i % 3]
-        r = GRID[1000] + frac * CELL
+        r = GRID[MID] + frac * CELL
         centre = r - width * math.log(rho_th / (1.0 - rho_th))
         sol, probes = _search(  # a logistic through rho_th at r
             lambda f, c=centre: 0.5 + 0.5 * np.tanh(0.5 * (f - c) / width),
@@ -1020,14 +1143,14 @@ def test_boundary_search_keeps_the_grid_verdict(float_score):
 
     def achieved(f_hz):
         if isinstance(f_hz, np.ndarray):
-            return f_hz >= GRID[1000]
+            return f_hz >= GRID[MID]
         probes.append(f_hz)
         return float_score
 
     sol = ss.scheduler._boundary_search(achieved, RHO, F_MIN, F_MAX, "grid")
     assert sol.predicted_reliability == float_score
     if float_score >= RHO:
-        assert GRID[999] < sol.frequency_hz <= GRID[999] + TOL
+        assert GRID[MID - 1] < sol.frequency_hz <= GRID[MID - 1] + TOL
     else:
-        assert sol.frequency_hz == GRID[1000]
+        assert sol.frequency_hz == GRID[MID]
     assert len(probes) <= 40

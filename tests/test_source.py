@@ -6,6 +6,7 @@ import pathlib
 import satsched as ss
 
 PKG = pathlib.Path(ss.__file__).resolve().parent
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def _unused_imports(source: str) -> list:
@@ -96,3 +97,61 @@ def test_all_lists_exactly_the_names_init_imports():
     assert len(imported) == len(set(imported)) >= 80
     assert len(ss.__all__) == len(set(ss.__all__))
     assert sorted(ss.__all__) == sorted(imported)
+
+
+def _grid_literals(source: str, n_grid: int) -> list:
+    # integer literals that fix a planner-grid size or index: a literal
+    # index at least 2 from either end of an array whose name mentions a
+    # grid (GRID[1000], grid[-3], grid[:500]), or the grid length, or one
+    # less, in a statement that names a grid or its lanes
+    def literal(node):
+        sign = 1
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            node, sign = node.operand, -1
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return sign * node.value
+        return None
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Subscript)
+                and "grid" in ast.unparse(node.value).lower()):
+            s = node.slice
+            ends = (s.lower, s.upper) if isinstance(s, ast.Slice) else (s,)
+            if any(v is not None and not -2 <= v <= 1
+                   for v in map(literal, ends)):
+                found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.stmt) and not hasattr(node, "body"):
+            text = ast.unparse(node)
+            if text.startswith("GRID_POINTS_DEFAULT ="):  # the definition
+                continue
+            if "grid" in text.lower() or "lanes" in text.lower():
+                found.extend((node.lineno, text) for c in ast.walk(node)
+                             if isinstance(c, ast.Constant)
+                             and literal(c) in (n_grid, n_grid - 1))
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_grid_literal_scan_finds_them():
+    src = ("a = GRID[1000] + GRID[1] - GRID[0] + grid[-1]\n"
+           "b = planner_grid_shapes[:500]\n"
+           "assert lanes[0] <= 64\n"
+           "assert np.linspace(0, 1, 64).size == grid.size\n"
+           "CACHE = 64\n"
+           "GRID_POINTS_DEFAULT = 64\n")
+    assert _grid_literals(src, 64) == [
+        "1: GRID[1000]", "2: planner_grid_shapes[:500]",
+        "3: assert lanes[0] <= 64",
+        "4: assert np.linspace(0, 1, 64).size == grid.size"]
+
+
+def test_no_test_or_module_hard_codes_the_planner_grid():
+    """Planner-grid sizes and indices derive from GRID_POINTS_DEFAULT, so
+    a change of the grid size moves every test and module with it."""
+    n_grid = ss.scheduler.GRID_POINTS_DEFAULT
+    paths = sorted(PKG.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert len(paths) >= 25
+    found = {path.name: _grid_literals(path.read_text(encoding="utf-8"),
+                                       n_grid)
+             for path in paths}
+    assert {name: lines for name, lines in found.items() if lines} == {}
