@@ -26,8 +26,8 @@ from .errors import (DomainError, EstimationError, InfeasibleConstraintError,
                      check_count, check_positive)
 from .numerics import Polynomial, fit_gamma_mle, gamma_cdf, polyfit
 from .rand import NS_SUBSET_STUDY, stream
-from .scheduler import (LatencyBudget, MomentModel, planner_grid,
-                        solve_optimal_frequency)
+from .scheduler import (DeadlineBounds, LatencyBudget, MomentModel,
+                        planner_grid, solve_optimal_frequency)
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,9 @@ class FrequencyModel:
     ``shape_at`` and ``scale_at`` return the kept values when handed that
     grid, which they recognise by identity, as the ground truth does:
     fitted over the platform range, the model's grid is the one a plan
-    scans.
+    scans. ``planner_grid_bounds`` is the
+    :class:`~satsched.scheduler.DeadlineBounds` the gamma pre-scan keeps on
+    those values.
     """
 
     shape_poly: Polynomial
@@ -141,6 +143,8 @@ class FrequencyModel:
                                             compare=False)
     planner_grid_scales: np.ndarray = field(init=False, repr=False,
                                             compare=False)
+    planner_grid_bounds: DeadlineBounds = field(init=False, repr=False,
+                                                compare=False)
 
     def __post_init__(self):
         if not self.domain_lo_hz < self.domain_hi_hz:
@@ -163,6 +167,8 @@ class FrequencyModel:
         for name, arr in (("shapes", shapes), ("scales", scales)):
             arr.flags.writeable = False
             object.__setattr__(self, "planner_grid_" + name, arr)
+        object.__setattr__(self, "planner_grid_bounds",
+                           DeadlineBounds(shapes, scales))
 
     def _on_planner_grid(self, f_hz) -> bool:
         return f_hz is planner_grid(self.domain_lo_hz, self.domain_hi_hz)

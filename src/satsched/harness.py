@@ -30,8 +30,8 @@ from .errors import (DomainError, EstimationError, InfeasibleBudgetError,
 from .estimation import fit_frequency_model, sample_size_study
 from .numerics import GammaLaw, ks_statistic
 from .rand import NS_GROUND_TRUTH, stream
-from .scheduler import (LatencyBudget, planner_grid, processing_budget,
-                        select_and_price)
+from .scheduler import (DeadlineBounds, LatencyBudget, MomentModel,
+                        planner_grid, processing_budget, select_and_price)
 
 _METHODS = ("gamma", "cantelli")
 
@@ -81,7 +81,9 @@ class GroundTruth:
     (shape * scale) and ``planner_grid_variances`` (shape * scale * scale)
     are the moments on that grid, in the operation order of
     :meth:`~satsched.scheduler.MomentModel.from_shape_scale_model`, whose
-    Cantelli moments return them there. The pooled (shape, scale) at
+    Cantelli moments return them there. ``planner_grid_bounds`` is the
+    :class:`~satsched.scheduler.DeadlineBounds` the gamma pre-scan keeps on
+    the grid shapes and scales. The pooled (shape, scale) at
     a clock is solved once and kept, for the ``_LAW_CACHE_SIZE`` clocks
     most recently asked for, so ``shape_at``, ``scale_at`` and ``law_at``
     (the pricing lookup) at one clock share one solve. Two ground truths
@@ -99,6 +101,7 @@ class GroundTruth:
     planner_grid_scales: np.ndarray = _derived()
     planner_grid_means: np.ndarray = _derived()
     planner_grid_variances: np.ndarray = _derived()
+    planner_grid_bounds: DeadlineBounds = _derived()
     # frequency-independent parts of mean_at and image_shape_at
     _work_s_hz: float = _derived()
     _cv2: float = _derived()
@@ -136,6 +139,7 @@ class GroundTruth:
                           ("means", means), ("variances", means * scales)):
             arr.flags.writeable = False
             put("planner_grid_" + name, arr)
+        put("planner_grid_bounds", DeadlineBounds(shapes, scales))
 
     def __reduce__(self):
         return type(self), (self.platform, self.cv_at_fmax,
@@ -466,11 +470,13 @@ def run_fig3(scenario: Scenario, out_dir: str) -> dict:
     return {"paths": paths, "results": results}
 
 
-def _priced_row(scenario, gt, budget, method, n_img, platform) -> tuple:
-    """(frequency, energy, feasible) for one planner instance."""
+def _priced_row(scenario, gt, moments, budget, method, n_img,
+                platform) -> tuple:
+    """(frequency, energy, feasible) for one planner instance; ``moments``
+    are the Cantelli moments of ``gt``."""
     try:
         sel = select_and_price(method, gt, budget, n_img, scenario.rho_th,
-                               platform)
+                               platform, moments=moments)
         return sel.frequency_hz, sel.energy_j, True
     except InfeasibleConstraintError:
         return None, None, False
@@ -488,14 +494,15 @@ def run_fig4(scenario: Scenario, out_dir: str) -> dict:
     results = {}
     for pi, platform in enumerate(scenario.platforms):
         gt = ground_truth_for(scenario, pi)
+        moments = MomentModel.from_shape_scale_model(gt)
         budget = budget_from_legs(scenario,
                                   comm_legs(scenario, scenario.elevation_deg))
         per_platform = []
         for n_img in range(1, scenario.fig4_n_img_max + 1):
             feas = {}
             for mi, method in enumerate(_METHODS):
-                f_hz, e_j, ok = _priced_row(scenario, gt, budget, method,
-                                            n_img, platform)
+                f_hz, e_j, ok = _priced_row(scenario, gt, moments, budget,
+                                            method, n_img, platform)
                 rows.append((pi, mi, n_img, platform.name, method,
                              f_hz, e_j, ok))
                 per_platform.append((method, n_img, f_hz, e_j, ok))
@@ -541,6 +548,7 @@ def run_fig5(scenario: Scenario, out_dir: str) -> dict:
     rows = []
     for pi, platform in enumerate(scenario.platforms):
         gt = ground_truth_for(scenario, pi)
+        moments = MomentModel.from_shape_scale_model(gt)
         for n_img in scenario.fig5_n_img[platform.name]:
             for elevation, legs, t_proc, budget in sweep:
                 for mi, method in enumerate(_METHODS):
@@ -548,7 +556,8 @@ def run_fig5(scenario: Scenario, out_dir: str) -> dict:
                         f_hz, e_j, ok = None, None, False
                     else:
                         f_hz, e_j, ok = _priced_row(
-                            scenario, gt, budget, method, n_img, platform)
+                            scenario, gt, moments, budget, method, n_img,
+                            platform)
                     rows.append((pi, mi, n_img, -elevation, platform.name,
                                  method, elevation, legs.expected_uplink_s,
                                  t_proc, f_hz, e_j, ok))

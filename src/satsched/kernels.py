@@ -459,12 +459,16 @@ def _reg_lower_gamma_tangent(a, x):
     # S(a) = sqrt(2 pi) a^(a-1/2) e^(-a) <= Gamma(a) <= S(a) e^(1/(12a))
     # (Stirling-Binet). A lane with a < 1, whose density is not log-concave,
     # gets [0, 1]. The bounds are not clipped to [0, 1]. Also returns log g,
-    # which the chord stage reuses on the lanes left in doubt.
+    # which the chord stage reuses on the lanes left in doubt; None when
+    # every lane is below shape 1, where no tangent term is computed.
+    small = a < 1.0
+    some_small = small.any()
+    if some_small and small.all():
+        return np.zeros(a.shape), np.ones(a.shape), None
     log_g, right, tan = _tangent_terms(a, x)
     lo = np.where(right, 1.0 - tan, 0.0)
     hi = np.where(right, 1.0, tan)
-    small = a < 1.0
-    if small.any():
+    if some_small:
         lo[small] = 0.0
         hi[small] = 1.0
     return lo, hi, log_g
@@ -519,42 +523,75 @@ def _series_bracket(a, x):
             np.exp(log_lo + 1.0 / (360.0 * z * z * z)) * (head + tail))
 
 
-# a bracket settles a lane only when it clears p by this much
+# a bracket settles a lane only when it clears p by this much, the exact
+# kernel when its value clears p by twice as much
 _SCREEN_MARGIN = 1e-9
 # doubt lanes below this shape take the series bracket, where the chords are
 # loose and 40 terms reach well past the usual quantiles; the rest the chords
 _SERIES_CUTOFF = 4.0
+# a call on at most this many lanes runs the exact kernel on each at once:
+# there the brackets' fixed cost of a few dozen array passes exceeds the
+# scalar kernel's
+EXACT_ONLY_LANES = 4
 
 
 def _settled(lo, hi, p):
-    # lanes a bracket proves P >= p, and lanes it leaves in doubt
+    # lanes a bracket proves P >= p, and lanes it leaves in doubt (for
+    # bools, b > a is b & ~a)
     above = lo >= p + _SCREEN_MARGIN
-    return above, ~above & (hi >= p - _SCREEN_MARGIN)
+    return above, (hi >= p - _SCREEN_MARGIN) > above
+
+
+def _exact_at_least(a, x, p):
+    # the exact kernel's flags, and the mask of the lanes it puts at least 2
+    # margins from p, or True when that is every lane; the few lanes that
+    # reach here are checked in Python, cheaper than array passes
+    cdf = reg_lower_gamma_arr(a, x)
+    lo, hi = p - 2.0 * _SCREEN_MARGIN, p + 2.0 * _SCREEN_MARGIN
+    near = [i for i, c in enumerate(cdf.tolist()) if lo < c < hi]
+    settled = True
+    if near:
+        settled = np.ones(a.shape, dtype=bool)
+        settled[near] = False
+    return cdf >= p, settled
 
 
 def reg_lower_gamma_at_least(a, x, p):
     """Flags P(a, x) >= p on 1-d float64 arrays, the exact kernel's on every
-    lane, a > 0, x > 0, 0 < p < 1.
+    lane, a > 0, x > 0, 0 < p < 1, and the lanes settled with margin.
 
-    Closed-form brackets lo <= P <= hi spare most lanes the exact kernel
-    (:func:`reg_lower_gamma_arr`). A bracket settles a lane when
-    lo >= p + _SCREEN_MARGIN (flag set) or hi < p - _SCREEN_MARGIN (flag
-    clear), a margin far above the rounding of the bracket and of the exact
-    kernel. Each stage takes the lanes the last one left in doubt:
+    Returns ``(flags, settled)``, ``settled`` a bool mask or True when it
+    is set on every lane. Closed-form brackets lo <= P <= hi spare
+    most lanes the exact kernel (:func:`reg_lower_gamma_arr`). A bracket
+    settles a lane when lo >= p + _SCREEN_MARGIN (flag set) or
+    hi < p - _SCREEN_MARGIN (flag clear), a margin far above the rounding of
+    the bracket and of the exact kernel. Each stage takes the lanes the last
+    one left in doubt:
 
-    1. the tangent bracket, on every lane (trivial below shape 1);
+    1. the tangent bracket, on every lane (trivial below shape 1, and not
+       computed at all when every lane is below 1);
     2. below shape _SERIES_CUTOFF the power series of P closed by a
        geometric tail, above it chords of the density that reuse the tangent
        pass's density factor (the lower chord only where it could reach p);
     3. the exact kernel.
 
+    A call on at most EXACT_ONLY_LANES lanes goes straight to stage 3.
+    ``settled`` is set on every lane a bracket settled and on every exact
+    lane whose value lies at least 2 * _SCREEN_MARGIN from p; it is clear
+    only on exact lanes closer to p than that. So the true P of a settled
+    lane clears p by more than the exact kernel's rounding, and since P
+    rises in x, a set flag holds at every x' >= x and a clear one at every
+    x' <= x: the scheduler's pre-scan bounds rest on this and nothing more.
+
     Unchecked; the stages are looked up as module globals at call time.
     """
+    if a.shape[0] <= EXACT_ONLY_LANES:
+        return _exact_at_least(a, x, p)
     lo, hi, log_g = _reg_lower_gamma_tangent(a, x)
     flags, doubt = _settled(lo, hi, p)
     doubt = np.flatnonzero(doubt)
     if doubt.size == 0:
-        return flags
+        return flags, True
     series = a[doubt] < _SERIES_CUTOFF
     chords = doubt[~series]
     series = doubt[series]
@@ -568,9 +605,13 @@ def reg_lower_gamma_at_least(a, x, p):
             *_reg_lower_gamma_chords(a[chords], x[chords], log_g[chords],
                                      p + _SCREEN_MARGIN), p)
         exact = np.concatenate((exact, chords[left]))
+    settled = True
     if exact.size:
-        flags[exact] = reg_lower_gamma_arr(a[exact], x[exact]) >= p
-    return flags
+        flags[exact], near = _exact_at_least(a[exact], x[exact], p)
+        if near is not True:
+            settled = np.ones(a.shape, dtype=bool)
+            settled[exact] = near
+    return flags, settled
 
 
 def digamma_arr(x):
@@ -633,9 +674,9 @@ def warm_up() -> None:
     q_func(1.0)
     one = np.ones(2, dtype=np.float64)
     reg_lower_gamma_arr(one + 1.0, one)
-    # one lane on each side of _SERIES_CUTOFF, both left in doubt by the
-    # tangent pass
-    shapes = np.array([2.0, 8.0])
+    # lanes on each side of _SERIES_CUTOFF, all left in doubt by the tangent
+    # pass, more of them than the exact-only path takes
+    shapes = np.repeat([2.0, 8.0], EXACT_ONLY_LANES)
     reg_lower_gamma_at_least(shapes, shapes, 0.5)
     digamma_arr(one)
     solve_gamma_shape_arr(one * 0.01)

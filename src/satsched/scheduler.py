@@ -55,8 +55,26 @@ on kept values; the Cantelli moments of the ground truth
 and their pre-scan skips its validity checks. A Gamma plan on the ground
 truth it is priced under reports its own score at the chosen clock as the
 reliability.
+
+On board the model stays fixed while the elevation, and so t_proc, drifts
+between requests. A model that keeps its grid shapes and scales therefore
+also keeps :class:`DeadlineBounds` on them: per (n_img, rho_th), for each
+grid point, a t_proc at or below which it is proven infeasible and one at
+or above which it is proven feasible, both taken from earlier screens of
+that point that cleared rho_th with margin. The Gamma pre-scan screens only
+the points between their two bounds, at most a few of them alone through
+the exact kernel, and usually none once a key has seen a few dozen plans.
+Its flags are the full screen's on every point, so every plan is the same
+bit for bit. A key starts keeping bounds only once a plan's t_proc falls
+strictly inside the range its earlier plans covered: a one-off plan or a
+monotone sweep (fig5 runs each key from 90 degrees down) pays one lookup
+and a two-float record on top of the full screen, and a key that keeps
+bounds holds 2 x 256 float64. The Cantelli pre-scan keeps none: its screen
+is a dozen array passes, about what the bookkeeping costs on the plans that
+still screen.
 """
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -73,6 +91,10 @@ GRID_POINTS_DEFAULT = 256
 # the boundary search stops when its bracket shrinks below this fraction of
 # the span; well under the 1e-4-span tightness that callers verify
 _BRACKET_REL_TOL = 1e-9
+# (n_img, rho_th) keys a model keeps gamma pre-scan records for, the least
+# recently planned dropped first; a key that keeps bounds holds two
+# GRID_POINTS_DEFAULT float64 arrays (4 KiB)
+_BOUND_KEYS = 64
 
 
 @functools.lru_cache(maxsize=64)
@@ -86,6 +108,109 @@ def planner_grid(f_min_hz: float, f_max_hz: float) -> np.ndarray:
     grid = np.linspace(f_min_hz, f_max_hz, GRID_POINTS_DEFAULT)
     grid.flags.writeable = False
     return grid
+
+
+class DeadlineBounds:
+    """Per-lane bounds on t_proc for the gamma pre-scan of one model's kept
+    grid values.
+
+    A model that keeps its shapes and scales on the planner grid keeps one
+    of these (``planner_grid_bounds``), built on those arrays. For an
+    (n_img, rho_th) key it holds two arrays over the grid, t_lo and t_hi:
+    lane i is infeasible at every t_proc < t_lo[i] and feasible at every
+    t_proc >= t_hi[i], so :meth:`flags` screens only the lanes with
+    t_lo <= t_proc < t_hi and reads the others' flags off one comparison.
+    A screen that finds a lane infeasible at t_proc sets its t_lo to the
+    float just above t_proc, so a plan at that same t_proc again screens
+    nothing there either.
+
+    Bounds only tighten, and only from lanes a screen settled with margin:
+    those :func:`~satsched.kernels.reg_lower_gamma_at_least` marks settled,
+    whose true P(a, x) clears rho_th by more than the exact kernel's
+    rounding. For a lane the batch shape a = n_img * shape is fixed and
+    x = t_proc / scale rises with t_proc (float division by a positive
+    number is monotone), so a flag set at t_proc holds at every larger
+    t_proc and a clear one at every smaller. That is all the bounds assume,
+    and the screen assumes it already.
+
+    A key starts keeping bounds only when a plan's t_proc falls strictly
+    inside the range of the t_proc its earlier plans had; until then it
+    holds that range alone, so a one-off plan or a monotone sweep pays one
+    lookup on top of the full screen. At most ``_BOUND_KEYS`` keys are kept,
+    the least recently planned dropped first.
+    """
+
+    __slots__ = ("_shapes", "_scales", "_keys")
+
+    def __init__(self, shapes: np.ndarray, scales: np.ndarray):
+        self._shapes = shapes
+        self._scales = scales
+        # key -> [t_min, t_max, None or the (2, lanes) array (t_lo, t_hi)]
+        self._keys = collections.OrderedDict()
+
+    def _screen(self, n_img, rho_th, t_proc, lanes=None):
+        # (flags, settled) on the lanes at ``lanes``, every lane for None
+        if lanes is None:
+            return kernels.reg_lower_gamma_at_least(
+                n_img * self._shapes, t_proc / self._scales, rho_th)
+        return kernels.reg_lower_gamma_at_least(
+            n_img * self._shapes[lanes], t_proc / self._scales[lanes], rho_th)
+
+    def flags(self, n_img: int, rho_th: float, t_proc: float) -> np.ndarray:
+        """The flags P(n_img * shape, t_proc / scale) >= rho_th on every
+        lane: those of the full screen, from as few screened lanes as the
+        key's bounds allow. At most ``kernels.EXACT_ONLY_LANES`` doubt lanes
+        are gathered and screened alone, the screen then taking the exact
+        kernel on each; with more, every lane is screened, which costs about
+        as much as a gathered screen would."""
+        key = (n_img, rho_th)
+        keys = self._keys
+        # taken out and put back last, so the first key is the least
+        # recently planned
+        entry = keys.pop(key, None)
+        if entry is None:
+            entry = [t_proc, t_proc, None]
+            if len(keys) >= _BOUND_KEYS:
+                keys.popitem(last=False)
+        keys[key] = entry
+        bounds = entry[2]
+        if bounds is None:
+            if t_proc <= entry[0]:
+                entry[0] = t_proc
+                return self._screen(n_img, rho_th, t_proc)[0]
+            if t_proc >= entry[1]:
+                entry[1] = t_proc
+                return self._screen(n_img, rho_th, t_proc)[0]
+            flags, settled = self._screen(n_img, rho_th, t_proc)
+            # a set flag bounds its lane from above, a clear one from below
+            bounds = entry[2] = np.where(
+                flags, [[-np.inf], [t_proc]],
+                [[math.nextafter(t_proc, math.inf)], [np.inf]])
+            if settled is not True:
+                bounds[:, ~settled] = (-np.inf,), (np.inf,)
+            return flags
+        # row 0: t_lo <= t_proc, lanes not proven infeasible; row 1:
+        # t_hi <= t_proc, lanes proven feasible. t_lo <= t_hi, so row 1
+        # implies row 0 and the doubt lanes are the rows' difference.
+        known = bounds <= t_proc
+        flags = known[1]
+        doubt = known[0] ^ flags
+        n_doubt = np.count_nonzero(doubt)
+        if n_doubt == 0:
+            return flags
+        if n_doubt > kernels.EXACT_ONLY_LANES:
+            flags, settled = self._screen(n_img, rho_th, t_proc)
+            if settled is not True:
+                doubt &= settled
+        else:
+            lanes = np.flatnonzero(doubt)
+            flags[lanes], settled = self._screen(n_img, rho_th, t_proc, lanes)
+            if settled is not True:
+                doubt[lanes] = settled
+        # t_lo <= t_proc < t_hi on every doubt lane, so these only tighten
+        np.putmask(bounds[1], flags & doubt, t_proc)
+        np.putmask(bounds[0], doubt > flags, math.nextafter(t_proc, math.inf))
+        return flags
 
 
 @dataclass(frozen=True)
@@ -321,7 +446,9 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
 
     The grid pre-scan flags points with
     :func:`~satsched.kernels.reg_lower_gamma_at_least`, whose flags, and so
-    the answer, are those of the exact CDF on every point.
+    the answer, are those of the exact CDF on every point; on kept values,
+    through the model's :class:`DeadlineBounds`, which screen only the
+    points earlier plans at other t_proc left in doubt.
 
     Raises:
         InfeasibleConstraintError: even f_max misses the quantile; the error
@@ -344,19 +471,18 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
         if (shape is getattr(model, "planner_grid_shapes", None)
                 and scale is getattr(model, "planner_grid_scales", None)):
             # kept on the grid and checked positive and finite when the
-            # model was built: no per-plan mask
-            return kernels.reg_lower_gamma_at_least(n_img * shape,
-                                                    t_proc / scale, rho_th)
+            # model was built: no per-plan mask, and the model's bounds
+            return model.planner_grid_bounds.flags(n_img, rho_th, t_proc)
         shape = np.asarray(shape, dtype=np.float64)
         scale = np.asarray(scale, dtype=np.float64)
         ok = (np.isfinite(shape) & np.isfinite(scale)
               & (shape > 0.0) & (scale > 0.0))
         if ok.all():  # no masked copies
-            return kernels.reg_lower_gamma_at_least(n_img * shape,
-                                                    t_proc / scale, rho_th)
+            return kernels.reg_lower_gamma_at_least(
+                n_img * shape, t_proc / scale, rho_th)[0]
         out = np.zeros(f_hz.shape[0], dtype=bool)
         out[ok] = kernels.reg_lower_gamma_at_least(
-            n_img * shape[ok], t_proc / scale[ok], rho_th)
+            n_img * shape[ok], t_proc / scale[ok], rho_th)[0]
         return out
 
     return _boundary_search(achieved, rho_th, platform.f_min_hz,

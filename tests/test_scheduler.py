@@ -376,7 +376,7 @@ def _masked_select_and_price(method, gt, budget, n_img, rho_th, platform):
                   & (shape > 0.0) & (scale > 0.0))
             out = np.zeros(f_hz.shape[0], dtype=bool)
             out[ok] = kernels.reg_lower_gamma_at_least(
-                n_img * shape[ok], t_proc / scale[ok], rho_th)
+                n_img * shape[ok], t_proc / scale[ok], rho_th)[0]
             return out
         sol = ss.scheduler._boundary_search(
             achieved, rho_th, platform.f_min_hz, platform.f_max_hz, method)
@@ -659,9 +659,15 @@ def test_screened_flags_equal_exact_flags():
                                    rng.uniform(-1e-12, 1e-12, edge.sum()))]
         scale = t_proc / np.maximum(x, 1e-6)
         exact = ss.gamma_cdf(t_proc, shape, scale)
-        flags = kernels.reg_lower_gamma_at_least(shape, t_proc / scale, rho_th)
+        flags, settled = kernels.reg_lower_gamma_at_least(
+            shape, t_proc / scale, rho_th)
         assert flags.dtype == bool
         assert np.array_equal(flags, exact >= rho_th)
+        # a lane is left unsettled only where the exact CDF is within two
+        # margins of rho_th
+        assert settled is True or settled.dtype == bool
+        near = np.abs(exact - rho_th) < 2.0 * kernels._SCREEN_MARGIN
+        assert not np.any(~np.broadcast_to(settled, n) & ~near)
         past_series += np.sum(t_proc / scale
                               >= shape + kernels._SERIES_TERMS)
     assert past_series > 0
@@ -694,7 +700,7 @@ def _check_screen_margin(monkeypatch, offset, settled, liar):
                                       np.zeros(a.shape)))
     monkeypatch.setattr(kernels, "_reg_lower_gamma_chords",
                         lambda a, x, log_g, lo_th: bracket(a, "chords"))
-    flags = kernels.reg_lower_gamma_at_least(shape, 1.0 / scale, rho_th)
+    flags, _ = kernels.reg_lower_gamma_at_least(shape, 1.0 / scale, rho_th)
     if settled:
         assert flags.all() and exact_lanes == []
     else:
@@ -975,6 +981,296 @@ def test_one_shape_solve_per_probe_gate(monkeypatch, method, gt_nano, nano,
     assert sel.frequency_hz > nano.f_min_hz
     assert counts["probes"] <= 8
     assert counts["shape_solves"] <= counts["probes"] + 2
+
+
+# ---------------------------------------------------------------- pre-scan bounds
+
+def test_screen_below_shape_one_skips_the_tangent_terms(
+        monkeypatch, gt_nano_wide, nano, zenith_budget):
+    """On the shapes-below-1 plan (nano, cv 0.9, image_sigma 1, zenith,
+    n_img 1) the tangent bracket is trivial on every lane, so the screen
+    computes no tangent terms, and its flags are still the exact CDF's."""
+    terms = []
+    tangent_terms = kernels._tangent_terms
+
+    def counted(a, x):
+        terms.append(a.shape[0])
+        return tangent_terms(a, x)
+
+    monkeypatch.setattr(kernels, "_tangent_terms", counted)
+    shape, scale = (gt_nano_wide.planner_grid_shapes,
+                    gt_nano_wide.planner_grid_scales)
+    t_proc = zenith_budget.t_proc_s
+    assert shape.max() < 1.0
+    flags, _ = kernels.reg_lower_gamma_at_least(shape, t_proc / scale, RHO)
+    assert np.array_equal(flags, ss.gamma_cdf(t_proc, shape, scale) >= RHO)
+    sel = ss.select_and_price("gamma", dataclasses.replace(gt_nano_wide),
+                              zenith_budget, 1, RHO, nano)
+    assert sel.frequency_hz > nano.f_min_hz
+    assert terms == []
+    # a grid with one lane at shape 1 or above computes them
+    kernels.reg_lower_gamma_at_least(np.append(shape, 1.0),
+                                     np.append(t_proc / scale, 1.0), RHO)
+    assert terms == [shape.size + 1]
+
+
+def _count_screens(monkeypatch):
+    """Count from here on the gamma pre-scan's screen calls and lanes (calls
+    of kernels.reg_lower_gamma_at_least), and keep every DeadlineBounds a
+    pre-scan consults."""
+    counts = {"calls": 0, "lanes": 0, "stores": {}}
+    screen = kernels.reg_lower_gamma_at_least
+    flags = ss.scheduler.DeadlineBounds.flags
+
+    def counted_screen(a, x, p):
+        counts["calls"] += 1
+        counts["lanes"] += a.shape[0]
+        return screen(a, x, p)
+
+    def kept_store(self, *args):
+        counts["stores"][id(self)] = self
+        return flags(self, *args)
+
+    monkeypatch.setattr(kernels, "reg_lower_gamma_at_least", counted_screen)
+    monkeypatch.setattr(ss.scheduler.DeadlineBounds, "flags", kept_store)
+    return counts
+
+
+def _bounded_keys(store):
+    # the keys of a DeadlineBounds that keep per-lane arrays
+    return [key for key, entry in store._keys.items() if entry[2] is not None]
+
+
+def test_plan_stream_screen_gate(monkeypatch, scenario):
+    """200 plan-stream blocks (both planners per request, seeded cell order,
+    elevations uniform in 20-90 degrees) on fresh default ground truths:
+    with the pre-scan bounds the gamma pre-scans make at most 0.25 screen
+    calls and screen at most 32 lanes per request (one call and
+    GRID_POINTS_DEFAULT lanes without them)."""
+    truths = {p.name: ss.ground_truth_for(scenario, i)
+              for i, p in enumerate(scenario.platforms)}
+    moments = {name: ss.MomentModel.from_shape_scale_model(gt)
+               for name, gt in truths.items()}
+    counts = _count_screens(monkeypatch)
+    rng = np.random.default_rng(20261022)
+    requests = 0
+    for _ in range(200):
+        order = rng.permutation(len(PLAN_STREAM_BLOCK))
+        elevations = rng.uniform(20.0, 90.0, len(PLAN_STREAM_BLOCK))
+        for i, el in zip(order, elevations.tolist()):
+            name, n_img = PLAN_STREAM_BLOCK[i]
+            budget = ss.budget_from_legs(scenario, ss.comm_legs(scenario, el))
+            for method in ("gamma", "cantelli"):
+                ss.select_and_price(method, truths[name], budget, n_img,
+                                    scenario.rho_th, truths[name].platform,
+                                    moments=moments[name])
+            requests += 1
+    assert counts["calls"] <= 0.25 * requests
+    assert counts["lanes"] <= 32 * requests
+    # every cell of the block keeps bounds
+    assert sum(len(_bounded_keys(gt.planner_grid_bounds))
+               for gt in truths.values()) == len(PLAN_STREAM_BLOCK)
+
+
+def test_one_off_plans_and_sweeps_keep_no_bounds(monkeypatch, scenario,
+                                                 zenith_budget, tmp_path):
+    """A one-off gamma plan and the default fig5 sweep (86 elevations from
+    90 down to 5 degrees, so every plan's t_proc is a new low for its key)
+    screen GRID_POINTS_DEFAULT lanes in one call per gamma plan and
+    allocate no bounds."""
+    counts = _count_screens(monkeypatch)
+    solve = ss.scheduler.solve_optimal_frequency
+    gamma_plans = []
+
+    def counted_solve(*args):
+        gamma_plans.append(args[1].t_proc_s)
+        return solve(*args)
+
+    monkeypatch.setattr(ss.scheduler, "solve_optimal_frequency",
+                        counted_solve)
+    gt = ss.ground_truth_for(scenario, 0)
+    ss.select_and_price("gamma", gt, zenith_budget, 3, RHO, gt.platform)
+    assert counts["calls"] == 1
+    assert counts["lanes"] == ss.scheduler.GRID_POINTS_DEFAULT
+    sweep = scenario.elevation_sweep_deg
+    assert len(sweep) == 86 and list(sweep) == sorted(sweep, reverse=True)
+    ss.run_fig5(scenario, str(tmp_path))
+    assert len(gamma_plans) > 300
+    assert counts["calls"] == len(gamma_plans)
+    assert counts["lanes"] == (len(gamma_plans)
+                               * ss.scheduler.GRID_POINTS_DEFAULT)
+    stores = list(counts["stores"].values())
+    assert len(stores) == 1 + len(scenario.platforms)
+    assert all(s._keys and not _bounded_keys(s) for s in stores)
+
+
+def test_bounds_keep_at_most_the_cap_of_keys(scenario):
+    """1000 distinct rho_th on one model, each planned at three budgets, the
+    middle one last so that every key keeps bounds: the model keeps the
+    ``_BOUND_KEYS`` keys planned last."""
+    gt = ss.ground_truth_for(scenario, 0)
+    budgets = [ss.LatencyBudget(t, 0.0, 0.0, 0.0) for t in (0.2, 0.6, 0.4)]
+    rhos = np.linspace(0.5, 0.99, 1000).tolist()
+    for rho_th in rhos:
+        for budget in budgets:
+            _plan_or_reliability(ss.solve_optimal_frequency, gt, budget, 3,
+                                 rho_th, gt.platform)
+    store = gt.planner_grid_bounds
+    cap = ss.scheduler._BOUND_KEYS
+    assert list(store._keys) == [(3, r) for r in rhos[-cap:]]
+    assert len(_bounded_keys(store)) == cap
+
+
+def test_bounds_skip_lanes_the_screen_leaves_near_rho_th(
+        monkeypatch, gt_nano, zenith_budget):
+    """A lane whose exact P lies within two screen margins of rho_th is not
+    settled, so it bounds nothing: rho_th here is one lane's exact P at
+    t0, and every screen at t0 (at activation, of every lane, of the lane
+    alone) leaves that lane unbounded while the flags stay the full
+    screen's. Every other lane is bounded at t0 itself, so a plan at t0
+    again screens that lane alone, and one at another t_proc screened
+    before screens nothing."""
+    screened = []
+    screen = ss.scheduler.DeadlineBounds._screen
+
+    def counted(self, n_img, rho_th, t_proc, lanes=None):
+        screened.append(None if lanes is None else lanes.tolist())
+        return screen(self, n_img, rho_th, t_proc, lanes)
+
+    monkeypatch.setattr(ss.scheduler.DeadlineBounds, "_screen", counted)
+    shapes, scales = gt_nano.planner_grid_shapes, gt_nano.planner_grid_scales
+    n_img, t0 = 3, zenith_budget.t_proc_s
+    cdf = kernels.reg_lower_gamma_arr(n_img * shapes, t0 / scales)
+    lane = int(np.argmin(np.abs(cdf - RHO)))  # the lane nearest the quantile
+    rho_th = float(cdf[lane])
+    assert abs(rho_th - RHO) < 0.01
+    bounds = ss.scheduler.DeadlineBounds(shapes, scales)
+    plans = (0.9 * t0, 1.1 * t0, t0, t0, 1.05 * t0, t0, 1.05 * t0)
+    for t_proc in plans:
+        got = bounds.flags(n_img, rho_th, t_proc)
+        want, settled = kernels.reg_lower_gamma_at_least(
+            n_img * shapes, t_proc / scales, rho_th)
+        assert np.array_equal(got, want), t_proc
+        if t_proc == t0:
+            assert got[lane] and not settled[lane]
+    # full screens up to the activation at t0, then t0 screens the one lane
+    # each time; 1.05 t0 screens every lane in doubt above t0, then nothing
+    assert screened == [None, None, None, [lane], None, [lane]]
+    t_lo, t_hi = bounds._keys[n_img, rho_th][2]
+    assert t_lo[lane] == -math.inf and t_hi[lane] == 1.05 * t0
+    # activated elsewhere, the first plan at t0 screens every lane in
+    # doubt, and leaves the lane unbounded there too
+    bounds = ss.scheduler.DeadlineBounds(shapes, scales)
+    screened.clear()
+    for t_proc in (0.9 * t0, 1.1 * t0, 0.95 * t0, t0, t0):
+        got = bounds.flags(n_img, rho_th, t_proc)
+        want, _ = kernels.reg_lower_gamma_at_least(
+            n_img * shapes, t_proc / scales, rho_th)
+        assert np.array_equal(got, want), t_proc
+    assert screened == [None, None, None, None, [lane]]
+    t_lo, t_hi = bounds._keys[n_img, rho_th][2]
+    assert t_lo[lane] == math.nextafter(0.95 * t0, math.inf)
+    assert t_hi[lane] == math.inf
+
+
+def _fitted_non_monotone(scenario, gt, budget):
+    """The first ten-image fig3 fit of ``gt`` whose gamma plan at
+    ``budget`` is non_monotone."""
+    platform = gt.platform
+    freqs = ss.fit_frequency_grid(platform, scenario.fit_n_frequencies)
+    n_img = scenario.fig3_n_img[platform.name]
+    for k in range(100):
+        rng = ss.stream(scenario.seed, scenario.bit_generator,
+                        ss.NS_SUBSET_STUDY, 0, 10, k)
+        model = ss.run_subset_replicate(
+            gt, gt.image_ids, 10, freqs, budget, n_img, scenario.rho_th,
+            platform, rng, scenario.fit_degree, keep_model=True).model
+        if model is None:
+            continue
+        plan = _plan_or_reliability(ss.solve_optimal_frequency, model,
+                                    budget, n_img, scenario.rho_th,
+                                    platform)
+        if not isinstance(plan, float) and plan.non_monotone:
+            return model
+    raise AssertionError("no non-monotone fit among 100 replicates")
+
+
+def test_prescan_bounds_are_sound(monkeypatch, scenario, gt_nano_wide,
+                                  zenith_budget):
+    """Seeded streams of gamma plans in random order, keys interleaved, and
+    t_proc both drawn again and again from a few values per key and fresh
+    between them, on the default ground truth, the shapes-below-1 one, a
+    constant-variance one and a fitted model whose flags are non-monotone;
+    rho_th in {0.01, 0.5, 0.95, 0.99} and n_img 1-12. Every pre-scan flag,
+    whether screened, gathered or read off the bounds, equals
+    reg_lower_gamma_at_least's on the kept grid values, on every lane, and
+    every plan equals the one made on a fresh copy of its model."""
+    nano = scenario.platform_named("nano")
+    truths = {
+        "default": ss.ground_truth_for(scenario, 0),
+        "below one": dataclasses.replace(gt_nano_wide),
+        "constant": ss.synthesize_ground_truth(
+            nano, 0.3, scenario.gt_n_images,
+            ss.stream(scenario.seed, scenario.bit_generator,
+                      ss.NS_GROUND_TRUTH, 0),
+            variance_model="constant"),
+    }
+    fitted = _fitted_non_monotone(scenario, truths["default"], zenith_budget)
+    screens = {"skipped": 0, "gathered": 0, "full": 0}
+    flags_fn = ss.scheduler.DeadlineBounds.flags
+    screen_fn = ss.scheduler.DeadlineBounds._screen
+
+    calls = []
+
+    def counted_screen(self, *args):
+        calls.append(args)
+        return screen_fn(self, *args)
+
+    def checked_flags(self, n_img, rho_th, t_proc):
+        calls.clear()
+        got = flags_fn(self, n_img, rho_th, t_proc).copy()
+        want, _ = kernels.reg_lower_gamma_at_least(
+            n_img * self._shapes, t_proc / self._scales, rho_th)
+        assert np.array_equal(got, want), (n_img, rho_th, t_proc)
+        kind = ("skipped" if not calls
+                else "full" if len(calls[0]) == 3 else "gathered")
+        screens[kind] += 1
+        return got
+
+    monkeypatch.setattr(ss.scheduler.DeadlineBounds, "_screen",
+                        counted_screen)
+    monkeypatch.setattr(ss.scheduler.DeadlineBounds, "flags", checked_flags)
+    rng = np.random.default_rng(20261023)
+    rhos = (0.01, 0.5, 0.95, 0.99)
+    models = list(truths.items()) + [("fitted", fitted)]
+    plans = non_monotone = 0
+    for m, (label, model) in enumerate(models):
+        # per-image means on the grid, from the kept shapes and scales
+        means = model.planner_grid_shapes * model.planner_grid_scales
+        stream = []
+        for k, rho_th in enumerate(rhos * 2):
+            n_img = 1 + (3 * (2 * m + k) + m) % 12
+            # t_proc near the batch mean somewhere on the grid: half of
+            # them a few values drawn again and again, half fresh draws
+            # between those
+            pool = (n_img * means[rng.integers(0, means.size, 4)]
+                    * rng.uniform(1.0, 1.5, 4))
+            fresh = rng.uniform(pool.min(), pool.max(), 24)
+            stream += [(n_img, rho_th, t) for t in
+                       rng.choice(pool, 12).tolist() + fresh.tolist()]
+        rng.shuffle(stream)
+        for n_img, rho_th, t_proc in stream:
+            budget = ss.LatencyBudget(t_proc, 0.0, 0.0, 0.0)
+            got = _plan_or_reliability(ss.solve_optimal_frequency, model,
+                                       budget, n_img, rho_th, nano)
+            want = _plan_or_reliability(
+                ss.solve_optimal_frequency, dataclasses.replace(model),
+                budget, n_img, rho_th, nano)
+            assert got == want, (label, n_img, rho_th, t_proc)
+            plans += 1
+            non_monotone += getattr(got, "non_monotone", False)
+    assert plans == 4 * 8 * 36 and non_monotone > 0
+    assert min(screens.values()) >= 100, screens
 
 
 # ---------------------------------------------------------------- boundary search
