@@ -9,12 +9,12 @@ significant digits, rows in a canonical sort order, newline-terminated, so
 re-running a figure with the same seed yields byte-identical files.
 """
 
+import bisect
 import csv
 import functools
 import json
 import math
 import os
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +38,6 @@ _METHODS = ("gamma", "cantelli")
 
 # a field the constructor derives from the others
 _derived = functools.partial(field, init=False, repr=False)
-
-# scalar (shape, scale) pairs a ground truth keeps. A plan probes about
-# seven clocks and prices one of them; plans on one ground truth probe some
-# clocks again (f_min, f_max, the pre-scan grid points).
-_LAW_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +78,27 @@ class GroundTruth:
     :meth:`~satsched.scheduler.MomentModel.from_shape_scale_model`, whose
     Cantelli moments return them there. ``planner_grid_bounds`` is the
     :class:`~satsched.scheduler.DeadlineBounds` the gamma pre-scan keeps on
-    the grid shapes and scales. The pooled (shape, scale) at
-    a clock is solved once and kept, for the ``_LAW_CACHE_SIZE`` clocks
-    most recently asked for, so ``shape_at``, ``scale_at`` and ``law_at``
-    (the pricing lookup) at one clock share one solve. Two ground truths
-    are equal only when they are the same object,
-    and hash by identity; a pickle or copy holds the four init fields and
-    derives the rest again.
+    the grid shapes and scales.
+
+    At a clock in [f_min, f_max] the pooled shape comes from a cubic
+    Hermite interpolant on that grid, built at construction: in each cell,
+    the cubic through the two kept shapes with the analytic slopes da/df
+    at its ends, from differentiating the pooled-shape equation (see
+    :meth:`shape_at`), so no planner probe solves it. At a grid clock it
+    returns the kept shape bit for bit. Between grid clocks, over both
+    platforms and variance models, cv 0.0011-0.899 and image_sigma 0-1,
+    it lies within 6e-13 relative of a scalar Newton solve (3200 seeded
+    clocks). Against a 40-digit solve (64 clocks) it is within 1.2e-13
+    where the Newton solve is within 1e-13, and otherwise about as far off
+    as the Newton solve, whose stopping rule leaves up to 1.2e-11. The
+    scale is the pooled mean over that shape, so the pooled mean stays
+    exact. A clock outside [f_min, f_max], which no plan asks for, gets a
+    fresh Newton solve (the array solve on one lane), kept nowhere.
+    ``shape_scale_at`` returns the pair from one lookup; ``shape_at``,
+    ``scale_at`` and ``law_at`` (the pricing lookup) take their values
+    from it. Two ground truths are equal only when they are the same
+    object, and hash by identity; a pickle or copy holds the four init
+    fields and derives the rest again.
     """
 
     platform: Platform
@@ -106,8 +115,10 @@ class GroundTruth:
     _work_s_hz: float = _derived()
     _cv2: float = _derived()
     _fmax_denominator: float = _derived()
-    # float clock -> (pooled shape, pooled scale), an lru_cache of _solve_law
-    _laws: object = _derived()
+    # the interpolant: the planner grid's clocks as floats, and four
+    # coefficients per clock of the cubic from it to the next one
+    _grid_clocks: list = _derived()
+    _cubics: list = _derived()
 
     def __post_init__(self):
         cv = check_real("cv", self.cv_at_fmax)
@@ -126,11 +137,6 @@ class GroundTruth:
         put("_work_s_hz", work)
         put("_cv2", self.cv_at_fmax * self.cv_at_fmax)
         put("_fmax_denominator", work + p.mu_sync_s * p.f_max_hz)
-        # a weak proxy, not a bound method, so the cache makes no reference
-        # cycle and a dropped ground truth is freed at once, not by the
-        # cycle collector
-        put("_laws", functools.lru_cache(maxsize=_LAW_CACHE_SIZE)(
-            functools.partial(type(self)._solve_law, weakref.proxy(self))))
         grid = planner_grid(p.f_min_hz, p.f_max_hz)
         shapes = self._pooled_shape_at(grid)
         scales = self.mean_at(grid) / shapes
@@ -140,6 +146,37 @@ class GroundTruth:
             arr.flags.writeable = False
             put("planner_grid_" + name, arr)
         put("planner_grid_bounds", DeadlineBounds(shapes, scales))
+        put("_grid_clocks", grid.tolist())
+        put("_cubics", self._hermite_cubics(grid, shapes))
+
+    def _hermite_cubics(self, grid: np.ndarray, shapes: np.ndarray) -> list:
+        # da/df by implicit differentiation of the pooled-shape equation:
+        # g(a) = g(a_img) + gap with g(x) = ln x - digamma(x), so
+        # da/df = g'(a_img) a_img'(f) / g'(a); a_img' = 0 for "constant",
+        # and a = a_img where the gap is 0
+        n = grid.size
+        if self.variance_model == "constant":
+            slopes = np.zeros(n)
+        else:
+            a_img = self.image_shape_at(grid)
+            mu_sync = self.platform.mu_sync_s
+            slopes = 2.0 * mu_sync * a_img / (self._work_s_hz + mu_sync * grid)
+            if self.log_multiplier_gap != 0.0:
+                g = kernels.shape_equation_slope_arr(np.concatenate((a_img, shapes)))
+                slopes *= g[:n] / g[n:]
+        # on [clock_i, clock_i+1], with x = f - clock_i, the Hermite cubic
+        # a_i + x (s_i + x (b_i + x c_i)) meets the kept shapes and slopes
+        # at both ends; the last clock gets a constant, so f_max also
+        # lands on x = 0
+        width = np.diff(grid)
+        secant = np.diff(shapes) / width
+        s0, s1 = slopes[:-1], slopes[1:]
+        cubics = np.zeros((n, 4))
+        cubics[:, 0] = shapes
+        cubics[:-1, 1] = s0
+        cubics[:-1, 2] = (3.0 * secant - 2.0 * s0 - s1) / width
+        cubics[:-1, 3] = (s0 + s1 - 2.0 * secant) / (width * width)
+        return cubics.ravel().tolist()
 
     def __reduce__(self):
         return type(self), (self.platform, self.cv_at_fmax,
@@ -189,14 +226,15 @@ class GroundTruth:
         where the gap is -mean(ln multiplier) >= 0. Heterogeneity across
         images widens the pooled law, so the pooled shape never exceeds the
         per-image one. Called with the planner grid (the shared array
-        itself), returns the shapes solved at construction; called with a
-        clock, the kept solve for it.
+        itself), returns the shapes solved at construction; called with
+        another array, solves afresh; called with a clock, the value of
+        :meth:`shape_scale_at`.
         """
         if isinstance(f_hz, np.ndarray):
             if self._on_planner_grid(f_hz):
                 return self.planner_grid_shapes
             return self._pooled_shape_at(f_hz)
-        return self._law_at(f_hz)[0]
+        return self.shape_scale_at(f_hz)[0]
 
     def _pooled_shape_at(self, f_hz: np.ndarray) -> np.ndarray:
         ab = self.image_shape_at(f_hz)
@@ -213,33 +251,31 @@ class GroundTruth:
     def scale_at(self, f_hz):
         """Pooled-fit scale, fixed so the pooled mean is exact. Called with
         the planner grid (the shared array itself), returns the scales
-        computed at construction; called with a clock, the kept value for
-        it."""
+        computed at construction; called with another array, solves
+        afresh; called with a clock, the value of :meth:`shape_scale_at`."""
         if isinstance(f_hz, np.ndarray):
             if self._on_planner_grid(f_hz):
                 return self.planner_grid_scales
             return self.mean_at(f_hz) / self._pooled_shape_at(f_hz)
-        return self._law_at(f_hz)[1]
+        return self.shape_scale_at(f_hz)[1]
 
-    def _law_at(self, f_hz):
-        # (pooled shape, pooled scale) at one clock, kept for the
-        # _LAW_CACHE_SIZE clocks most recently asked for. A float goes
-        # straight to the cache, which checks it on a miss; anything else is
-        # checked first, so a bool, a string or a list raises DomainError
-        # and an int or numpy clock shares the float clock's entry.
+    def shape_scale_at(self, f_hz) -> tuple:
+        """(pooled shape, pooled scale) at one clock, as floats, from one
+        lookup: the interpolated shape in [f_min, f_max], exactly the kept
+        grid values at a grid clock, and a fresh solve outside it. Raises
+        DomainError for anything but a finite clock > 0 (a bool too)."""
         if type(f_hz) is not float:
             f_hz = check_positive("f_hz", f_hz)
-        return self._laws(f_hz)
-
-    def _solve_law(self, f_hz):
-        f_hz = check_positive("f_hz", f_hz)
-        shape = self.image_shape_at(f_hz)
-        gap = self.log_multiplier_gap
-        if gap != 0.0:
-            shape, _, ok = kernels.solve_gamma_shape(
-                math.log(shape) - kernels.digamma(shape) + gap)
-            if not ok:
-                raise EstimationError("pooled-shape solve failed to converge")
+        clocks = self._grid_clocks
+        # the last clock <= f_hz; a NaN sorts past every clock
+        i = bisect.bisect_right(clocks, f_hz) - 1
+        if i >= 0 and f_hz <= clocks[-1]:
+            a, s, b, c = self._cubics[4 * i:4 * i + 4]
+            x = f_hz - clocks[i]
+            shape = a + x * (s + x * (b + x * c))
+        else:
+            f_hz = check_positive("f_hz", f_hz)
+            shape = float(self._pooled_shape_at(np.array([f_hz]))[0])
         return shape, (self._work_s_hz / f_hz + self.platform.mu_sync_s) / shape
 
     def _on_planner_grid(self, f_hz: np.ndarray) -> bool:
@@ -250,9 +286,9 @@ class GroundTruth:
         return f_hz is planner_grid(p.f_min_hz, p.f_max_hz)
 
     def law_at(self, f_hz: float) -> GammaLaw:
-        """Pooled per-image law at one clock: the pair shape_at and
-        scale_at return, from one cache lookup."""
-        return GammaLaw(*self._law_at(f_hz))
+        """Pooled per-image law at one clock: the pair of
+        :meth:`shape_scale_at`."""
+        return GammaLaw(*self.shape_scale_at(f_hz))
 
     def sample_image_times(self, image_ids, f_hz,
                            rng: np.random.Generator) -> np.ndarray:

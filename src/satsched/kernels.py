@@ -5,9 +5,12 @@ Newton solve for the pooled Gamma shape, and quantile inversion. Each has a
 scalar kernel for single evaluations. The incomplete gamma has one kernel:
 its array form runs the scalar kernel lane by lane, so an array call gives
 every lane the scalar kernel's bits, whatever other lanes share the call.
-The pooled-shape solve also has a numpy array variant for the planner's
-grid; a one-lane call of it would cost about a hundred times more than the
-scalar solve.
+The pooled-shape solve also has a numpy array variant, which solves the
+ground truth's pooled shapes on the planner's grid; the scalar solve serves
+the Gamma MLE fit, where a one-lane array call would cost about a hundred
+times more. :func:`shape_equation_slope_arr` gives the slope of the
+solve's equation, from which the ground truth takes the pooled shape's
+slope in frequency for its interpolant between grid clocks.
 
 The incomplete-gamma kernel has three branches. For a > 30 and
 |x - a| < 0.3 a it evaluates Temme's uniform asymptotic expansion in
@@ -656,6 +659,23 @@ def solve_gamma_shape_arr(s):
         a_new = np.where(a_new <= 0.0, 0.5 * a, a_new)
         a = np.where(active, a_new, a)
     return a, conv
+
+
+def shape_equation_slope_arr(x):
+    # d/dx [ln(x) - digamma(x)] = 1/x - trigamma(x) < 0, without the
+    # cancellation of its two terms at large x: the recurrence
+    # g'(x) = g'(x + 1) - 1 / (x^2 (x + 1)) adds terms of one sign up to
+    # x >= 15, then the asymptotic series of trigamma less its 1/x term
+    x = np.array(x, dtype=np.float64, copy=True)
+    r = np.zeros_like(x)
+    m = x < 15.0
+    while m.any():
+        r[m] -= 1.0 / (x[m] * x[m] * (x[m] + 1.0))
+        x[m] += 1.0
+        m = x < 15.0
+    f = 1.0 / (x * x)
+    return r - f * (0.5 + (1.0 / x) * (1.0 / 6.0 - f * (
+        1.0 / 30.0 - f * (1.0 / 42.0 - f * (1.0 / 30.0 - f * (5.0 / 66.0))))))
 
 
 def warm_up() -> None:

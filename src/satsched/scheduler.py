@@ -56,6 +56,14 @@ and their pre-scan skips its validity checks. A Gamma plan on the ground
 truth it is priced under reports its own score at the chosen clock as the
 reliability.
 
+Each search probe of either planner takes shape and scale from one
+``shape_scale_at`` call where the model has that method (the ground truth
+does), else from ``shape_at`` and ``scale_at``. The
+ground truth answers it from a cubic Hermite interpolant on its kept grid
+shapes, equal to them at every grid clock, so no plan solves the
+pooled-shape equation, and a probe at a grid clock scores exactly as the
+pre-scan did there.
+
 On board the model stays fixed while the elevation, and so t_proc, drifts
 between requests. A model that keeps its grid shapes and scales therefore
 also keeps :class:`DeadlineBounds` on them: per (n_img, rho_th), for each
@@ -287,20 +295,24 @@ class MomentModel:
         """Adopt the moments implied by a shape/scale frequency model.
 
         The mean is shape * scale and the variance that mean times scale,
-        from one ``shape_at`` and one ``scale_at`` call per clock. A model
+        from one ``shape_scale_at`` call per clock where the model has that
+        method, else one ``shape_at`` and one ``scale_at`` call. A model
         that keeps ``planner_grid_means`` and ``planner_grid_variances``
         (the ground truth does) hands them back on the planner grid, which
         its ``_on_planner_grid`` recognises, so a plan forms no product
         there.
         """
         means = getattr(model, "planner_grid_means", None)
+        shape_scale_at = _shape_scale_lookup(model)
 
         def moments_fn(f_hz):
-            if (means is not None and isinstance(f_hz, np.ndarray)
-                    and model._on_planner_grid(f_hz)):
+            if not isinstance(f_hz, np.ndarray):
+                shape, scale = shape_scale_at(f_hz)
+            elif means is not None and model._on_planner_grid(f_hz):
                 return means, model.planner_grid_variances
-            scale = model.scale_at(f_hz)
-            mean = model.shape_at(f_hz) * scale
+            else:
+                shape, scale = model.shape_at(f_hz), model.scale_at(f_hz)
+            mean = shape * scale
             return mean, mean * scale
 
         moments = cls(mean_fn=lambda f_hz: moments_fn(f_hz)[0],
@@ -318,11 +330,12 @@ class FrequencySolution:
     """Outcome of a feasibility-boundary search over frequency.
 
     ``frequency_hz`` is feasible by a float evaluation of the planner's
-    score (where that evaluation and the grid pre-scan round apart, the
-    pre-scan's verdict stands), ``predicted_reliability`` is that score,
-    and a clock at most 1e-9 of the platform span lower was found
-    infeasible, by a float probe or by the pre-scan; an answer of f_min
-    has nothing below it.
+    score (where that evaluation and the grid pre-scan round apart, which
+    only a model whose float and array values differ at a grid clock can
+    cause, the pre-scan's verdict stands), ``predicted_reliability`` is
+    that score, and a clock at most 1e-9 of the platform span lower was
+    found infeasible, by a float probe or by the pre-scan; an answer of
+    f_min has nothing below it.
     ``non_monotone`` is set when the grid pre-scan saw an infeasible point
     above the lowest feasible one; the lowest feasible frequency is still
     returned in that case.
@@ -331,6 +344,17 @@ class FrequencySolution:
     frequency_hz: float
     predicted_reliability: float
     non_monotone: bool
+
+
+def _shape_scale_lookup(model):
+    """The float (shape, scale) lookup of a shape/scale model: its
+    ``shape_scale_at``, which gives the pair from one lookup, or else
+    ``shape_at`` then ``scale_at``."""
+    lookup = getattr(model, "shape_scale_at", None)
+    if lookup is None:
+        def lookup(f_hz):
+            return model.shape_at(f_hz), model.scale_at(f_hz)
+    return lookup
 
 
 def _check_common(n_img, rho_th, budget):
@@ -367,10 +391,12 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
 
     It stops when the bracket is at most tol = 1e-9 of the span wide: the
     returned frequency is feasible by a float score and some grid point or
-    probe at most tol below it is infeasible. The one exception: array and
-    scalar shape solves may differ in the last bit, and the grid's verdict
-    stands, so grid[first] may come back with a float score a rounding
-    error below rho_th. Feasibility is never assumed monotone in f. Every
+    probe at most tol below it is infeasible. The one exception: a model
+    whose float and array values differ in the last bit at a grid clock
+    (the package's models do not) can make a float score disagree with the
+    grid's flag; the grid's verdict stands, so grid[first] may come back
+    with a float score a rounding error below rho_th. Feasibility is never
+    assumed monotone in f. Every
     score returned or raised comes from a float call.
     """
     if not f_min_hz < f_max_hz:
@@ -433,7 +459,9 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
     """Lowest clock whose batch Gamma law meets the deadline quantile.
 
     ``model`` provides shape_at(f) and scale_at(f) per image, accepting a
-    scalar or a 1-d array of frequencies; the batch of n_img images has
+    scalar or a 1-d array of frequencies, and may provide
+    shape_scale_at(f), the pair at one clock from one lookup, which the
+    search probes then use; the batch of n_img images has
     shape n_img * shape_at(f) at the same scale. Feasibility at f means
     CDF(t_proc) >= rho_th under that batch law. Frequencies where the model
     evaluates to nonpositive or non-finite parameters count as infeasible
@@ -456,11 +484,13 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
     """
     n_img, rho_th = _check_common(n_img, rho_th, budget)
     t_proc = budget.t_proc_s
+    shape_scale_at = _shape_scale_lookup(model)
 
     def achieved(f_hz):
         if not isinstance(f_hz, np.ndarray):
-            shape = float(model.shape_at(f_hz))
-            scale = float(model.scale_at(f_hz))
+            shape, scale = shape_scale_at(f_hz)
+            shape = float(shape)
+            scale = float(scale)
             if not (math.isfinite(shape) and math.isfinite(scale)
                     and shape > 0.0 and scale > 0.0):
                 return 0.0

@@ -132,6 +132,91 @@ def test_pooled_law_mean_is_exact(gt_agx, agx):
         assert per_image.mean == pytest.approx(expected, rel=1e-12)
 
 
+def _interpolation_truths(scenario):
+    """Both platforms and variance models, cv 0.0011/0.1/0.5/0.899 and
+    image_sigma 0/0.15/0.5/1: 64 ground truths, each built afresh."""
+    for pi, platform in enumerate(scenario.platforms):
+        for variance_model in ("structural", "constant"):
+            for cv in (0.0011, 0.1, 0.5, 0.899):
+                for sigma in (0.0, 0.15, 0.5, 1.0):
+                    yield ss.synthesize_ground_truth(
+                        platform, cv, scenario.gt_n_images,
+                        ss.stream(scenario.seed, scenario.bit_generator,
+                                  ss.NS_GROUND_TRUTH, pi),
+                        image_sigma=sigma, variance_model=variance_model)
+
+
+def _newton_shape(gt, f_hz):
+    # the scalar solve of the pooled-shape equation at one clock
+    a_img = gt.image_shape_at(f_hz)
+    if gt.log_multiplier_gap == 0.0:
+        return a_img
+    shape, _, ok = kernels.solve_gamma_shape(
+        math.log(a_img) - kernels.digamma(a_img) + gt.log_multiplier_gap)
+    assert ok
+    return shape
+
+
+def test_interpolated_shape_matches_a_newton_solve(scenario):
+    """Between grid clocks the interpolated pooled shape lies within 1e-11
+    relative of the scalar Newton solve (4 seeded clocks on each of 64
+    ground truths), and its scale keeps the pooled mean exact."""
+    rng = np.random.default_rng(20261019)
+    worst = 0.0
+    clocks = 0
+    for gt in _interpolation_truths(scenario):
+        p = gt.platform
+        for f in rng.uniform(p.f_min_hz, p.f_max_hz, 4).tolist():
+            shape, scale = gt.shape_scale_at(f)
+            want = _newton_shape(gt, f)
+            worst = max(worst, abs(shape - want) / want)
+            assert shape * scale == pytest.approx(gt.mean_at(f), rel=1e-15)
+            clocks += 1
+    assert clocks == 256 and worst <= 1e-11, worst
+
+
+def test_interpolated_shape_matches_mpmath(scenario):
+    """On one seeded clock per ground truth of the test above, the
+    interpolated shape is within max(5e-13, twice the Newton solve's own
+    error) of a 40-digit solve of the pooled-shape equation."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261020)
+    for gt in _interpolation_truths(scenario):
+        p = gt.platform
+        f = float(rng.uniform(p.f_min_hz, p.f_max_hz))
+        got = gt.shape_at(f)
+        newton = _newton_shape(gt, f)
+        with mpmath.workdps(40):
+            a_img = mpmath.mpf(gt.image_shape_at(f))
+            s = (mpmath.log(a_img) - mpmath.digamma(a_img)
+                 + mpmath.mpf(gt.log_multiplier_gap))
+            exact = mpmath.findroot(
+                lambda a: mpmath.log(a) - mpmath.digamma(a) - s,
+                mpmath.mpf(newton))
+            err = float(abs((got - exact) / exact))
+            newton_err = float(abs((newton - exact) / exact))
+        assert err <= max(5e-13, 2.0 * newton_err), (gt, f, err, newton_err)
+
+
+def test_clocks_outside_the_platform_range_get_a_fresh_solve(monkeypatch,
+                                                             gt_nano, nano):
+    """Below f_min and above f_max the pooled shape is solved afresh on
+    every call, to the array solve's value at that clock, and kept nowhere."""
+    solves = []
+    solve_arr = kernels.solve_gamma_shape_arr
+    monkeypatch.setattr(kernels, "solve_gamma_shape_arr",
+                        lambda s: solves.append(s.size) or solve_arr(s))
+    for f in (0.5 * nano.f_min_hz, 1.0, 1.5 * nano.f_max_hz):
+        want = gt_nano.shape_at(np.array([f]))[0]
+        for _ in range(2):
+            assert gt_nano.shape_scale_at(f) == (
+                want, float(gt_nano.mean_at(f) / want))
+    assert solves == [1] * 9
+    assert gt_nano.shape_at(nano.f_min_hz) == gt_nano.planner_grid_shapes[0]
+    assert gt_nano.shape_at(nano.f_max_hz) == gt_nano.planner_grid_shapes[-1]
+    assert solves == [1] * 9
+
+
 def test_mixture_refit_recovers_pooled_table(scenario, gt_nano, nano):
     """A plain Gamma fit over pooled per-image draws converges to the
     pooled table the planners consume."""
@@ -253,8 +338,7 @@ def test_ground_truth_compares_and_hashes_by_identity(scenario):
     assert len({gt, twin}) == 2
 
 
-def test_ground_truth_checks_a_clock_before_its_law_cache(scenario):
-    # a fresh ground truth, so its cache holds only this test's clocks
+def test_ground_truth_checks_a_clock_before_its_lookup(scenario):
     gt = ss.ground_truth_for(scenario, 0)
     law = gt.law_at(1e9)
     for bad in (True, "1e9", [1e9], math.nan, -1e9):
@@ -262,7 +346,6 @@ def test_ground_truth_checks_a_clock_before_its_law_cache(scenario):
             gt.shape_at(bad)
     for clock in (10 ** 9, np.float64(1e9), np.int64(10 ** 9)):
         assert gt.law_at(clock) == law
-        assert gt.shape_at(clock) is gt.shape_at(1e9)
     gt.law_at(1.0)  # True == 1.0 and hashes alike, but a bool is no clock
     for bad in (True, np.bool_(True)):
         with pytest.raises(DomainError):

@@ -418,6 +418,20 @@ def _seeded_truths(scenario):
                         image_sigma=sigma, variance_model=variance_model)
 
 
+def test_scalar_law_at_a_grid_clock_is_the_kept_one(scenario):
+    """On the 24 seeded ground truths, the scalar law at every planner-grid
+    clock is the kept grid shape and scale, bit for bit, so a probe at a
+    grid clock and the pre-scan score it alike."""
+    for _, gt in _seeded_truths(scenario):
+        p = gt.platform
+        grid = ss.scheduler.planner_grid(p.f_min_hz, p.f_max_hz).tolist()
+        kept = zip(gt.planner_grid_shapes.tolist(),
+                   gt.planner_grid_scales.tolist())
+        for f, (shape, scale) in zip(grid, kept, strict=True):
+            law = gt.law_at(f)
+            assert (law.shape, law.scale) == (shape, scale), (gt, f)
+
+
 def test_kept_grid_values_plan_bit_for_bit(scenario):
     """On a seeded grid of ground truths (both platforms and variance
     models, cv 0.1/0.5/0.9, image_sigma 0 and 1) and plans (n_img 1-12,
@@ -867,7 +881,8 @@ def test_plan_stream_block_work_gate(monkeypatch, scenario, gt_nano, gt_agx):
     """One block of plan-stream requests (both planners in each cell, at
     elevations spread over 20-90 degrees) screens GRID_POINTS_DEFAULT lanes
     per plan, runs the exact array CDF on at most 40 lanes (183 on a
-    2048-point grid) and makes at most 80 scalar CDF calls (71 there)."""
+    2048-point grid), makes at most 80 scalar CDF calls (71 there) and
+    solves no pooled shape."""
     truths = {"nano": gt_nano, "agx": gt_agx}
     moments = {name: ss.MomentModel.from_shape_scale_model(gt)
                for name, gt in truths.items()}
@@ -884,6 +899,7 @@ def test_plan_stream_block_work_gate(monkeypatch, scenario, gt_nano, gt_agx):
     assert counts["prescan_lanes"] == plans * ss.scheduler.GRID_POINTS_DEFAULT
     assert counts["cdf_lanes"] <= 40
     assert counts["cdf_scalar_calls"] <= 80
+    assert counts["shape_solves"] == 0
 
 
 @pytest.fixture(scope="module")
@@ -974,13 +990,13 @@ def test_prescan_series_bracket_settles_shapes_below_the_cutoff(
 @pytest.mark.parametrize("method", ["gamma", "cantelli"])
 def test_one_shape_solve_per_probe_gate(monkeypatch, method, gt_nano, nano,
                                         zenith_budget):
-    """Shape, scale, mean and variance at one probe share one solve, and
-    pricing reuses the solve of the returned clock."""
+    """No probe and no pricing on the ground truth solves the pooled-shape
+    equation: the ground truth interpolates its kept grid shapes."""
     counts = _count_plan_work(monkeypatch)
     sel = ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert counts["probes"] <= 8
-    assert counts["shape_solves"] <= counts["probes"] + 2
+    assert counts["shape_solves"] == 0 and counts["grid_shape_solves"] == 0
 
 
 # ---------------------------------------------------------------- pre-scan bounds
