@@ -26,8 +26,8 @@ from .errors import (DomainError, EstimationError, InfeasibleConstraintError,
                      check_count, check_positive)
 from .numerics import Polynomial, fit_gamma_mle, gamma_cdf, polyfit
 from .rand import NS_SUBSET_STUDY, stream
-from .scheduler import (DeadlineBounds, LatencyBudget, MomentModel,
-                        planner_grid, solve_optimal_frequency)
+from .scheduler import (GridValues, LatencyBudget, MomentModel, planner_grid,
+                        solve_optimal_frequency)
 
 
 @dataclass(frozen=True)
@@ -120,15 +120,13 @@ class FrequencyModel:
     is checked exactly at construction, not on a sample: at the domain
     ends, at every interior extremum (a real root of the derivative), and
     on the planner's pre-scan grid over the domain,
-    :func:`~satsched.scheduler.planner_grid`, where the values are kept as
-    ``planner_grid_shapes`` and ``planner_grid_scales`` (read-only). So a
-    dip narrower than one grid cell (span/255) is rejected too.
-    ``shape_at`` and ``scale_at`` return the kept values when handed that
-    grid, which they recognise by identity, as the ground truth does:
-    fitted over the platform range, the model's grid is the one a plan
-    scans. ``planner_grid_bounds`` is the
-    :class:`~satsched.scheduler.DeadlineBounds` the gamma pre-scan keeps on
-    those values.
+    :func:`~satsched.scheduler.planner_grid`, where the values are kept in
+    ``grid_values``, a :class:`~satsched.scheduler.GridValues` for the
+    fitted domain. So a dip narrower than one grid cell (span/255) is
+    rejected too. Fitted over the platform range, the model's grid is the
+    one a plan scans, and the planners read those kept values as they do
+    the ground truth's. ``shape_at``, ``scale_at`` and ``shape_scale_at``
+    evaluate the polynomials.
     """
 
     shape_poly: Polynomial
@@ -139,12 +137,7 @@ class FrequencyModel:
     r2_scale: float
     domain_lo_hz: float
     domain_hi_hz: float
-    planner_grid_shapes: np.ndarray = field(init=False, repr=False,
-                                            compare=False)
-    planner_grid_scales: np.ndarray = field(init=False, repr=False,
-                                            compare=False)
-    planner_grid_bounds: DeadlineBounds = field(init=False, repr=False,
-                                                compare=False)
+    grid_values: GridValues = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.domain_lo_hz < self.domain_hi_hz:
@@ -164,25 +157,19 @@ class FrequencyModel:
             raise EstimationError(
                 "fitted shape/scale are nonpositive or not finite somewhere "
                 "inside the frequency domain; the model is unusable")
-        for name, arr in (("shapes", shapes), ("scales", scales)):
-            arr.flags.writeable = False
-            object.__setattr__(self, "planner_grid_" + name, arr)
-        object.__setattr__(self, "planner_grid_bounds",
-                           DeadlineBounds(shapes, scales))
-
-    def _on_planner_grid(self, f_hz) -> bool:
-        return f_hz is planner_grid(self.domain_lo_hz, self.domain_hi_hz)
+        object.__setattr__(self, "grid_values", GridValues(
+            self.domain_lo_hz, self.domain_hi_hz, shapes, scales))
 
     def shape_at(self, f_hz):
         """Fitted shape at f; accepts a scalar or a 1-d frequency array."""
-        if isinstance(f_hz, np.ndarray) and self._on_planner_grid(f_hz):
-            return self.planner_grid_shapes
         return self.shape_poly(f_hz)
 
     def scale_at(self, f_hz):
-        if isinstance(f_hz, np.ndarray) and self._on_planner_grid(f_hz):
-            return self.planner_grid_scales
         return self.scale_poly(f_hz)
+
+    def shape_scale_at(self, f_hz) -> tuple:
+        """(fitted shape, fitted scale) at one clock."""
+        return self.shape_poly(f_hz), self.scale_poly(f_hz)
 
 
 def fit_frequency_model(samples_by_freq, degree: int = 3) -> FrequencyModel:

@@ -30,8 +30,8 @@ from .errors import (DomainError, EstimationError, InfeasibleBudgetError,
 from .estimation import fit_frequency_model, sample_size_study
 from .numerics import GammaLaw, ks_statistic
 from .rand import NS_GROUND_TRUTH, stream
-from .scheduler import (DeadlineBounds, LatencyBudget, MomentModel,
-                        planner_grid, processing_budget, select_and_price)
+from .scheduler import (GridValues, LatencyBudget, MomentModel, planner_grid,
+                        processing_budget, select_and_price)
 
 _METHODS = ("gamma", "cantelli")
 
@@ -65,20 +65,12 @@ class GroundTruth:
     The four init fields are the value; the constructor derives the rest,
     so ``dataclasses.replace`` stays consistent. It keeps
     ``work_multipliers`` as its own read-only float64 copy, so nothing
-    derived from it goes stale. ``planner_grid_shapes`` and
-    ``planner_grid_scales`` are the pooled shapes and scales on the
-    planner's pre-scan grid for the platform range (``GRID_POINTS_DEFAULT``
-    = 256 clocks, one array solve at construction; cells of span/255, 2.8
-    MHz on nano), read-only, positive and finite by construction;
-    ``shape_at`` and ``scale_at`` return them when handed that grid, which
-    they recognise by identity as the shared array of
-    :func:`~satsched.scheduler.planner_grid`. ``planner_grid_means``
-    (shape * scale) and ``planner_grid_variances`` (shape * scale * scale)
-    are the moments on that grid, in the operation order of
-    :meth:`~satsched.scheduler.MomentModel.from_shape_scale_model`, whose
-    Cantelli moments return them there. ``planner_grid_bounds`` is the
-    :class:`~satsched.scheduler.DeadlineBounds` the gamma pre-scan keeps on
-    the grid shapes and scales.
+    derived from it goes stale. ``grid_values`` is the
+    :class:`~satsched.scheduler.GridValues` on the planner's pre-scan grid
+    for the platform range (``GRID_POINTS_DEFAULT`` = 256 clocks, one
+    array solve at construction; cells of span/255, 2.8 MHz on nano): the
+    pooled shapes and scales there, positive and finite by construction,
+    the moments they imply, and the gamma pre-scan's bounds on them.
 
     At a clock in [f_min, f_max] the pooled shape comes from a cubic
     Hermite interpolant on that grid, built at construction: in each cell,
@@ -94,9 +86,10 @@ class GroundTruth:
     scale is the pooled mean over that shape, so the pooled mean stays
     exact. A clock outside [f_min, f_max], which no plan asks for, gets a
     fresh Newton solve (the array solve on one lane), kept nowhere.
-    ``shape_scale_at`` returns the pair from one lookup; ``shape_at``,
-    ``scale_at`` and ``law_at`` (the pricing lookup) take their values
-    from it. Two ground truths are equal only when they are the same
+    ``shape_scale_at`` returns the pair from one lookup; ``shape_at`` and
+    ``scale_at`` at a clock, and ``law_at`` (the pricing lookup), take
+    their values from it, and ``shape_at`` and ``scale_at`` solve an array
+    of clocks afresh. Two ground truths are equal only when they are the same
     object, and hash by identity; a pickle or copy holds the four init
     fields and derives the rest again.
     """
@@ -106,11 +99,7 @@ class GroundTruth:
     variance_model: str
     work_multipliers: np.ndarray
     log_multiplier_gap: float = _derived()
-    planner_grid_shapes: np.ndarray = _derived()
-    planner_grid_scales: np.ndarray = _derived()
-    planner_grid_means: np.ndarray = _derived()
-    planner_grid_variances: np.ndarray = _derived()
-    planner_grid_bounds: DeadlineBounds = _derived()
+    grid_values: GridValues = _derived()
     # frequency-independent parts of mean_at and image_shape_at
     _work_s_hz: float = _derived()
     _cv2: float = _derived()
@@ -139,13 +128,8 @@ class GroundTruth:
         put("_fmax_denominator", work + p.mu_sync_s * p.f_max_hz)
         grid = planner_grid(p.f_min_hz, p.f_max_hz)
         shapes = self._pooled_shape_at(grid)
-        scales = self.mean_at(grid) / shapes
-        means = shapes * scales
-        for name, arr in (("shapes", shapes), ("scales", scales),
-                          ("means", means), ("variances", means * scales)):
-            arr.flags.writeable = False
-            put("planner_grid_" + name, arr)
-        put("planner_grid_bounds", DeadlineBounds(shapes, scales))
+        put("grid_values", GridValues(p.f_min_hz, p.f_max_hz, shapes,
+                                      self.mean_at(grid) / shapes))
         put("_grid_clocks", grid.tolist())
         put("_cubics", self._hermite_cubics(grid, shapes))
 
@@ -225,14 +209,10 @@ class GroundTruth:
         Solves ln(a) - digamma(a) = [ln(a_img) - digamma(a_img)] + gap,
         where the gap is -mean(ln multiplier) >= 0. Heterogeneity across
         images widens the pooled law, so the pooled shape never exceeds the
-        per-image one. Called with the planner grid (the shared array
-        itself), returns the shapes solved at construction; called with
-        another array, solves afresh; called with a clock, the value of
-        :meth:`shape_scale_at`.
+        per-image one. Called with an array, solves it afresh; called with
+        a clock, the value of :meth:`shape_scale_at`.
         """
         if isinstance(f_hz, np.ndarray):
-            if self._on_planner_grid(f_hz):
-                return self.planner_grid_shapes
             return self._pooled_shape_at(f_hz)
         return self.shape_scale_at(f_hz)[0]
 
@@ -250,12 +230,9 @@ class GroundTruth:
 
     def scale_at(self, f_hz):
         """Pooled-fit scale, fixed so the pooled mean is exact. Called with
-        the planner grid (the shared array itself), returns the scales
-        computed at construction; called with another array, solves
-        afresh; called with a clock, the value of :meth:`shape_scale_at`."""
+        an array, solves the shapes afresh; called with a clock, the value
+        of :meth:`shape_scale_at`."""
         if isinstance(f_hz, np.ndarray):
-            if self._on_planner_grid(f_hz):
-                return self.planner_grid_scales
             return self.mean_at(f_hz) / self._pooled_shape_at(f_hz)
         return self.shape_scale_at(f_hz)[1]
 
@@ -277,13 +254,6 @@ class GroundTruth:
             f_hz = check_positive("f_hz", f_hz)
             shape = float(self._pooled_shape_at(np.array([f_hz]))[0])
         return shape, (self._work_s_hz / f_hz + self.platform.mu_sync_s) / shape
-
-    def _on_planner_grid(self, f_hz: np.ndarray) -> bool:
-        # by identity: planner_grid hands out the array the planner scans,
-        # a rebuilt one too if its LRU dropped the one seen here (same
-        # values); an equal copy takes the array solve, to the same bits
-        p = self.platform
-        return f_hz is planner_grid(p.f_min_hz, p.f_max_hz)
 
     def law_at(self, f_hz: float) -> GammaLaw:
         """Pooled per-image law at one clock: the pair of

@@ -22,8 +22,9 @@ evaluates the whole grid as one array and each search probe is a single
 float. The array CDF runs the scalar kernel lane by lane, so the scan and
 the probes score a clock alike.
 
-The scan needs only one flag per grid point (score >= rho_th), so the score
-callbacks return flags for an array, without masked copies when every grid
+The scan needs only one flag per grid point (score >= rho_th), so each
+planner hands the search two callbacks: a float score for the probes and a
+flags function for the grid, which makes no masked copies when every grid
 point has valid parameters. The Gamma planner's flags come from
 :func:`~satsched.kernels.reg_lower_gamma_at_least`, which runs the exact
 CDF only where closed-form brackets leave a flag in doubt. Every reported
@@ -44,29 +45,28 @@ limit was 8x finer, at 8x the screened lanes per plan; the plans of the
 default figures agree between the two grids to the search tolerance.
 
 The grid is built once per frequency range (:func:`planner_grid`) and
-shared, so a model does its frequency-only work once: it keeps its values
-on the grid as read-only ``planner_grid_*`` arrays, checked at
-construction, and hands them back when it recognises the grid by identity.
-The ground truth keeps shapes, scales, means and variances there; a fitted
-:class:`~satsched.estimation.FrequencyModel` keeps shapes and scales on
-the grid over its fitted range. The Gamma pre-scan skips its validity mask
-on kept values; the Cantelli moments of the ground truth
-(:meth:`MomentModel.from_shape_scale_model`) form no product on the grid,
-and their pre-scan skips its validity checks. A Gamma plan on the ground
-truth it is priced under reports its own score at the chosen clock as the
-reliability.
+shared, so a model does its frequency-only work once. The ground truth and
+a fitted :class:`~satsched.estimation.FrequencyModel` each keep a
+:class:`GridValues` (their ``grid_values``): the range it was built for,
+read-only shapes and scales on that range's grid, checked positive and
+finite at construction, and the means and variances they imply. A planner
+reads them when that range equals its platform's, a float comparison, and
+otherwise asks the model's ``shape_at`` and ``scale_at`` for the grid. The
+Gamma pre-scan skips its validity mask on kept values; the Cantelli
+moments of a shape/scale model (:meth:`MomentModel.from_shape_scale_model`)
+carry its ``grid_values``, so their pre-scan forms no product on the grid
+and skips its validity checks. A Gamma plan on the ground truth it is
+priced under reports its own score at the chosen clock as the reliability.
 
 Each search probe of either planner takes shape and scale from one
-``shape_scale_at`` call where the model has that method (the ground truth
-does), else from ``shape_at`` and ``scale_at``. The
-ground truth answers it from a cubic Hermite interpolant on its kept grid
-shapes, equal to them at every grid clock, so no plan solves the
-pooled-shape equation, and a probe at a grid clock scores exactly as the
-pre-scan did there.
+``shape_scale_at`` call. The ground truth answers it from a cubic Hermite
+interpolant on its kept grid shapes, equal to them at every grid clock, so
+no plan solves the pooled-shape equation, and a probe at a grid clock
+scores exactly as the pre-scan did there.
 
 On board the model stays fixed while the elevation, and so t_proc, drifts
-between requests. A model that keeps its grid shapes and scales therefore
-also keeps :class:`DeadlineBounds` on them: per (n_img, rho_th), for each
+between requests. A model's :class:`GridValues` therefore also keep bounds
+for the Gamma pre-scan: per (n_img, rho_th), for each
 grid point, a t_proc at or below which it is proven infeasible and one at
 or above which it is proven feasible, both taken from earlier screens of
 that point that cleared rho_th with margin. The Gamma pre-scan screens only
@@ -110,23 +110,30 @@ def planner_grid(f_min_hz: float, f_max_hz: float) -> np.ndarray:
     """The pre-scan grid of GRID_POINTS_DEFAULT clocks over [f_min, f_max].
 
     Built once per range and read-only: every plan on a platform scans the
-    same array, and a model that caches values on it (the ground truth's
-    pooled shapes and scales) recognises it by identity.
+    same array, and a model that keeps values on it holds them in a
+    :class:`GridValues` for that range.
     """
     grid = np.linspace(f_min_hz, f_max_hz, GRID_POINTS_DEFAULT)
     grid.flags.writeable = False
     return grid
 
 
-class DeadlineBounds:
-    """Per-lane bounds on t_proc for the gamma pre-scan of one model's kept
-    grid values.
+class GridValues:
+    """A shape/scale model's checked values on the planner grid of one
+    frequency range, and the gamma pre-scan's per-lane bounds on them.
 
-    A model that keeps its shapes and scales on the planner grid keeps one
-    of these (``planner_grid_bounds``), built on those arrays. For an
-    (n_img, rho_th) key it holds two arrays over the grid, t_lo and t_hi:
-    lane i is infeasible at every t_proc < t_lo[i] and feasible at every
-    t_proc >= t_hi[i], so :meth:`flags` screens only the lanes with
+    ``f_min_hz`` and ``f_max_hz`` are the range the values were built for;
+    ``shapes`` and ``scales`` the model's values on
+    ``planner_grid(f_min_hz, f_max_hz)``, which the model's constructor
+    checked positive and finite; ``means`` (shape * scale) and
+    ``variances`` (mean * scale) the moments there, in the operation order
+    of :meth:`MomentModel.from_shape_scale_model`. All four are read-only.
+    A planner uses them only when the range equals its platform's, so the
+    grid it scans is the one they were built on.
+
+    :meth:`gamma_flags` keeps, per (n_img, rho_th) key, two arrays over the
+    grid, t_lo and t_hi: lane i is infeasible at every t_proc < t_lo[i] and
+    feasible at every t_proc >= t_hi[i], so it screens only the lanes with
     t_lo <= t_proc < t_hi and reads the others' flags off one comparison.
     A screen that finds a lane infeasible at t_proc sets its t_lo to the
     float just above t_proc, so a plan at that same t_proc again screens
@@ -148,23 +155,38 @@ class DeadlineBounds:
     the least recently planned dropped first.
     """
 
-    __slots__ = ("_shapes", "_scales", "_keys")
+    __slots__ = ("f_min_hz", "f_max_hz", "shapes", "scales", "means",
+                 "variances", "_keys")
 
-    def __init__(self, shapes: np.ndarray, scales: np.ndarray):
-        self._shapes = shapes
-        self._scales = scales
+    def __init__(self, f_min_hz: float, f_max_hz: float, shapes: np.ndarray,
+                 scales: np.ndarray):
+        self.f_min_hz = f_min_hz
+        self.f_max_hz = f_max_hz
+        means = shapes * scales
+        variances = means * scales
+        for arr in (shapes, scales, means, variances):
+            arr.flags.writeable = False
+        self.shapes, self.scales = shapes, scales
+        self.means, self.variances = means, variances
         # key -> [t_min, t_max, None or the (2, lanes) array (t_lo, t_hi)]
         self._keys = collections.OrderedDict()
+
+    def on(self, platform: Platform) -> bool:
+        """Whether these values lie on the grid the platform's plans scan:
+        the range they were built for equals the platform's."""
+        return (self.f_min_hz == platform.f_min_hz
+                and self.f_max_hz == platform.f_max_hz)
 
     def _screen(self, n_img, rho_th, t_proc, lanes=None):
         # (flags, settled) on the lanes at ``lanes``, every lane for None
         if lanes is None:
             return kernels.reg_lower_gamma_at_least(
-                n_img * self._shapes, t_proc / self._scales, rho_th)
+                n_img * self.shapes, t_proc / self.scales, rho_th)
         return kernels.reg_lower_gamma_at_least(
-            n_img * self._shapes[lanes], t_proc / self._scales[lanes], rho_th)
+            n_img * self.shapes[lanes], t_proc / self.scales[lanes], rho_th)
 
-    def flags(self, n_img: int, rho_th: float, t_proc: float) -> np.ndarray:
+    def gamma_flags(self, n_img: int, rho_th: float,
+                    t_proc: float) -> np.ndarray:
         """The flags P(n_img * shape, t_proc / scale) >= rho_th on every
         lane: those of the full screen, from as few screened lanes as the
         key's bounds allow. At most ``kernels.EXACT_ONLY_LANES`` doubt lanes
@@ -194,7 +216,7 @@ class DeadlineBounds:
             bounds = entry[2] = np.where(
                 flags, [[-np.inf], [t_proc]],
                 [[math.nextafter(t_proc, math.inf)], [np.inf]])
-            if settled is not True:
+            if isinstance(settled, np.ndarray):
                 bounds[:, ~settled] = (-np.inf,), (np.inf,)
             return flags
         # row 0: t_lo <= t_proc, lanes not proven infeasible; row 1:
@@ -208,12 +230,12 @@ class DeadlineBounds:
             return flags
         if n_doubt > kernels.EXACT_ONLY_LANES:
             flags, settled = self._screen(n_img, rho_th, t_proc)
-            if settled is not True:
+            if isinstance(settled, np.ndarray):
                 doubt &= settled
         else:
             lanes = np.flatnonzero(doubt)
             flags[lanes], settled = self._screen(n_img, rho_th, t_proc, lanes)
-            if settled is not True:
+            if isinstance(settled, np.ndarray):
                 doubt[lanes] = settled
         # t_lo <= t_proc < t_hi on every doubt lane, so these only tighten
         np.putmask(bounds[1], flags & doubt, t_proc)
@@ -236,13 +258,14 @@ class LatencyBudget:
     t_dl_s: float
 
     def __post_init__(self):
-        for field in ("t_e2e_s", "t_ul_s", "t_isl_s", "t_dl_s"):
-            v = getattr(self, field)
-            f = check_real(field, v)
+        # the four fields, in order; the instance is frozen, so the
+        # checked floats go straight into its dict
+        legs = vars(self)
+        for name, v in legs.items():
+            f = check_real(name, v)
             if f < 0.0:
-                raise DomainError(f"{field} must be >= 0, got {v!r}")
-            if f is not v:
-                object.__setattr__(self, field, f)
+                raise DomainError(f"{name} must be >= 0, got {v!r}")
+            legs[name] = f
 
     @property
     def t_proc_s(self) -> float:
@@ -269,20 +292,16 @@ class MomentModel:
     (a fitted Polynomial qualifies). ``moments_fn(f)``, when given, returns
     the pair ``(mean_fn(f), variance_fn(f))`` from one visit to the
     underlying model; :meth:`moments_at`, which the Cantelli planner calls,
-    uses it then. ``planner_grid_means`` and ``planner_grid_variances`` are
-    set only by :meth:`from_shape_scale_model`, on a model that keeps its
-    moments on the planner grid: the functions return those arrays there,
-    and the Cantelli pre-scan trusts them to be finite and >= 0 without a
-    mask.
+    uses it then. ``grid_values``, when given, is the :class:`GridValues`
+    of the shape/scale model the moments come from: on its grid the
+    Cantelli pre-scan takes its ``means`` and ``variances``, without a
+    validity mask, in place of the functions' values.
     """
 
     mean_fn: object
     variance_fn: object
     moments_fn: object = None
-    planner_grid_means: np.ndarray = field(default=None, init=False,
-                                           repr=False, compare=False)
-    planner_grid_variances: np.ndarray = field(default=None, init=False,
-                                               repr=False, compare=False)
+    grid_values: GridValues = field(default=None, repr=False, compare=False)
 
     def moments_at(self, f_hz):
         """(mean, variance) per image at a clock or a 1-d clock array."""
@@ -295,34 +314,22 @@ class MomentModel:
         """Adopt the moments implied by a shape/scale frequency model.
 
         The mean is shape * scale and the variance that mean times scale,
-        from one ``shape_scale_at`` call per clock where the model has that
-        method, else one ``shape_at`` and one ``scale_at`` call. A model
-        that keeps ``planner_grid_means`` and ``planner_grid_variances``
-        (the ground truth does) hands them back on the planner grid, which
-        its ``_on_planner_grid`` recognises, so a plan forms no product
-        there.
+        from one ``shape_scale_at`` call at a clock and from ``shape_at``
+        and ``scale_at`` on an array. The model's ``grid_values`` (None
+        for a model that keeps none) come along, so a plan on their grid
+        forms no product there.
         """
-        means = getattr(model, "planner_grid_means", None)
-        shape_scale_at = _shape_scale_lookup(model)
-
         def moments_fn(f_hz):
-            if not isinstance(f_hz, np.ndarray):
-                shape, scale = shape_scale_at(f_hz)
-            elif means is not None and model._on_planner_grid(f_hz):
-                return means, model.planner_grid_variances
-            else:
+            if isinstance(f_hz, np.ndarray):
                 shape, scale = model.shape_at(f_hz), model.scale_at(f_hz)
+            else:
+                shape, scale = model.shape_scale_at(f_hz)
             mean = shape * scale
             return mean, mean * scale
 
-        moments = cls(mean_fn=lambda f_hz: moments_fn(f_hz)[0],
-                      variance_fn=lambda f_hz: moments_fn(f_hz)[1],
-                      moments_fn=moments_fn)
-        if means is not None:
-            object.__setattr__(moments, "planner_grid_means", means)
-            object.__setattr__(moments, "planner_grid_variances",
-                               model.planner_grid_variances)
-        return moments
+        return cls(mean_fn=lambda f_hz: moments_fn(f_hz)[0],
+                   variance_fn=lambda f_hz: moments_fn(f_hz)[1],
+                   moments_fn=moments_fn, grid_values=model.grid_values)
 
 
 @dataclass(frozen=True)
@@ -346,17 +353,6 @@ class FrequencySolution:
     non_monotone: bool
 
 
-def _shape_scale_lookup(model):
-    """The float (shape, scale) lookup of a shape/scale model: its
-    ``shape_scale_at``, which gives the pair from one lookup, or else
-    ``shape_at`` then ``scale_at``."""
-    lookup = getattr(model, "shape_scale_at", None)
-    if lookup is None:
-        def lookup(f_hz):
-            return model.shape_at(f_hz), model.scale_at(f_hz)
-    return lookup
-
-
 def _check_common(n_img, rho_th, budget):
     n_img = check_count("n_img", n_img)
     rho_th = check_real("rho_th", rho_th)
@@ -368,15 +364,15 @@ def _check_common(n_img, rho_th, budget):
     return n_img, rho_th
 
 
-def _boundary_search(achieved, rho_th: float, f_min_hz: float,
+def _boundary_search(score, flags, rho_th: float, f_min_hz: float,
                      f_max_hz: float, what: str) -> FrequencySolution:
-    """Lowest f in [f_min, f_max] with achieved(f) >= rho_th.
+    """Lowest f in [f_min, f_max] with score(f) >= rho_th.
 
-    ``achieved`` maps a float to the reliability-like score of that point,
-    and a 1-d frequency array to the flags score >= rho_th. One vectorized
-    pre-scan over a GRID_POINTS_DEFAULT-point grid locates the lowest
-    feasible cell [grid[first-1], grid[first]]. Float probes then pin the
-    boundary inside it with a safeguarded Illinois search:
+    ``score`` maps a float clock to the reliability-like score there;
+    ``flags`` maps the GRID_POINTS_DEFAULT-point planner grid to the bool
+    flags score >= rho_th on it. That one vectorized pre-scan locates the
+    lowest feasible cell [grid[first-1], grid[first]]. Float probes then
+    pin the boundary inside it with a safeguarded Illinois search:
 
     * both cell ends get a float score, and each probe interpolates
       score - rho_th linearly between the bracket ends, clamped at least
@@ -402,23 +398,23 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
     if not f_min_hz < f_max_hz:
         raise DomainError(f"need f_min < f_max, got [{f_min_hz!r}, {f_max_hz!r}]")
     grid = planner_grid(f_min_hz, f_max_hz)
-    flags = achieved(grid)
-    feasible_idx = np.flatnonzero(flags)
+    on_grid = flags(grid)
+    feasible_idx = np.flatnonzero(on_grid)
     if feasible_idx.size == 0:
         raise InfeasibleConstraintError(
             f"{what}: constraint unsatisfied even at f_max = {f_max_hz:.6g} Hz",
-            achievable_reliability=float(achieved(f_max_hz)))
+            achievable_reliability=float(score(f_max_hz)))
     first = int(feasible_idx[0])
-    non_monotone = not bool(flags[first:].all())
+    non_monotone = not bool(on_grid[first:].all())
     if first == 0:
         return FrequencySolution(
             frequency_hz=float(f_min_hz),
-            predicted_reliability=float(achieved(f_min_hz)),
+            predicted_reliability=float(score(f_min_hz)),
             non_monotone=non_monotone)
     lo = float(grid[first - 1])  # infeasible on the grid
     hi = float(grid[first])      # feasible on the grid
-    g_lo = achieved(lo) - rho_th
-    hi_score = achieved(hi)
+    g_lo = score(lo) - rho_th
+    hi_score = score(hi)
     g_hi = hi_score - rho_th
     tol = _BRACKET_REL_TOL * (f_max_hz - f_min_hz)
     cell = hi - lo
@@ -438,14 +434,14 @@ def _boundary_search(achieved, rho_th: float, f_min_hz: float,
             f = min(max(f, lo + 0.5 * tol), hi - 0.5 * tol)
         else:
             f = 0.5 * (lo + hi)
-        score = achieved(f)
-        if score >= rho_th:
-            hi, hi_score, g_hi = f, score, score - rho_th
+        s = score(f)
+        if s >= rho_th:
+            hi, hi_score, g_hi = f, s, s - rho_th
             if moved == 1:
                 g_lo *= 0.5  # Illinois: halve the stale end's value
             moved = 1
         else:
-            lo, g_lo = f, score - rho_th
+            lo, g_lo = f, s - rho_th
             if moved == -1:
                 g_hi *= 0.5
             moved = -1
@@ -458,25 +454,30 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
                             rho_th: float, platform: Platform) -> FrequencySolution:
     """Lowest clock whose batch Gamma law meets the deadline quantile.
 
-    ``model`` provides shape_at(f) and scale_at(f) per image, accepting a
-    scalar or a 1-d array of frequencies, and may provide
-    shape_scale_at(f), the pair at one clock from one lookup, which the
-    search probes then use; the batch of n_img images has
-    shape n_img * shape_at(f) at the same scale. Feasibility at f means
-    CDF(t_proc) >= rho_th under that batch law. Frequencies where the model
-    evaluates to nonpositive or non-finite parameters count as infeasible
-    rather than erroring, so damaged fits degrade gracefully. A model whose
-    shape_at and scale_at return its ``planner_grid_shapes`` and
-    ``planner_grid_scales`` on the grid (the ground truth, a
-    :class:`~satsched.estimation.FrequencyModel` fitted over the platform
-    range) checked those values at construction, so the pre-scan skips the
-    per-lane validity mask there.
+    ``model`` is a per-image shape/scale model with four members:
+
+    * ``shape_at(f)`` and ``scale_at(f)`` on a 1-d frequency array, which
+      the grid pre-scan calls when the model keeps no values for the
+      platform's range;
+    * ``shape_scale_at(f)``, the pair at one clock, which every search
+      probe calls;
+    * ``grid_values``: a :class:`GridValues` or None.
+
+    The batch of n_img images has shape n_img * shape at the same scale.
+    Feasibility at f means CDF(t_proc) >= rho_th under that batch law.
+    Frequencies where the model evaluates to nonpositive or non-finite
+    parameters count as infeasible rather than erroring, so damaged fits
+    degrade gracefully. When ``grid_values`` were built for the platform's
+    range (the ground truth's, a
+    :class:`~satsched.estimation.FrequencyModel`'s fitted over it), the
+    pre-scan reads their shapes and scales, which the model checked at
+    construction, without the per-lane validity mask.
 
     The grid pre-scan flags points with
     :func:`~satsched.kernels.reg_lower_gamma_at_least`, whose flags, and so
     the answer, are those of the exact CDF on every point; on kept values,
-    through the model's :class:`DeadlineBounds`, which screen only the
-    points earlier plans at other t_proc left in doubt.
+    through :meth:`GridValues.gamma_flags`, which screens only the points
+    earlier plans at other t_proc left in doubt.
 
     Raises:
         InfeasibleConstraintError: even f_max misses the quantile; the error
@@ -484,38 +485,38 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
     """
     n_img, rho_th = _check_common(n_img, rho_th, budget)
     t_proc = budget.t_proc_s
-    shape_scale_at = _shape_scale_lookup(model)
+    values = model.grid_values
+    kept = values is not None and values.on(platform)
+    shape_scale_at = model.shape_scale_at
 
-    def achieved(f_hz):
-        if not isinstance(f_hz, np.ndarray):
-            shape, scale = shape_scale_at(f_hz)
-            shape = float(shape)
-            scale = float(scale)
-            if not (math.isfinite(shape) and math.isfinite(scale)
-                    and shape > 0.0 and scale > 0.0):
-                return 0.0
-            # gamma_cdf's checks hold: these and _check_common's t_proc > 0
-            return kernels.reg_lower_gamma(n_img * shape, t_proc / scale)
-        shape = model.shape_at(f_hz)
-        scale = model.scale_at(f_hz)
-        if (shape is getattr(model, "planner_grid_shapes", None)
-                and scale is getattr(model, "planner_grid_scales", None)):
-            # kept on the grid and checked positive and finite when the
-            # model was built: no per-plan mask, and the model's bounds
-            return model.planner_grid_bounds.flags(n_img, rho_th, t_proc)
-        shape = np.asarray(shape, dtype=np.float64)
-        scale = np.asarray(scale, dtype=np.float64)
+    def score(f_hz: float) -> float:
+        shape, scale = shape_scale_at(f_hz)
+        shape = float(shape)
+        scale = float(scale)
+        if not (math.isfinite(shape) and math.isfinite(scale)
+                and shape > 0.0 and scale > 0.0):
+            return 0.0
+        # gamma_cdf's checks hold: these and _check_common's t_proc > 0
+        return kernels.reg_lower_gamma(n_img * shape, t_proc / scale)
+
+    def flags(grid):
+        if kept:
+            # checked positive and finite when the model was built: no
+            # per-plan mask, and the values' bounds
+            return values.gamma_flags(n_img, rho_th, t_proc)
+        shape = np.asarray(model.shape_at(grid), dtype=np.float64)
+        scale = np.asarray(model.scale_at(grid), dtype=np.float64)
         ok = (np.isfinite(shape) & np.isfinite(scale)
               & (shape > 0.0) & (scale > 0.0))
         if ok.all():  # no masked copies
             return kernels.reg_lower_gamma_at_least(
                 n_img * shape, t_proc / scale, rho_th)[0]
-        out = np.zeros(f_hz.shape[0], dtype=bool)
+        out = np.zeros(grid.shape[0], dtype=bool)
         out[ok] = kernels.reg_lower_gamma_at_least(
             n_img * shape[ok], t_proc / scale[ok], rho_th)[0]
         return out
 
-    return _boundary_search(achieved, rho_th, platform.f_min_hz,
+    return _boundary_search(score, flags, rho_th, platform.f_min_hz,
                             platform.f_max_hz, "gamma quantile constraint")
 
 
@@ -528,26 +529,32 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
     the miss probability is at most v / (v + (t_proc - m)^2) whenever
     t_proc > m. Feasibility requires that bound <= 1 - rho_th. The bound is
     solved directly on the frequency axis; no closed form is assumed because
-    the variance depends on f on both sides of the inequality.
+    the variance depends on f on both sides of the inequality. The
+    pre-scan takes the moments' ``grid_values`` when they were built for
+    the platform's range, else :meth:`MomentModel.moments_at` on the grid.
     """
     n_img, rho_th = _check_common(n_img, rho_th, budget)
     t_proc = budget.t_proc_s
+    values = moments.grid_values
+    kept = values is not None and values.on(platform)
 
-    def achieved(f_hz):
+    def score(f_hz: float) -> float:
         m, v = moments.moments_at(f_hz)
-        if not isinstance(f_hz, np.ndarray):
-            m = n_img * float(m)
-            v = n_img * float(v)
-            slack = t_proc - m
-            if not (math.isfinite(m) and math.isfinite(v) and slack > 0.0
-                    and v >= 0.0):
-                return 0.0
-            if v == 0.0:
-                return 1.0  # variance-free mean-crossing limit
-            return 1.0 - v / (v + slack * slack)
-        # moments kept on the grid are finite and >= 0 by construction
-        kept = (m is moments.planner_grid_means
-                and v is moments.planner_grid_variances)
+        m = n_img * float(m)
+        v = n_img * float(v)
+        slack = t_proc - m
+        if not (math.isfinite(m) and math.isfinite(v) and slack > 0.0
+                and v >= 0.0):
+            return 0.0
+        if v == 0.0:
+            return 1.0  # variance-free mean-crossing limit
+        return 1.0 - v / (v + slack * slack)
+
+    def flags(grid):
+        if kept:
+            m, v = values.means, values.variances
+        else:
+            m, v = moments.moments_at(grid)
         m = n_img * np.asarray(m, dtype=np.float64)
         v = n_img * np.asarray(v, dtype=np.float64)
         slack = t_proc - m
@@ -555,11 +562,13 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
         # (the mean-crossing limit) also where slack^2 underflows to 0, and
         # a NaN score (v infinite) fails
         with np.errstate(all="ignore"):
-            score = 1.0 - v / (v + slack * slack)
-        flags = ((score >= rho_th) | (v == 0.0)) & (slack > 0.0)
-        return flags if kept else flags & np.isfinite(m) & (v >= 0.0)
+            s = 1.0 - v / (v + slack * slack)
+        out = ((s >= rho_th) | (v == 0.0)) & (slack > 0.0)
+        # kept moments are products of positive finite values, never NaN
+        # or negative, and a mean that overflows leaves no slack
+        return out if kept else out & np.isfinite(m) & (v >= 0.0)
 
-    return _boundary_search(achieved, rho_th, platform.f_min_hz,
+    return _boundary_search(score, flags, rho_th, platform.f_min_hz,
                             platform.f_max_hz, "cantelli moment bound")
 
 
@@ -585,9 +594,10 @@ def select_and_price(method: str, ground_truth, budget: LatencyBudget,
     always evaluated under ``ground_truth``, regardless of what the planner
     believed: its ``law_at(f)`` gives the pooled per-image law at the chosen
     clock (a ground truth used as a default model or moments also needs
-    ``shape_at`` and ``scale_at``). A gamma plan made on ``ground_truth``
-    itself already scored the chosen clock with the same kernel on the same
-    batch shape and t_proc / scale, so that score is the reliability.
+    the model members :func:`solve_optimal_frequency` lists). A gamma plan
+    made on ``ground_truth`` itself (``model`` None or that very object)
+    already scored the chosen clock with the same kernel on the same batch
+    shape and t_proc / scale, so that score is the reliability.
     """
     on_truth = False
     if method == "gamma":

@@ -13,14 +13,17 @@ import pathlib
 import sys
 import types
 
+import numpy as np
 import pytest
 
 import satsched as ss
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
-# spans one plan request must record: the kernels, the ground truth's
-# shape lookups, every planner step and score call, pricing and the legs
+# spans the traced window must record: the kernels, every planner step and
+# score call, pricing and the legs of one plan request, and the ground
+# truth's array shape lookup, which a plan does not make (it reads the kept
+# grid values), so the test calls it directly
 PLAN_SPANS = ("kernels.cdf", "harness.shape_at", "numerics.gamma_cdf",
               "scheduler.score", "scheduler.select_and_price",
               "scheduler.solve_optimal_frequency",
@@ -62,6 +65,7 @@ def test_bench_tracer_wraps_a_plan_request(scenario, gt_nano, nano):
             sel = ss.select_and_price(method, gt_nano, budget, 4,
                                       scenario.rho_th, nano, moments=moments)
             assert sel.frequency_hz > nano.f_min_hz
+        gt_nano.shape_at(np.array([nano.f_min_hz, nano.f_max_hz]))
     finally:
         tracer.uninstall()
     missing = [n for n in PLAN_SPANS if tracer.total(n, 0) == 0]

@@ -201,9 +201,11 @@ def test_model_positivity_guard_narrow_domain_plans_through_the_mask(
     fitted = ss.fit_frequency_model(dict(zip(freqs.tolist(), times)))
     assert (fitted.domain_lo_hz, fitted.domain_hi_hz) == (lo, hi)
     grid = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
-    assert fitted.shape_at(grid) is not fitted.planner_grid_shapes
+    assert not fitted.grid_values.on(nano)
 
     class Polynomials:  # a model's fitted curves, nothing kept
+        grid_values = None
+
         def __init__(self, model):
             self.model = model
 
@@ -212,6 +214,9 @@ def test_model_positivity_guard_narrow_domain_plans_through_the_mask(
 
         def scale_at(self, f_hz):
             return self.model.scale_poly(f_hz)
+
+        def shape_scale_at(self, f_hz):
+            return self.shape_at(f_hz), self.scale_at(f_hz)
 
     # the second shape turns negative past the fitted range (zero at
     # 1.1 hi): those lanes are masked, not raised on

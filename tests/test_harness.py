@@ -212,8 +212,8 @@ def test_clocks_outside_the_platform_range_get_a_fresh_solve(monkeypatch,
             assert gt_nano.shape_scale_at(f) == (
                 want, float(gt_nano.mean_at(f) / want))
     assert solves == [1] * 9
-    assert gt_nano.shape_at(nano.f_min_hz) == gt_nano.planner_grid_shapes[0]
-    assert gt_nano.shape_at(nano.f_max_hz) == gt_nano.planner_grid_shapes[-1]
+    assert gt_nano.shape_at(nano.f_min_hz) == gt_nano.grid_values.shapes[0]
+    assert gt_nano.shape_at(nano.f_max_hz) == gt_nano.grid_values.shapes[-1]
     assert solves == [1] * 9
 
 
@@ -359,8 +359,8 @@ def test_ground_truth_pickles_and_copies_as_its_init_fields(scenario):
                  copy.copy(gt)):
         assert twin is not gt and twin.law_at(5e8) == law
         assert np.array_equal(twin.work_multipliers, gt.work_multipliers)
-        assert np.array_equal(twin.planner_grid_shapes,
-                              gt.planner_grid_shapes)
+        assert np.array_equal(twin.grid_values.shapes,
+                              gt.grid_values.shapes)
 
 
 def test_ground_truth_is_freed_once_dropped(scenario):

@@ -133,11 +133,16 @@ def test_invalid_batch_and_threshold_rejected(gt_nano, nano, zenith_budget):
 class _BrokenFit:
     """A fit gone wrong: nonpositive shape everywhere."""
 
+    grid_values = None
+
     def shape_at(self, f_hz):
         return -1.0 * np.ones_like(np.asarray(f_hz, dtype=np.float64))
 
     def scale_at(self, f_hz):
         return np.ones_like(np.asarray(f_hz, dtype=np.float64))
+
+    def shape_scale_at(self, f_hz):
+        return self.shape_at(f_hz), self.scale_at(f_hz)
 
 
 def test_broken_model_is_infeasible_not_crash(nano, zenith_budget):
@@ -280,6 +285,8 @@ def test_energy_grows_with_batch_size(gt_nano, nano, zenith_budget):
 class _Pessimist:
     """Planner belief with the truth's shape but a 20% inflated scale."""
 
+    grid_values = None
+
     def __init__(self, truth):
         self._truth = truth
 
@@ -288,6 +295,9 @@ class _Pessimist:
 
     def scale_at(self, f_hz):
         return 1.2 * np.asarray(self._truth.scale_at(f_hz), dtype=np.float64)
+
+    def shape_scale_at(self, f_hz):
+        return self.shape_at(f_hz), self.scale_at(f_hz)
 
 
 def test_pricing_ignores_planner_model(gt_nano, nano, zenith_budget):
@@ -327,9 +337,10 @@ def test_plan_kernel_work_gate(monkeypatch, scenario, gt_nano, nano,
     * the gamma plan on the ground truth makes no CDF call after the
       search's last probe;
     * a gamma plan on the ground truth or on a FrequencyModel fitted over
-      the platform range evaluates no Polynomial and solves no pooled
-      shape on the grid (a model fitted over a narrower range evaluates
-      both polynomials there, once each);
+      the platform range evaluates no Polynomial, solves no pooled shape
+      and calls no shape_at or scale_at on the grid (a model fitted over a
+      narrower range calls both there and evaluates both polynomials,
+      once each);
     * the Cantelli grid pass takes the kept moments, so it asks the ground
       truth for no grid shapes or scales to multiply."""
     fitted = _fitted_nano(scenario, gt_nano, nano, nano.f_min_hz,
@@ -349,13 +360,15 @@ def test_plan_kernel_work_gate(monkeypatch, scenario, gt_nano, nano,
     assert counts["grid_shape_solves"] == 0
     assert counts["cdf_arr_calls"] <= 1
     assert counts["grid_polynomial_evals"] == 0
-    assert counts["grid_lookups"] == 2  # the gamma pre-scan's
+    assert counts["grid_lookups"] == 0
     ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano,
                         model=fitted)
     assert counts["grid_polynomial_evals"] == 0
+    assert counts["grid_lookups"] == 0
     ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano,
                         model=narrow)
     assert counts["grid_polynomial_evals"] == 2
+    assert counts["grid_lookups"] == 2
     assert counts["grid_shape_solves"] == 0
 
 
@@ -366,20 +379,22 @@ def _masked_select_and_price(method, gt, budget, n_img, rho_th, platform):
     the gamma choice is priced by a separate gamma_cdf call."""
     t_proc = budget.t_proc_s
     if method == "gamma":
-        def achieved(f_hz):
-            if not isinstance(f_hz, np.ndarray):
-                return kernels.reg_lower_gamma(n_img * float(gt.shape_at(f_hz)),
-                                               t_proc / float(gt.scale_at(f_hz)))
-            shape = np.asarray(gt.shape_at(f_hz), dtype=np.float64)
-            scale = np.asarray(gt.scale_at(f_hz), dtype=np.float64)
+        def score(f_hz):
+            return kernels.reg_lower_gamma(n_img * float(gt.shape_at(f_hz)),
+                                           t_proc / float(gt.scale_at(f_hz)))
+
+        def flags(grid):
+            shape = np.asarray(gt.shape_at(grid), dtype=np.float64)
+            scale = np.asarray(gt.scale_at(grid), dtype=np.float64)
             ok = (np.isfinite(shape) & np.isfinite(scale)
                   & (shape > 0.0) & (scale > 0.0))
-            out = np.zeros(f_hz.shape[0], dtype=bool)
+            out = np.zeros(grid.shape[0], dtype=bool)
             out[ok] = kernels.reg_lower_gamma_at_least(
                 n_img * shape[ok], t_proc / scale[ok], rho_th)[0]
             return out
         sol = ss.scheduler._boundary_search(
-            achieved, rho_th, platform.f_min_hz, platform.f_max_hz, method)
+            score, flags, rho_th, platform.f_min_hz, platform.f_max_hz,
+            method)
     else:
         def variance(f_hz):
             scale = gt.scale_at(f_hz)
@@ -425,8 +440,8 @@ def test_scalar_law_at_a_grid_clock_is_the_kept_one(scenario):
     for _, gt in _seeded_truths(scenario):
         p = gt.platform
         grid = ss.scheduler.planner_grid(p.f_min_hz, p.f_max_hz).tolist()
-        kept = zip(gt.planner_grid_shapes.tolist(),
-                   gt.planner_grid_scales.tolist())
+        kept = zip(gt.grid_values.shapes.tolist(),
+                   gt.grid_values.scales.tolist())
         for f, (shape, scale) in zip(grid, kept, strict=True):
             law = gt.law_at(f)
             assert (law.shape, law.scale) == (shape, scale), (gt, f)
@@ -474,7 +489,7 @@ def _plans_on_a_seeded_grid(scenario, budgets, fitted):
     rng = np.random.default_rng(20261020)
     plans = {}
     for i, (pi, gt) in enumerate(_seeded_truths(scenario)):
-        assert gt.planner_grid_shapes.size == ss.scheduler.GRID_POINTS_DEFAULT
+        assert gt.grid_values.shapes.size == ss.scheduler.GRID_POINTS_DEFAULT
         for cell in rng.choice(108, size=27, replace=False):
             n_img = int(cell % 12) + 1
             rho_th = (0.5, 0.95, 0.99)[cell // 12 % 3]
@@ -547,15 +562,19 @@ def test_plans_match_an_eight_times_finer_grid(monkeypatch, scenario,
 
 
 def test_planner_grid_shapes_are_a_fresh_solve(gt_nano, nano):
+    """The ground truth keeps read-only pooled shapes for the platform
+    range, equal to a fresh array solve on the planner grid."""
     grid = np.linspace(nano.f_min_hz, nano.f_max_hz, ss.scheduler.GRID_POINTS_DEFAULT)
     shared = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
     assert np.array_equal(shared, grid)
-    assert gt_nano.shape_at(shared) is gt_nano.planner_grid_shapes
-    # the same clocks as a (1, n) array are not the planner grid, so they
-    # get a fresh solve
+    values = gt_nano.grid_values
+    assert (values.f_min_hz, values.f_max_hz) == (nano.f_min_hz,
+                                                  nano.f_max_hz)
+    assert np.array_equal(values.shapes, gt_nano.shape_at(shared))
+    # the same clocks as a (1, n) array solve to the same values
     uncached = gt_nano.shape_at(grid[np.newaxis, :])[0]
-    assert np.array_equal(gt_nano.planner_grid_shapes, uncached)
-    for arr in (shared, gt_nano.planner_grid_shapes):
+    assert np.array_equal(values.shapes, uncached)
+    for arr in (shared, values.shapes):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -572,8 +591,8 @@ def test_replaced_ground_truth_plans_like_a_fresh_one(scenario, gt_nano, nano,
         image_sigma=scenario.gt_image_sigma,
         variance_model=scenario.gt_variance_model)
     assert np.array_equal(replaced.work_multipliers, fresh.work_multipliers)
-    assert np.array_equal(replaced.planner_grid_shapes,
-                          fresh.planner_grid_shapes)
+    assert np.array_equal(replaced.grid_values.shapes,
+                          fresh.grid_values.shapes)
     got = ss.select_and_price("gamma", replaced, zenith_budget, 3, RHO, nano)
     want = ss.select_and_price("gamma", fresh, zenith_budget, 3, RHO, nano)
     assert got == want
@@ -582,17 +601,15 @@ def test_replaced_ground_truth_plans_like_a_fresh_one(scenario, gt_nano, nano,
 
 def test_planner_grid_scales_are_cached(gt_nano, nano):
     """The planner's grid is one shared read-only array per platform range,
-    and the ground truth keeps its pooled scales on it."""
+    and the ground truth keeps its pooled scales on it, read-only and equal
+    to a fresh solve."""
     grid = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
-    assert gt_nano.scale_at(grid) is gt_nano.planner_grid_scales
-    # an equal copy is solved afresh, to the same values
-    assert np.array_equal(gt_nano.scale_at(np.array(grid)),
-                          gt_nano.planner_grid_scales)
-    assert np.array_equal(
-        gt_nano.planner_grid_scales,
-        gt_nano.mean_at(grid) / gt_nano.planner_grid_shapes)
-    assert gt_nano.planner_grid_scales.dtype == np.float64
-    for arr in (grid, gt_nano.planner_grid_scales):
+    values = gt_nano.grid_values
+    assert np.array_equal(gt_nano.scale_at(grid), values.scales)
+    assert np.array_equal(values.scales,
+                          gt_nano.mean_at(grid) / values.shapes)
+    assert values.scales.dtype == np.float64
+    for arr in (grid, values.scales):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 1.0
@@ -601,31 +618,31 @@ def test_planner_grid_scales_are_cached(gt_nano, nano):
 def test_ground_truth_keeps_grid_moments(monkeypatch, gt_nano, nano):
     """The ground truth keeps its Cantelli moments on the planner grid, in
     the operation order of the shape/scale closures, read-only; the moment
-    model hands them out there, and its pre-scan flags without the validity
-    checks equal the checked flags on a copy of the same moments."""
+    model built from it carries the same values and forms them again on
+    the grid, and its pre-scan flags without the validity checks equal the
+    checked flags on a copy of the same moments that keeps none."""
     grid = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
-    shapes, scales = gt_nano.planner_grid_shapes, gt_nano.planner_grid_scales
-    assert np.array_equal(gt_nano.planner_grid_means, shapes * scales)
-    assert np.array_equal(gt_nano.planner_grid_variances,
-                          shapes * scales * scales)
+    values = gt_nano.grid_values
+    shapes, scales = values.shapes, values.scales
+    assert np.array_equal(values.means, shapes * scales)
+    assert np.array_equal(values.variances, shapes * scales * scales)
     kept = ss.MomentModel.from_shape_scale_model(gt_nano)
-    assert kept.mean_fn(grid) is kept.planner_grid_means
-    assert kept.planner_grid_means is gt_nano.planner_grid_means
-    assert kept.variance_fn(grid) is gt_nano.planner_grid_variances
-    for arr in (gt_nano.planner_grid_means, gt_nano.planner_grid_variances):
+    assert np.array_equal(kept.grid_values.means, values.means)
+    assert np.array_equal(kept.grid_values.variances, values.variances)
+    for arr in (values.means, values.variances):
         assert not arr.flags.writeable
-    # an equal copy of the grid gets the products, to the same bits
-    assert np.array_equal(kept.mean_fn(np.array(grid)),
-                          gt_nano.planner_grid_means)
+    # the moment functions form the same products on the grid
+    assert np.array_equal(kept.mean_fn(grid), values.means)
+    assert np.array_equal(kept.variance_fn(grid), values.variances)
     copied = ss.MomentModel(lambda f: np.array(kept.mean_fn(f)),
                             lambda f: np.array(kept.variance_fn(f)))
-    assert copied.planner_grid_means is None
+    assert copied.grid_values is None
     search = ss.scheduler._boundary_search
     flags = []
 
-    def capture(achieved, *args):
-        flags.append(achieved(grid))
-        return search(achieved, *args)
+    def capture(score, flags_fn, *args):
+        flags.append(flags_fn(grid))
+        return search(score, flags_fn, *args)
 
     monkeypatch.setattr(ss.scheduler, "_boundary_search", capture)
     for n_img, t_proc in ((1, 0.05), (3, 0.3), (6, 0.3), (12, 0.45)):
@@ -760,40 +777,43 @@ def _damaged_moments(gt, grid, t_proc, n_img):
 @pytest.mark.parametrize("method", ["gamma", "cantelli", "cantelli-damaged"])
 def test_prescan_callback_returns_flags(monkeypatch, method, gt_nano, nano,
                                         zenith_budget):
-    """The array form of each planner's callback returns one bool flag per
-    grid point, the float form a score with the same verdict, also on a
-    moment model damaged on every checked point."""
+    """Each planner's flags callback returns one bool flag per planner-grid
+    point, and its score callback a float with the same verdict at each of
+    them, also on a moment model damaged at nine points spread over the
+    grid."""
     search = ss.scheduler._boundary_search
     seen = []
-    grid = np.linspace(nano.f_min_hz, nano.f_max_hz, 9)
+    grid = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
+    damaged = np.linspace(0, grid.size - 1, 9).round().astype(int)
     moments = None
     if method == "cantelli-damaged":
         method = "cantelli"
-        moments = _damaged_moments(gt_nano, grid, zenith_budget.t_proc_s, 3)
+        moments = _damaged_moments(gt_nano, grid[damaged],
+                                   zenith_budget.t_proc_s, 3)
 
-    def checked_search(achieved, rho_th, *args, **kwargs):
-        flags = achieved(grid)
-        assert flags.dtype == bool and flags.shape == grid.shape
-        assert [achieved(float(f)) >= rho_th for f in grid] == flags.tolist()
-        seen.append(flags)
-        return search(achieved, rho_th, *args, **kwargs)
+    def checked_search(score, flags, rho_th, *args, **kwargs):
+        on_grid = flags(grid)
+        assert on_grid.dtype == bool and on_grid.shape == grid.shape
+        assert [score(f) >= rho_th for f in grid.tolist()] == on_grid.tolist()
+        seen.append(on_grid)
+        return search(score, flags, rho_th, *args, **kwargs)
 
     monkeypatch.setattr(ss.scheduler, "_boundary_search", checked_search)
     ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano,
                         moments=moments)
     assert len(seen) == 1 and seen[0].any() and not seen[0].all()
     if moments is not None:
-        assert seen[0].tolist() == [False] * 4 + [True, False, True, False,
-                                                  False]
+        assert seen[0][damaged].tolist() == [False] * 4 + [True, False, True,
+                                                           False, False]
 
 
 def _count_plan_work(monkeypatch):
     """Count from here on: array CDF calls and lanes, scalar CDF calls, CDF
     calls (scalar or array) made after a boundary search returned, scalar
-    pooled-shape solves, boundary-search probes (scalar score calls) and
-    pre-scan lanes (array score lanes), and work on the planner grid:
-    array pooled-shape solves, Polynomial evaluations, and ground-truth
-    shape_at/scale_at calls."""
+    pooled-shape solves, boundary-search probes (score calls) and pre-scan
+    lanes (lanes of flags calls), and work on the planner grid: array
+    pooled-shape solves, Polynomial evaluations, and array shape_at and
+    scale_at calls on a ground truth or a FrequencyModel."""
     counts = {"cdf_lanes": 0, "cdf_arr_calls": 0, "cdf_scalar_calls": 0,
               "cdf_after_search": 0, "shape_solves": 0, "probes": 0,
               "prescan_lanes": 0, "grid_shape_solves": 0,
@@ -805,7 +825,6 @@ def _count_plan_work(monkeypatch):
     solve_arr = kernels.solve_gamma_shape_arr
     search = ss.scheduler._boundary_search
     poly = ss.Polynomial.__call__
-    gt_cls = ss.GroundTruth
     n_grid = ss.scheduler.GRID_POINTS_DEFAULT
 
     def counted_cdf(a, x):
@@ -839,16 +858,17 @@ def _count_plan_work(monkeypatch):
             return fn(self, f_hz)
         return lookup
 
-    def counted_search(achieved, *args, **kwargs):
-        def score(f_hz):
-            if isinstance(f_hz, np.ndarray):
-                counts["prescan_lanes"] += f_hz.size
-            else:
-                counts["probes"] += 1
-            return achieved(f_hz)
+    def counted_search(score, flags, *args, **kwargs):
+        def counted_score(f_hz):
+            counts["probes"] += 1
+            return score(f_hz)
+
+        def counted_flags(grid):
+            counts["prescan_lanes"] += grid.size
+            return flags(grid)
         searched[0] = False
         try:
-            return search(score, *args, **kwargs)
+            return search(counted_score, counted_flags, *args, **kwargs)
         finally:
             searched[0] = True
 
@@ -858,8 +878,9 @@ def _count_plan_work(monkeypatch):
     monkeypatch.setattr(kernels, "solve_gamma_shape_arr", counted_solve_arr)
     monkeypatch.setattr(ss.scheduler, "_boundary_search", counted_search)
     monkeypatch.setattr(ss.Polynomial, "__call__", counted_poly)
-    for name in ("shape_at", "scale_at"):
-        monkeypatch.setattr(gt_cls, name, counted_lookup(getattr(gt_cls, name)))
+    for cls in (ss.GroundTruth, ss.FrequencyModel):
+        for name in ("shape_at", "scale_at"):
+            monkeypatch.setattr(cls, name, counted_lookup(getattr(cls, name)))
     return counts
 
 
@@ -964,7 +985,7 @@ def test_prescan_exact_lane_gate_below_shape_one(monkeypatch, gt_nano_wide,
     """With cv 0.9 and image_sigma 1 the pooled shapes fall below 1, where
     the tangent bracket settles nothing; the series bracket settles every
     pre-scan lane, so no lane runs the chords or the exact CDF."""
-    assert gt_nano_wide.planner_grid_shapes.max() < 1.0
+    assert gt_nano_wide.grid_values.shapes.max() < 1.0
     counts = _count_plan_work(monkeypatch)
     chord_lanes = _count_chord_lanes(monkeypatch)
     ss.select_and_price("gamma", gt_nano_wide, zenith_budget, 1, RHO, nano)
@@ -978,7 +999,7 @@ def test_prescan_series_bracket_settles_shapes_below_the_cutoff(
     where the tangent and chord bounds are loose; the lanes the tangent
     leaves in doubt take the series bracket, and none runs the exact CDF
     (171 and 182 lanes did with the cutoff at 1)."""
-    batch = n_img * gt_nano_wide.planner_grid_shapes
+    batch = n_img * gt_nano_wide.grid_values.shapes
     assert 1.0 <= batch.min() and batch.max() < kernels._SERIES_CUTOFF
     counts = _count_plan_work(monkeypatch)
     sel = ss.select_and_price("gamma", gt_nano_wide, zenith_budget, n_img,
@@ -1014,8 +1035,8 @@ def test_screen_below_shape_one_skips_the_tangent_terms(
         return tangent_terms(a, x)
 
     monkeypatch.setattr(kernels, "_tangent_terms", counted)
-    shape, scale = (gt_nano_wide.planner_grid_shapes,
-                    gt_nano_wide.planner_grid_scales)
+    shape, scale = (gt_nano_wide.grid_values.shapes,
+                    gt_nano_wide.grid_values.scales)
     t_proc = zenith_budget.t_proc_s
     assert shape.max() < 1.0
     flags, _ = kernels.reg_lower_gamma_at_least(shape, t_proc / scale, RHO)
@@ -1032,11 +1053,11 @@ def test_screen_below_shape_one_skips_the_tangent_terms(
 
 def _count_screens(monkeypatch):
     """Count from here on the gamma pre-scan's screen calls and lanes (calls
-    of kernels.reg_lower_gamma_at_least), and keep every DeadlineBounds a
+    of kernels.reg_lower_gamma_at_least), and keep every GridValues a
     pre-scan consults."""
     counts = {"calls": 0, "lanes": 0, "stores": {}}
     screen = kernels.reg_lower_gamma_at_least
-    flags = ss.scheduler.DeadlineBounds.flags
+    flags = ss.scheduler.GridValues.gamma_flags
 
     def counted_screen(a, x, p):
         counts["calls"] += 1
@@ -1048,12 +1069,12 @@ def _count_screens(monkeypatch):
         return flags(self, *args)
 
     monkeypatch.setattr(kernels, "reg_lower_gamma_at_least", counted_screen)
-    monkeypatch.setattr(ss.scheduler.DeadlineBounds, "flags", kept_store)
+    monkeypatch.setattr(ss.scheduler.GridValues, "gamma_flags", kept_store)
     return counts
 
 
 def _bounded_keys(store):
-    # the keys of a DeadlineBounds that keep per-lane arrays
+    # the keys of a GridValues that keep per-lane arrays
     return [key for key, entry in store._keys.items() if entry[2] is not None]
 
 
@@ -1084,7 +1105,7 @@ def test_plan_stream_screen_gate(monkeypatch, scenario):
     assert counts["calls"] <= 0.25 * requests
     assert counts["lanes"] <= 32 * requests
     # every cell of the block keeps bounds
-    assert sum(len(_bounded_keys(gt.planner_grid_bounds))
+    assert sum(len(_bounded_keys(gt.grid_values))
                for gt in truths.values()) == len(PLAN_STREAM_BLOCK)
 
 
@@ -1131,7 +1152,7 @@ def test_bounds_keep_at_most_the_cap_of_keys(scenario):
         for budget in budgets:
             _plan_or_reliability(ss.solve_optimal_frequency, gt, budget, 3,
                                  rho_th, gt.platform)
-    store = gt.planner_grid_bounds
+    store = gt.grid_values
     cap = ss.scheduler._BOUND_KEYS
     assert list(store._keys) == [(3, r) for r in rhos[-cap:]]
     assert len(_bounded_keys(store)) == cap
@@ -1147,23 +1168,25 @@ def test_bounds_skip_lanes_the_screen_leaves_near_rho_th(
     again screens that lane alone, and one at another t_proc screened
     before screens nothing."""
     screened = []
-    screen = ss.scheduler.DeadlineBounds._screen
+    screen = ss.scheduler.GridValues._screen
 
     def counted(self, n_img, rho_th, t_proc, lanes=None):
         screened.append(None if lanes is None else lanes.tolist())
         return screen(self, n_img, rho_th, t_proc, lanes)
 
-    monkeypatch.setattr(ss.scheduler.DeadlineBounds, "_screen", counted)
-    shapes, scales = gt_nano.planner_grid_shapes, gt_nano.planner_grid_scales
+    monkeypatch.setattr(ss.scheduler.GridValues, "_screen", counted)
+    nano = gt_nano.platform
+    shapes, scales = gt_nano.grid_values.shapes, gt_nano.grid_values.scales
     n_img, t0 = 3, zenith_budget.t_proc_s
     cdf = kernels.reg_lower_gamma_arr(n_img * shapes, t0 / scales)
     lane = int(np.argmin(np.abs(cdf - RHO)))  # the lane nearest the quantile
     rho_th = float(cdf[lane])
     assert abs(rho_th - RHO) < 0.01
-    bounds = ss.scheduler.DeadlineBounds(shapes, scales)
+    bounds = ss.scheduler.GridValues(nano.f_min_hz, nano.f_max_hz, shapes,
+                                     scales)
     plans = (0.9 * t0, 1.1 * t0, t0, t0, 1.05 * t0, t0, 1.05 * t0)
     for t_proc in plans:
-        got = bounds.flags(n_img, rho_th, t_proc)
+        got = bounds.gamma_flags(n_img, rho_th, t_proc)
         want, settled = kernels.reg_lower_gamma_at_least(
             n_img * shapes, t_proc / scales, rho_th)
         assert np.array_equal(got, want), t_proc
@@ -1176,10 +1199,11 @@ def test_bounds_skip_lanes_the_screen_leaves_near_rho_th(
     assert t_lo[lane] == -math.inf and t_hi[lane] == 1.05 * t0
     # activated elsewhere, the first plan at t0 screens every lane in
     # doubt, and leaves the lane unbounded there too
-    bounds = ss.scheduler.DeadlineBounds(shapes, scales)
+    bounds = ss.scheduler.GridValues(nano.f_min_hz, nano.f_max_hz, shapes,
+                                     scales)
     screened.clear()
     for t_proc in (0.9 * t0, 1.1 * t0, 0.95 * t0, t0, t0):
-        got = bounds.flags(n_img, rho_th, t_proc)
+        got = bounds.gamma_flags(n_img, rho_th, t_proc)
         want, _ = kernels.reg_lower_gamma_at_least(
             n_img * shapes, t_proc / scales, rho_th)
         assert np.array_equal(got, want), t_proc
@@ -1233,8 +1257,8 @@ def test_prescan_bounds_are_sound(monkeypatch, scenario, gt_nano_wide,
     }
     fitted = _fitted_non_monotone(scenario, truths["default"], zenith_budget)
     screens = {"skipped": 0, "gathered": 0, "full": 0}
-    flags_fn = ss.scheduler.DeadlineBounds.flags
-    screen_fn = ss.scheduler.DeadlineBounds._screen
+    flags_fn = ss.scheduler.GridValues.gamma_flags
+    screen_fn = ss.scheduler.GridValues._screen
 
     calls = []
 
@@ -1246,23 +1270,23 @@ def test_prescan_bounds_are_sound(monkeypatch, scenario, gt_nano_wide,
         calls.clear()
         got = flags_fn(self, n_img, rho_th, t_proc).copy()
         want, _ = kernels.reg_lower_gamma_at_least(
-            n_img * self._shapes, t_proc / self._scales, rho_th)
+            n_img * self.shapes, t_proc / self.scales, rho_th)
         assert np.array_equal(got, want), (n_img, rho_th, t_proc)
         kind = ("skipped" if not calls
                 else "full" if len(calls[0]) == 3 else "gathered")
         screens[kind] += 1
         return got
 
-    monkeypatch.setattr(ss.scheduler.DeadlineBounds, "_screen",
-                        counted_screen)
-    monkeypatch.setattr(ss.scheduler.DeadlineBounds, "flags", checked_flags)
+    monkeypatch.setattr(ss.scheduler.GridValues, "_screen", counted_screen)
+    monkeypatch.setattr(ss.scheduler.GridValues, "gamma_flags",
+                        checked_flags)
     rng = np.random.default_rng(20261023)
     rhos = (0.01, 0.5, 0.95, 0.99)
     models = list(truths.items()) + [("fitted", fitted)]
     plans = non_monotone = 0
     for m, (label, model) in enumerate(models):
         # per-image means on the grid, from the kept shapes and scales
-        means = model.planner_grid_shapes * model.planner_grid_scales
+        means = model.grid_values.shapes * model.grid_values.scales
         stream = []
         for k, rho_th in enumerate(rhos * 2):
             n_img = 1 + (3 * (2 * m + k) + m) % 12
@@ -1291,14 +1315,13 @@ def test_prescan_bounds_are_sound(monkeypatch, scenario, gt_nano_wide,
 
 # ---------------------------------------------------------------- boundary search
 
-def _reference_bisection(achieved, rho_th, f_min_hz, f_max_hz, what):
+def _reference_bisection(score, flags, rho_th, f_min_hz, f_max_hz, what):
     """Plain bisection from the same pre-scan cell to the same tolerance."""
     grid = np.linspace(f_min_hz, f_max_hz, ss.scheduler.GRID_POINTS_DEFAULT)
-    flags = achieved(grid)
-    feasible_idx = np.flatnonzero(flags)
+    feasible_idx = np.flatnonzero(flags(grid))
     if feasible_idx.size == 0:
         raise InfeasibleConstraintError(
-            what, achievable_reliability=float(achieved(f_max_hz)))
+            what, achievable_reliability=float(score(f_max_hz)))
     first = int(feasible_idx[0])
     if first == 0:
         return float(f_min_hz)
@@ -1306,7 +1329,7 @@ def _reference_bisection(achieved, rho_th, f_min_hz, f_max_hz, what):
     tol = ss.scheduler._BRACKET_REL_TOL * (f_max_hz - f_min_hz)
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if achieved(mid) >= rho_th:
+        if score(mid) >= rho_th:
             hi = mid
         else:
             lo = mid
@@ -1329,17 +1352,17 @@ def test_boundary_search_matches_reference_bisection(monkeypatch, scenario,
     search = ss.scheduler._boundary_search
     checked = []
 
-    def compared(achieved, rho_th, f_min_hz, f_max_hz, what):
-        ref = _outcome(_reference_bisection, achieved, rho_th, f_min_hz,
+    def compared(score, flags, rho_th, f_min_hz, f_max_hz, what):
+        ref = _outcome(_reference_bisection, score, flags, rho_th, f_min_hz,
                        f_max_hz, what)
         probes = []
 
         def counted(f_hz):
-            if not isinstance(f_hz, np.ndarray):
-                probes.append(f_hz)
-            return achieved(f_hz)
+            probes.append(f_hz)
+            return score(f_hz)
 
-        got = _outcome(search, counted, rho_th, f_min_hz, f_max_hz, what)
+        got = _outcome(search, counted, flags, rho_th, f_min_hz, f_max_hz,
+                       what)
         if isinstance(ref, InfeasibleConstraintError):
             assert isinstance(got, InfeasibleConstraintError)
             assert got.achievable_reliability == ref.achievable_reliability
@@ -1348,10 +1371,10 @@ def test_boundary_search_matches_reference_bisection(monkeypatch, scenario,
         tol = ss.scheduler._BRACKET_REL_TOL * span
         assert isinstance(got, ss.FrequencySolution)
         assert abs(got.frequency_hz - ref) <= 1e-9 * span
-        assert got.predicted_reliability == achieved(got.frequency_hz)
+        assert got.predicted_reliability == score(got.frequency_hz)
         assert got.predicted_reliability >= rho_th
         if got.frequency_hz > f_min_hz:
-            assert achieved(got.frequency_hz - tol) < rho_th
+            assert score(got.frequency_hz - tol) < rho_th
             assert len(probes) <= 8
         checked.append(got.frequency_hz > f_min_hz)
         return got
@@ -1393,14 +1416,13 @@ def _search(score, rho_th):
     solution and the float probes it made."""
     probes = []
 
-    def achieved(f_hz):
-        if isinstance(f_hz, np.ndarray):
-            return score(f_hz) >= rho_th
+    def probe(f_hz):
         probes.append(f_hz)
         return float(score(f_hz))
 
-    sol = ss.scheduler._boundary_search(achieved, rho_th, F_MIN, F_MAX,
-                                        "hand-made score")
+    sol = ss.scheduler._boundary_search(
+        probe, lambda grid: score(grid) >= rho_th, rho_th, F_MIN, F_MAX,
+        "hand-made score")
     return sol, probes
 
 
@@ -1453,13 +1475,12 @@ def test_boundary_search_keeps_the_grid_verdict(float_score):
     grid's verdict stands."""
     probes = []
 
-    def achieved(f_hz):
-        if isinstance(f_hz, np.ndarray):
-            return f_hz >= GRID[MID]
+    def score(f_hz):
         probes.append(f_hz)
         return float_score
 
-    sol = ss.scheduler._boundary_search(achieved, RHO, F_MIN, F_MAX, "grid")
+    sol = ss.scheduler._boundary_search(
+        score, lambda grid: grid >= GRID[MID], RHO, F_MIN, F_MAX, "grid")
     assert sol.predicted_reliability == float_score
     if float_score >= RHO:
         assert GRID[MID - 1] < sol.frequency_hz <= GRID[MID - 1] + TOL

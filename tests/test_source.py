@@ -155,3 +155,66 @@ def test_no_test_or_module_hard_codes_the_planner_grid():
                                        n_grid)
              for path in paths}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def _identity_checks(source: str) -> list:
+    # getattr calls, and is / is not tests without a None side, outside
+    # the one allowed test, ``model is ground_truth`` in select_and_price
+    tree = ast.parse(source)
+    allowed = [node for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               and fn.name == "select_and_price"
+               for node in ast.walk(fn) if isinstance(node, ast.Compare)
+               and ast.unparse(node) == "model is ground_truth"]
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr"):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.Compare) and node not in allowed:
+            sides = [node.left] + node.comparators
+            if any(isinstance(op, (ast.Is, ast.IsNot))
+                   and not any(isinstance(s, ast.Constant) and s.value is None
+                               for s in pair)
+                   for op, pair in zip(node.ops, zip(sides, sides[1:]))):
+                found.append((node.lineno, ast.unparse(node)))
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def _defines(source: str, name: str) -> bool:
+    return any(isinstance(node, ast.FunctionDef) and node.name == name
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_identity_check_scan_finds_them():
+    src = ("def plan(model, x, grid):\n"
+           "    a = getattr(model, 'grid_values', None)\n"
+           "    if x is None or a is not None:\n"
+           "        return x is grid\n"
+           "    return grid is not model.grid\n"
+           "def select_and_price(model, ground_truth):\n"
+           "    return model is None or model is ground_truth\n"
+           "def price(model, ground_truth):\n"
+           "    return model is ground_truth\n"
+           "class Model:\n"
+           "    def _on_planner_grid(self, f_hz):\n"
+           "        return None is f_hz\n")
+    assert _identity_checks(src) == [
+        "2: getattr(model, 'grid_values', None)", "4: x is grid",
+        "5: grid is not model.grid", "9: model is ground_truth"]
+    assert _defines(src, "_on_planner_grid")
+    assert not _defines(src, "_on_grid")
+
+
+def test_planners_take_grid_values_without_identity_checks():
+    """A model's grid values reach the planners through its
+    ``grid_values``: the scheduler probes no attribute by name and tests
+    no object's identity but None's and, in select_and_price, whether the
+    planner's model is the ground truth; no module recognises the planner
+    grid by identity."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PKG.glob("*.py"))}
+    assert len(sources) >= 13
+    assert _identity_checks(sources["scheduler.py"]) == []
+    assert [name for name, source in sources.items()
+            if _defines(source, "_on_planner_grid")] == []
