@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__, kernels, scheduler
 from .channel import (LinkGeometry, downlink_delay, expected_uplink_delay,
                       fbl_error_probability, isl_round_trip, slant_range, snr)
-from .compute import Platform
+from .compute import Platform, batch_law, energy
 from .config import Scenario
 from .errors import (DomainError, EstimationError, InfeasibleBudgetError,
                      InfeasibleConstraintError, InfeasibleLinkError,
@@ -31,9 +31,12 @@ from .estimation import fit_frequency_model, sample_size_study
 from .numerics import GammaLaw, ks_statistic
 from .rand import NS_GROUND_TRUTH, stream
 from .scheduler import (GridValues, LatencyBudget, MomentModel, planner_grid,
-                        processing_budget, select_and_price)
+                        processing_budget)
 
 _METHODS = ("gamma", "cantelli")
+# ground truths ground_truth_for keeps, the least recently asked for
+# dropped first
+_GROUND_TRUTHS = 8
 
 
 # a field the constructor derives from the others
@@ -312,13 +315,32 @@ def synthesize_ground_truth(platform: Platform, cv: float, n_images: int,
 
 
 def ground_truth_for(scenario: Scenario, platform_index: int) -> GroundTruth:
-    """The scenario's ground truth for one platform (stream key fixed by index)."""
-    rng = stream(scenario.seed, scenario.bit_generator,
-                 NS_GROUND_TRUTH, platform_index)
-    return synthesize_ground_truth(
-        scenario.platforms[platform_index], scenario.gt_cv,
-        scenario.gt_n_images, rng, image_sigma=scenario.gt_image_sigma,
-        variance_model=scenario.gt_variance_model)
+    """The scenario's ground truth for one platform (stream key fixed by index).
+
+    Calls with equal inputs share one object for as long as it stays
+    cached: the inputs are the values the build reads (the seed, the bit
+    generator, the platform index, the platform, and the ground-truth cv,
+    image count, image_sigma and variance model), and the last
+    ``_GROUND_TRUTHS`` (8) distinct ones are kept, the least recently asked
+    for dropped first. So every figure runner, ``satsched plan`` and any
+    other caller in one process plan on the same ``grid_values`` and its
+    gamma pre-scan bounds. A build that raises is not kept.
+    """
+    return _ground_truth(scenario.seed, scenario.bit_generator,
+                         platform_index, scenario.platforms[platform_index],
+                         scenario.gt_cv, scenario.gt_n_images,
+                         scenario.gt_image_sigma, scenario.gt_variance_model)
+
+
+# typed, so an input that raises (a bool count, say) never finds the entry
+# of an equal one that built
+@functools.lru_cache(maxsize=_GROUND_TRUTHS, typed=True)
+def _ground_truth(seed, bit_generator, platform_index, platform, cv,
+                  n_images, image_sigma, variance_model) -> GroundTruth:
+    rng = stream(seed, bit_generator, NS_GROUND_TRUTH, platform_index)
+    return synthesize_ground_truth(platform, cv, n_images, rng,
+                                   image_sigma=image_sigma,
+                                   variance_model=variance_model)
 
 
 def fit_frequency_grid(platform: Platform, n_frequencies: int) -> np.ndarray:
@@ -478,14 +500,22 @@ def run_fig3(scenario: Scenario, out_dir: str) -> dict:
 
 def _priced_row(scenario, gt, moments, budget, method, n_img,
                 platform) -> tuple:
-    """(frequency, energy, feasible) for one planner instance; ``moments``
-    are the Cantelli moments of ``gt``."""
+    """(frequency, energy, feasible) for one planner instance, as
+    ``select_and_price`` plans and prices it on ``gt``; ``moments`` are the
+    Cantelli moments of ``gt``. The figures write no reliability, so none
+    is computed. The planners are looked up on their module, so wrappers
+    installed there see these calls."""
     try:
-        sel = select_and_price(method, gt, budget, n_img, scenario.rho_th,
-                               platform, moments=moments)
-        return sel.frequency_hz, sel.energy_j, True
+        if method == "gamma":
+            sol = scheduler.solve_optimal_frequency(
+                gt, budget, n_img, scenario.rho_th, platform)
+        else:
+            sol = scheduler.solve_cantelli_frequency(
+                moments, budget, n_img, scenario.rho_th, platform)
     except InfeasibleConstraintError:
         return None, None, False
+    f_hz = sol.frequency_hz
+    return f_hz, energy(f_hz, platform, batch_law(gt.law_at(f_hz), n_img)), True
 
 
 def run_fig4(scenario: Scenario, out_dir: str) -> dict:

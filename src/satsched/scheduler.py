@@ -74,12 +74,16 @@ the points between their two bounds, at most a few of them alone through
 the exact kernel, and usually none once a key has seen a few dozen plans.
 Its flags are the full screen's on every point, so every plan is the same
 bit for bit. A key starts keeping bounds only once a plan's t_proc falls
-strictly inside the range its earlier plans covered: a one-off plan or a
-monotone sweep (fig5 runs each key from 90 degrees down) pays one lookup
-and a two-float record on top of the full screen, and a key that keeps
-bounds holds 2 x 256 float64. The Cantelli pre-scan keeps none: its screen
-is a dozen array passes, about what the bookkeeping costs on the plans that
-still screen.
+inside the range its earlier plans covered, ends included: a one-off plan,
+or a strictly monotone sweep seen once (fig5 runs each key from 90 degrees
+down), pays one lookup and a two-float record on top of the full screen,
+while a plan that repeats a t_proc (fig4 run again at the operating
+elevation) starts them. A key that keeps bounds holds 2 x 256 float64. The
+bounds live as long as the model: ``harness.ground_truth_for`` keeps the
+ground truths of its last eight distinct inputs, so repeated figure runs
+in one process plan on the same ones. The Cantelli pre-scan keeps none:
+its screen is a dozen array passes, about what the bookkeeping costs on
+the plans that still screen.
 """
 
 import collections
@@ -148,11 +152,16 @@ class GridValues:
     t_proc and a clear one at every smaller. That is all the bounds assume,
     and the screen assumes it already.
 
-    A key starts keeping bounds only when a plan's t_proc falls strictly
-    inside the range of the t_proc its earlier plans had; until then it
-    holds that range alone, so a one-off plan or a monotone sweep pays one
-    lookup on top of the full screen. At most ``_BOUND_KEYS`` keys are kept,
-    the least recently planned dropped first.
+    A key starts keeping bounds only when a plan's t_proc falls inside the
+    range of the t_proc its earlier plans had, ends included, so a plan
+    that repeats one starts them; until then it holds that range alone,
+    and a one-off plan or a strictly monotone sweep pays one lookup on top
+    of the full screen. At most ``_BOUND_KEYS`` keys are kept, the least
+    recently planned dropped first.
+
+    The bounds are shared by every holder of the model, a ground truth
+    that ``harness.ground_truth_for`` keeps included, and last as long as
+    it; a key's arrays are stored only once complete.
     """
 
     __slots__ = ("f_min_hz", "f_max_hz", "shapes", "scales", "means",
@@ -199,25 +208,28 @@ class GridValues:
         # recently planned
         entry = keys.pop(key, None)
         if entry is None:
-            entry = [t_proc, t_proc, None]
             if len(keys) >= _BOUND_KEYS:
                 keys.popitem(last=False)
+            keys[key] = [t_proc, t_proc, None]
+            return self._screen(n_img, rho_th, t_proc)[0]
         keys[key] = entry
         bounds = entry[2]
         if bounds is None:
-            if t_proc <= entry[0]:
+            if t_proc < entry[0]:
                 entry[0] = t_proc
                 return self._screen(n_img, rho_th, t_proc)[0]
-            if t_proc >= entry[1]:
+            if t_proc > entry[1]:
                 entry[1] = t_proc
                 return self._screen(n_img, rho_th, t_proc)[0]
             flags, settled = self._screen(n_img, rho_th, t_proc)
-            # a set flag bounds its lane from above, a clear one from below
-            bounds = entry[2] = np.where(
-                flags, [[-np.inf], [t_proc]],
-                [[math.nextafter(t_proc, math.inf)], [np.inf]])
+            # a set flag bounds its lane from above, a clear one from below;
+            # stored only once complete, since every holder of the model
+            # reads it
+            bounds = np.where(flags, [[-np.inf], [t_proc]],
+                              [[math.nextafter(t_proc, math.inf)], [np.inf]])
             if isinstance(settled, np.ndarray):
                 bounds[:, ~settled] = (-np.inf,), (np.inf,)
+            entry[2] = bounds
             return flags
         # row 0: t_lo <= t_proc, lanes not proven infeasible; row 1:
         # t_hi <= t_proc, lanes proven feasible. t_lo <= t_hi, so row 1

@@ -2,8 +2,12 @@
 
 Session-scoped so the synthetic ground truths and the zenith budget are
 built once; every value derived from them is deterministic (fixed seed in
-the default config).
+the default config). The ground-truth fixtures are copies, not the objects
+``ground_truth_for`` keeps for the process, so the pre-scan bounds that
+figure runs store on those do not change the work counted on the fixtures.
 """
+
+import dataclasses
 
 import pytest
 
@@ -33,12 +37,12 @@ def zenith_budget(scenario):
 
 @pytest.fixture(scope="session")
 def gt_nano(scenario):
-    return ss.ground_truth_for(scenario, 0)
+    return dataclasses.replace(ss.ground_truth_for(scenario, 0))
 
 
 @pytest.fixture(scope="session")
 def gt_agx(scenario):
-    return ss.ground_truth_for(scenario, 1)
+    return dataclasses.replace(ss.ground_truth_for(scenario, 1))
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,7 @@ import pytest
 
 import satsched as ss
 from satsched import cli, kernels
-from satsched.errors import (DomainError, InfeasibleBudgetError,
+from satsched.errors import (ConfigError, DomainError, InfeasibleBudgetError,
                              InfeasibleConstraintError)
 
 _CLI = "import sys; from satsched.cli import main; sys.exit(main())"
@@ -314,10 +314,77 @@ def test_ground_truth_keyed_by_platform_index(scenario, gt_nano, gt_agx):
                               gt_agx.work_multipliers)
 
 
+def test_ground_truth_for_keeps_one_object_per_input(scenario):
+    """Equal inputs share one ground truth; a change to any one value the
+    build reads gives another, which is kept in turn."""
+    ss.harness._ground_truth.cache_clear()
+    gt = ss.ground_truth_for(scenario, 0)
+    assert ss.ground_truth_for(scenario, 0) is gt
+    assert ss.ground_truth_for(dataclasses.replace(scenario), 0) is gt
+    nano = scenario.platforms[0]
+    changes = {
+        "seed": {"seed": scenario.seed + 1},
+        "bit_generator": {"bit_generator": "pcg64"},
+        "platform": {"platforms": (dataclasses.replace(
+            nano, mu_sync_s=2.0 * nano.mu_sync_s),)},
+        "cv": {"gt_cv": 0.5 * scenario.gt_cv},
+        "n_images": {"gt_n_images": scenario.gt_n_images + 1},
+        "image_sigma": {"gt_image_sigma": 0.5 * scenario.gt_image_sigma},
+        "variance_model": {"gt_variance_model": "constant"},
+    }
+    assert scenario.bit_generator != "pcg64"
+    assert scenario.gt_variance_model != "constant"
+    # the platform index alone: the same platform listed twice
+    twice = dataclasses.replace(scenario, platforms=(nano, nano))
+    by_index = ss.ground_truth_for(twice, 1)
+    assert by_index is not gt and ss.ground_truth_for(twice, 0) is gt
+    assert not np.array_equal(by_index.work_multipliers, gt.work_multipliers)
+    others = [by_index]
+    for name, change in changes.items():
+        changed = dataclasses.replace(scenario, **change)
+        other = ss.ground_truth_for(changed, 0)
+        assert other is not gt, name
+        assert ss.ground_truth_for(changed, 0) is other, name
+        others.append(other)
+    assert len(set(map(id, others))) == 1 + len(changes)
+
+
+def test_ground_truth_for_drops_the_least_recently_used(scenario):
+    """With the cache full, a new input drops the input asked for least
+    recently, and an input that raises is not kept."""
+    cache = ss.harness._ground_truth
+    cache.cache_clear()
+    size = ss.harness._GROUND_TRUTHS
+    assert size == 8
+
+    def seeded(k):
+        return dataclasses.replace(scenario, seed=scenario.seed + k)
+
+    first = [ss.ground_truth_for(seeded(k), 0) for k in range(size)]
+    assert ss.ground_truth_for(seeded(0), 0) is first[0]  # now the newest
+    ss.ground_truth_for(seeded(size), 0)  # a ninth input drops seed + 1
+    assert cache.cache_info().currsize == size
+    assert ss.ground_truth_for(seeded(0), 0) is first[0]
+    assert all(ss.ground_truth_for(seeded(k), 0) is first[k]
+               for k in range(2, size))
+    assert ss.ground_truth_for(seeded(1), 0) is not first[1]
+    # builds that raise are not kept, and a bool count does not find the
+    # entry of the equal int
+    cache.cache_clear()
+    ss.ground_truth_for(dataclasses.replace(scenario, gt_n_images=1), 0)
+    for bad, error in (({"bit_generator": "mt19937"}, ConfigError),
+                       ({"gt_cv": 1.5}, DomainError),
+                       ({"gt_n_images": True}, DomainError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                ss.ground_truth_for(dataclasses.replace(scenario, **bad), 0)
+    assert cache.cache_info().currsize == 1
+
+
 def test_ground_truth_keeps_a_read_only_copy_of_its_multipliers(scenario):
     # a fresh ground truth: a write that got through would spoil the
-    # session fixture
-    gt = ss.ground_truth_for(scenario, 0)
+    # session fixture and the one ground_truth_for keeps
+    gt = dataclasses.replace(ss.ground_truth_for(scenario, 0))
     gap = gt.log_multiplier_gap
     assert gap > 0.0 and gt.work_multipliers.dtype == np.float64
     with pytest.raises(ValueError):
@@ -365,7 +432,8 @@ def test_ground_truth_pickles_and_copies_as_its_init_fields(scenario):
 
 def test_ground_truth_is_freed_once_dropped(scenario):
     # no reference cycle: dropping the last reference frees it at once
-    gt = ss.ground_truth_for(scenario, 0)
+    # (a copy: ground_truth_for keeps a reference to its own)
+    gt = dataclasses.replace(ss.ground_truth_for(scenario, 0))
     gt.law_at(5e8)
     ref = weakref.ref(gt)
     gc.disable()

@@ -885,8 +885,11 @@ def _count_plan_work(monkeypatch):
 
 
 def test_prescan_exact_lane_gate(monkeypatch, gt_nano, nano, zenith_budget):
+    # a copy: a third plan at one t_proc on the fixture would read every
+    # flag off the bounds its repeats started
+    gt = dataclasses.replace(gt_nano)
     counts = _count_plan_work(monkeypatch)
-    sel = ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano)
+    sel = ss.select_and_price("gamma", gt, zenith_budget, 3, RHO, nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert 2 <= counts["cdf_lanes"] <= 64
 
@@ -948,8 +951,9 @@ def test_prescan_full_bracket_lane_gate(monkeypatch, gt_nano, nano,
                                        zenith_budget):
     """The tangent pass settles most pre-scan lanes, so at most an eighth
     of them reach the chord stage."""
+    gt = dataclasses.replace(gt_nano)  # no bounds from earlier plans
     lanes = _count_chord_lanes(monkeypatch)
-    sel = ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano)
+    sel = ss.select_and_price("gamma", gt, zenith_budget, 3, RHO, nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert len(lanes) == 1
     assert lanes[0] <= ss.scheduler.GRID_POINTS_DEFAULT // 8
@@ -969,7 +973,8 @@ def test_prescan_lower_chord_lane_gate(monkeypatch, scenario, zenith_budget,
     """At a low rho_th the lower chord settles the lanes that sit above the
     quantile; without it about 2-6x as many lanes run the exact CDF."""
     pi = [p.name for p in scenario.platforms].index(platform_name)
-    gt = ss.ground_truth_for(scenario, pi)
+    # a copy: the shared ground truth may keep bounds from earlier plans
+    gt = dataclasses.replace(ss.ground_truth_for(scenario, pi))
     counts = _count_plan_work(monkeypatch)
     for n_img in range(1, 13):
         try:  # the pre-scan runs on an infeasible plan as well
@@ -1084,7 +1089,7 @@ def test_plan_stream_screen_gate(monkeypatch, scenario):
     with the pre-scan bounds the gamma pre-scans make at most 0.25 screen
     calls and screen at most 32 lanes per request (one call and
     GRID_POINTS_DEFAULT lanes without them)."""
-    truths = {p.name: ss.ground_truth_for(scenario, i)
+    truths = {p.name: dataclasses.replace(ss.ground_truth_for(scenario, i))
               for i, p in enumerate(scenario.platforms)}
     moments = {name: ss.MomentModel.from_shape_scale_model(gt)
                for name, gt in truths.items()}
@@ -1125,12 +1130,14 @@ def test_one_off_plans_and_sweeps_keep_no_bounds(monkeypatch, scenario,
 
     monkeypatch.setattr(ss.scheduler, "solve_optimal_frequency",
                         counted_solve)
-    gt = ss.ground_truth_for(scenario, 0)
+    gt = dataclasses.replace(ss.ground_truth_for(scenario, 0))
     ss.select_and_price("gamma", gt, zenith_budget, 3, RHO, gt.platform)
     assert counts["calls"] == 1
     assert counts["lanes"] == ss.scheduler.GRID_POINTS_DEFAULT
     sweep = scenario.elevation_sweep_deg
     assert len(sweep) == 86 and list(sweep) == sorted(sweep, reverse=True)
+    # the first fig5 run on its ground truths, as in a fresh process
+    ss.harness._ground_truth.cache_clear()
     ss.run_fig5(scenario, str(tmp_path))
     assert len(gamma_plans) > 300
     assert counts["calls"] == len(gamma_plans)
@@ -1141,11 +1148,62 @@ def test_one_off_plans_and_sweeps_keep_no_bounds(monkeypatch, scenario,
     assert all(s._keys and not _bounded_keys(s) for s in stores)
 
 
+def test_a_repeated_end_of_the_range_starts_bounds(gt_nano, zenith_budget):
+    """A key starts keeping bounds once a plan's t_proc lies in the range
+    of its earlier plans, ends included: a repeat of the first t_proc, of
+    the lowest or of the highest. A new low or high only widens the range.
+    Every flag is the full screen's."""
+    nano = gt_nano.platform
+    values = gt_nano.grid_values
+    t0 = zenith_budget.t_proc_s
+    streams = {(1, 0.5): (t0, t0), (2, 0.5): (t0, 0.9 * t0, 0.9 * t0),
+               (3, 0.5): (t0, 0.9 * t0, 1.1 * t0, 1.1 * t0)}
+    bounds = ss.scheduler.GridValues(nano.f_min_hz, nano.f_max_hz,
+                                     values.shapes, values.scales)
+    for key, plans in streams.items():
+        for k, t_proc in enumerate(plans):
+            assert not _bounded_keys(bounds), (key, k)
+            got = bounds.gamma_flags(*key, t_proc)
+            want, _ = kernels.reg_lower_gamma_at_least(
+                key[0] * values.shapes, t_proc / values.scales, key[1])
+            assert np.array_equal(got, want), (key, k)
+        assert _bounded_keys(bounds) == [key]
+        assert bounds._keys[key][:2] == [min(plans), max(plans)]
+        bounds._keys.clear()
+
+
+def test_repeated_figure_runs_read_flags_off_the_bounds(monkeypatch, scenario,
+                                                        tmp_path):
+    """In one process the figure runners share one ground truth per
+    platform, so a key's bounds outlive the call that started them: from
+    the third identical call on, run_fig4 and run_fig5 on the default
+    scenario read every gamma pre-scan flag off the bounds and make no
+    screen call. No call prices a reliability the figures do not write,
+    so none calls gamma_cdf."""
+    ss.harness._ground_truth.cache_clear()  # start as a fresh process
+    counts = _count_screens(monkeypatch)
+    cdf_calls = []
+    for module in (ss.numerics, ss.scheduler):
+        def counted_cdf(*args, _cdf=module.gamma_cdf):
+            cdf_calls.append(args)
+            return _cdf(*args)
+
+        monkeypatch.setattr(module, "gamma_cdf", counted_cdf)
+    for runner in (ss.run_fig4, ss.run_fig5):
+        screens = []
+        for _ in range(4):
+            counts["calls"] = 0
+            runner(scenario, str(tmp_path))
+            screens.append(counts["calls"])
+        assert screens[0] > 0 and screens[2:] == [0, 0], (runner, screens)
+    assert cdf_calls == []
+
+
 def test_bounds_keep_at_most_the_cap_of_keys(scenario):
     """1000 distinct rho_th on one model, each planned at three budgets, the
     middle one last so that every key keeps bounds: the model keeps the
     ``_BOUND_KEYS`` keys planned last."""
-    gt = ss.ground_truth_for(scenario, 0)
+    gt = dataclasses.replace(ss.ground_truth_for(scenario, 0))
     budgets = [ss.LatencyBudget(t, 0.0, 0.0, 0.0) for t in (0.2, 0.6, 0.4)]
     rhos = np.linspace(0.5, 0.99, 1000).tolist()
     for rho_th in rhos:
@@ -1247,7 +1305,7 @@ def test_prescan_bounds_are_sound(monkeypatch, scenario, gt_nano_wide,
     every plan equals the one made on a fresh copy of its model."""
     nano = scenario.platform_named("nano")
     truths = {
-        "default": ss.ground_truth_for(scenario, 0),
+        "default": dataclasses.replace(ss.ground_truth_for(scenario, 0)),
         "below one": dataclasses.replace(gt_nano_wide),
         "constant": ss.synthesize_ground_truth(
             nano, 0.3, scenario.gt_n_images,
