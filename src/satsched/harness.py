@@ -559,17 +559,39 @@ def run_fig4(scenario: Scenario, out_dir: str) -> dict:
     return {"paths": paths, "results": results}
 
 
+def _bisection_order(n: int) -> list:
+    """The indices 0..n-1 in bisection order: both ends first, then the
+    midpoints of the gaps between visited indices, level by level."""
+    if n <= 2:
+        return list(range(n))
+    order = [0, n - 1]
+    gaps = [(0, n - 1)]
+    while gaps:
+        wider = []
+        for lo, hi in gaps:
+            if hi - lo > 1:
+                mid = (lo + hi) // 2
+                order.append(mid)
+                wider += [(lo, mid), (mid, hi)]
+        gaps = wider
+    return order
+
+
 def run_fig5(scenario: Scenario, out_dir: str) -> dict:
     """Elevation sweep: energy vs elevation for fixed batch sizes.
 
     Rows where the uplink expectation diverges or the budget is exhausted
     are emitted infeasible with their communication columns filled in, so
-    the critical-elevation region is visible in the CSV. Writes fig5.csv
-    and fig5_meta.json.
+    the critical-elevation region is visible in the CSV. Each (platform,
+    n_img) sweep plans its feasible elevations in bisection order of
+    t_proc, so every plan after the first two has a t_proc between two
+    already planned and its gamma pre-scan reads most flags off the
+    bounds those left. Rows are sorted before they are written, so the
+    order is not seen in the CSV. Writes fig5.csv and fig5_meta.json.
     """
     _ensure_dir(out_dir)
     # the legs and budget depend on the elevation alone
-    sweep = []
+    unplanned, planned = [], []
     for elevation in scenario.elevation_sweep_deg:
         legs = comm_legs(scenario, elevation)
         # LatencyBudget.t_proc_s's order, so a feasible row shows the
@@ -579,21 +601,25 @@ def run_fig5(scenario: Scenario, out_dir: str) -> dict:
         try:
             budget = budget_from_legs(scenario, legs)
         except (InfeasibleBudgetError, InfeasibleLinkError):
-            budget = None
-        sweep.append((elevation, legs, t_proc, budget))
+            unplanned.append((elevation, legs, t_proc))
+            continue
+        planned.append((elevation, legs, t_proc, budget))
+    planned.sort(key=lambda point: point[2])
+    planned = [planned[i] for i in _bisection_order(len(planned))]
     rows = []
     for pi, platform in enumerate(scenario.platforms):
         gt = ground_truth_for(scenario, pi)
         moments = MomentModel.from_shape_scale_model(gt)
         for n_img in scenario.fig5_n_img[platform.name]:
-            for elevation, legs, t_proc, budget in sweep:
+            for mi, method in enumerate(_METHODS):
+                for elevation, legs, t_proc in unplanned:
+                    rows.append((pi, mi, n_img, -elevation, platform.name,
+                                 method, elevation, legs.expected_uplink_s,
+                                 t_proc, None, None, False))
+            for elevation, legs, t_proc, budget in planned:
                 for mi, method in enumerate(_METHODS):
-                    if budget is None:
-                        f_hz, e_j, ok = None, None, False
-                    else:
-                        f_hz, e_j, ok = _priced_row(
-                            scenario, gt, moments, budget, method, n_img,
-                            platform)
+                    f_hz, e_j, ok = _priced_row(scenario, gt, moments, budget,
+                                                method, n_img, platform)
                     rows.append((pi, mi, n_img, -elevation, platform.name,
                                  method, elevation, legs.expected_uplink_s,
                                  t_proc, f_hz, e_j, ok))

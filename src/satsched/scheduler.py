@@ -73,15 +73,15 @@ that point that cleared rho_th with margin. The Gamma pre-scan screens only
 the points between their two bounds, at most a few of them alone through
 the exact kernel, and usually none once a key has seen a few dozen plans.
 Its flags are the full screen's on every point, so every plan is the same
-bit for bit. A key starts keeping bounds only once a plan's t_proc falls
-inside the range its earlier plans covered, ends included: a one-off plan,
-or a strictly monotone sweep seen once (fig5 runs each key from 90 degrees
-down), pays one lookup and a two-float record on top of the full screen,
-while a plan that repeats a t_proc (fig4 run again at the operating
-elevation) starts them. A key that keeps bounds holds 2 x 256 float64. The
-bounds live as long as the model: ``harness.ground_truth_for`` keeps the
-ground truths of its last eight distinct inputs, so repeated figure runs
-in one process plan on the same ones. The Cantelli pre-scan keeps none:
+bit for bit. A key keeps bounds from its first plan on, whose full screen
+stores them, so a one-off plan pays one 2 x 256 float64 array on top of
+the screen, and a plan that repeats a t_proc screens at most the points
+left unsettled there. A sweep gains most when each plan's t_proc lies
+between two planned before, which is why fig5 plans each key in
+bisection order of t_proc. The bounds live as long as the model:
+``harness.ground_truth_for`` keeps the ground truths of its last eight
+distinct inputs, so repeated figure runs in one process plan on the same
+ones. The Cantelli pre-scan keeps none:
 its screen is a dozen array passes, about what the bookkeeping costs on
 the plans that still screen.
 """
@@ -103,9 +103,9 @@ GRID_POINTS_DEFAULT = 256
 # the boundary search stops when its bracket shrinks below this fraction of
 # the span; well under the 1e-4-span tightness that callers verify
 _BRACKET_REL_TOL = 1e-9
-# (n_img, rho_th) keys a model keeps gamma pre-scan records for, the least
-# recently planned dropped first; a key that keeps bounds holds two
-# GRID_POINTS_DEFAULT float64 arrays (4 KiB)
+# (n_img, rho_th) keys a model keeps gamma pre-scan bounds for, the least
+# recently planned dropped first; each holds two GRID_POINTS_DEFAULT float64
+# arrays (4 KiB)
 _BOUND_KEYS = 64
 
 
@@ -152,12 +152,11 @@ class GridValues:
     t_proc and a clear one at every smaller. That is all the bounds assume,
     and the screen assumes it already.
 
-    A key starts keeping bounds only when a plan's t_proc falls inside the
-    range of the t_proc its earlier plans had, ends included, so a plan
-    that repeats one starts them; until then it holds that range alone,
-    and a one-off plan or a strictly monotone sweep pays one lookup on top
-    of the full screen. At most ``_BOUND_KEYS`` keys are kept, the least
-    recently planned dropped first.
+    A key keeps bounds from its first plan, whose full screen sets them on
+    every lane it settled; a later plan at a t_proc between two planned
+    before leaves in doubt only the lanes whose flag flips between those
+    two. At most ``_BOUND_KEYS`` keys are kept, the least recently planned
+    dropped first.
 
     The bounds are shared by every holder of the model, a ground truth
     that ``harness.ground_truth_for`` keeps included, and last as long as
@@ -177,7 +176,7 @@ class GridValues:
             arr.flags.writeable = False
         self.shapes, self.scales = shapes, scales
         self.means, self.variances = means, variances
-        # key -> [t_min, t_max, None or the (2, lanes) array (t_lo, t_hi)]
+        # key -> the (2, lanes) array (t_lo, t_hi)
         self._keys = collections.OrderedDict()
 
     def on(self, platform: Platform) -> bool:
@@ -206,21 +205,8 @@ class GridValues:
         keys = self._keys
         # taken out and put back last, so the first key is the least
         # recently planned
-        entry = keys.pop(key, None)
-        if entry is None:
-            if len(keys) >= _BOUND_KEYS:
-                keys.popitem(last=False)
-            keys[key] = [t_proc, t_proc, None]
-            return self._screen(n_img, rho_th, t_proc)[0]
-        keys[key] = entry
-        bounds = entry[2]
+        bounds = keys.pop(key, None)
         if bounds is None:
-            if t_proc < entry[0]:
-                entry[0] = t_proc
-                return self._screen(n_img, rho_th, t_proc)[0]
-            if t_proc > entry[1]:
-                entry[1] = t_proc
-                return self._screen(n_img, rho_th, t_proc)[0]
             flags, settled = self._screen(n_img, rho_th, t_proc)
             # a set flag bounds its lane from above, a clear one from below;
             # stored only once complete, since every holder of the model
@@ -229,8 +215,11 @@ class GridValues:
                               [[math.nextafter(t_proc, math.inf)], [np.inf]])
             if isinstance(settled, np.ndarray):
                 bounds[:, ~settled] = (-np.inf,), (np.inf,)
-            entry[2] = bounds
+            if len(keys) >= _BOUND_KEYS:
+                keys.popitem(last=False)
+            keys[key] = bounds
             return flags
+        keys[key] = bounds
         # row 0: t_lo <= t_proc, lanes not proven infeasible; row 1:
         # t_hi <= t_proc, lanes proven feasible. t_lo <= t_hi, so row 1
         # implies row 0 and the doubt lanes are the rows' difference.
@@ -488,8 +477,10 @@ def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
     The grid pre-scan flags points with
     :func:`~satsched.kernels.reg_lower_gamma_at_least`, whose flags, and so
     the answer, are those of the exact CDF on every point; on kept values,
-    through :meth:`GridValues.gamma_flags`, which screens only the points
-    earlier plans at other t_proc left in doubt.
+    through :meth:`GridValues.gamma_flags`, whose first plan of an
+    (n_img, rho_th) key screens every point and keeps bounds from it, and
+    whose later plans screen only the points earlier plans at other t_proc
+    left in doubt.
 
     Raises:
         InfeasibleConstraintError: even f_max misses the quantile; the error

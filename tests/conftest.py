@@ -5,6 +5,8 @@ built once; every value derived from them is deterministic (fixed seed in
 the default config). The ground-truth fixtures are copies, not the objects
 ``ground_truth_for`` keeps for the process, so the pre-scan bounds that
 figure runs store on those do not change the work counted on the fixtures.
+Work-count gates plan on the function-scoped ``own_gt_*`` copies, so no
+gate counts less for the bounds that earlier tests left.
 """
 
 import dataclasses
@@ -43,6 +45,20 @@ def gt_nano(scenario):
 @pytest.fixture(scope="session")
 def gt_agx(scenario):
     return dataclasses.replace(ss.ground_truth_for(scenario, 1))
+
+
+@pytest.fixture
+def own_gt_nano(gt_nano):
+    """A copy of ``gt_nano`` for one test. A model keeps the pre-scan bounds
+    its plans leave, so a work-count gate that plans on the session fixture
+    would count less the more tests planned there before it."""
+    return dataclasses.replace(gt_nano)
+
+
+@pytest.fixture
+def own_gt_agx(gt_agx):
+    """A copy of ``gt_agx`` for one test, as ``own_gt_nano``."""
+    return dataclasses.replace(gt_agx)
 
 
 @pytest.fixture(scope="session")

@@ -695,6 +695,46 @@ def test_fig5_t_proc_is_the_planners_budget(scenario, tmp_path, monkeypatch):
     assert budgeted > len(rows) // 2
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 86])
+def test_bisection_order_visits_each_index_between_two_visited(n):
+    """Every index once, both ends first; each later index is the midpoint
+    of two indices visited before it with none visited between them."""
+    order = ss.harness._bisection_order(n)
+    assert sorted(order) == list(range(n))
+    assert order[:2] == ([0, n - 1] if n > 1 else list(range(n)))
+    for k in range(2, n):
+        seen = order[:k]
+        i = order[k]
+        lo = max(j for j in seen if j < i)
+        hi = min(j for j in seen if j > i)
+        assert i == (lo + hi) // 2, (k, lo, i, hi)
+
+
+@pytest.mark.parametrize("seed", [None, 901])
+def test_fig5_csv_does_not_depend_on_the_planning_order(tmp_path, monkeypatch,
+                                                        seed):
+    """fig5.csv planned in bisection order of t_proc equals, byte for
+    byte, the one planned from the highest t_proc down (90 degrees down to
+    5, the order of the configured sweep), each from fresh ground truths."""
+    scenario = ss.load_scenario(seed_override=seed)
+    csvs = []
+    for label in ("bisection", "descending"):
+        if label == "descending":
+            calls = []
+
+            def descending(n):
+                calls.append(n)
+                return list(range(n - 1, -1, -1))
+
+            monkeypatch.setattr(ss.harness, "_bisection_order", descending)
+        ss.harness._ground_truth.cache_clear()
+        out = ss.run_fig5(scenario, str(tmp_path / label))
+        with open(out["paths"]["csv"], "rb") as fh:
+            csvs.append(fh.read())
+    assert calls and calls[0] > 2
+    assert csvs[0] == csvs[1]
+
+
 # ---------------------------------------------------------------- ingestion
 
 def _write_samples(path, rows):

@@ -327,7 +327,7 @@ def _fitted_nano(scenario, gt, platform, lo_hz, hi_hz):
     return ss.fit_frequency_model(dict(zip(freqs.tolist(), times)), degree=3)
 
 
-def test_plan_kernel_work_gate(monkeypatch, scenario, gt_nano, nano,
+def test_plan_kernel_work_gate(monkeypatch, scenario, own_gt_nano, nano,
                                zenith_budget):
     """Plans read the values a model keeps on the planner grid, and a gamma
     plan on the ground truth prices with its own score:
@@ -343,14 +343,15 @@ def test_plan_kernel_work_gate(monkeypatch, scenario, gt_nano, nano,
       once each);
     * the Cantelli grid pass takes the kept moments, so it asks the ground
       truth for no grid shapes or scales to multiply."""
-    fitted = _fitted_nano(scenario, gt_nano, nano, nano.f_min_hz,
+    fitted = _fitted_nano(scenario, own_gt_nano, nano, nano.f_min_hz,
                           nano.f_max_hz)
-    narrow = _fitted_nano(scenario, gt_nano, nano, 1.2 * nano.f_min_hz,
+    narrow = _fitted_nano(scenario, own_gt_nano, nano, 1.2 * nano.f_min_hz,
                           0.8 * nano.f_max_hz)
     counts = _count_plan_work(monkeypatch)
     for method in ("gamma", "cantelli"):
         before = dict(counts)
-        sel = ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano)
+        sel = ss.select_and_price(method, own_gt_nano, zenith_budget, 3, RHO,
+                                  nano)
         assert sel.frequency_hz > nano.f_min_hz  # the boundary search ran
         if method == "gamma":
             assert counts["cdf_after_search"] == before["cdf_after_search"]
@@ -361,11 +362,11 @@ def test_plan_kernel_work_gate(monkeypatch, scenario, gt_nano, nano,
     assert counts["cdf_arr_calls"] <= 1
     assert counts["grid_polynomial_evals"] == 0
     assert counts["grid_lookups"] == 0
-    ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano,
+    ss.select_and_price("gamma", own_gt_nano, zenith_budget, 3, RHO, nano,
                         model=fitted)
     assert counts["grid_polynomial_evals"] == 0
     assert counts["grid_lookups"] == 0
-    ss.select_and_price("gamma", gt_nano, zenith_budget, 3, RHO, nano,
+    ss.select_and_price("gamma", own_gt_nano, zenith_budget, 3, RHO, nano,
                         model=narrow)
     assert counts["grid_polynomial_evals"] == 2
     assert counts["grid_lookups"] == 2
@@ -884,12 +885,11 @@ def _count_plan_work(monkeypatch):
     return counts
 
 
-def test_prescan_exact_lane_gate(monkeypatch, gt_nano, nano, zenith_budget):
-    # a copy: a third plan at one t_proc on the fixture would read every
-    # flag off the bounds its repeats started
-    gt = dataclasses.replace(gt_nano)
+def test_prescan_exact_lane_gate(monkeypatch, own_gt_nano, nano,
+                                 zenith_budget):
     counts = _count_plan_work(monkeypatch)
-    sel = ss.select_and_price("gamma", gt, zenith_budget, 3, RHO, nano)
+    sel = ss.select_and_price("gamma", own_gt_nano, zenith_budget, 3, RHO,
+                              nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert 2 <= counts["cdf_lanes"] <= 64
 
@@ -901,13 +901,14 @@ PLAN_STREAM_BLOCK = (("nano", 1), ("nano", 2), ("nano", 3), ("nano", 4),
                      ("agx", 12))
 
 
-def test_plan_stream_block_work_gate(monkeypatch, scenario, gt_nano, gt_agx):
+def test_plan_stream_block_work_gate(monkeypatch, scenario, own_gt_nano,
+                                     own_gt_agx):
     """One block of plan-stream requests (both planners in each cell, at
     elevations spread over 20-90 degrees) screens GRID_POINTS_DEFAULT lanes
     per plan, runs the exact array CDF on at most 40 lanes (183 on a
     2048-point grid), makes at most 80 scalar CDF calls (71 there) and
     solves no pooled shape."""
-    truths = {"nano": gt_nano, "agx": gt_agx}
+    truths = {"nano": own_gt_nano, "agx": own_gt_agx}
     moments = {name: ss.MomentModel.from_shape_scale_model(gt)
                for name, gt in truths.items()}
     elevations = np.linspace(20.0, 90.0, len(PLAN_STREAM_BLOCK))
@@ -935,6 +936,12 @@ def gt_nano_wide(scenario, nano):
         image_sigma=1.0, variance_model=scenario.gt_variance_model)
 
 
+@pytest.fixture
+def own_gt_nano_wide(gt_nano_wide):
+    """A copy of ``gt_nano_wide`` for one test, as ``own_gt_nano``."""
+    return dataclasses.replace(gt_nano_wide)
+
+
 def _count_chord_lanes(monkeypatch):
     lanes = []
     chords = kernels._reg_lower_gamma_chords
@@ -947,13 +954,13 @@ def _count_chord_lanes(monkeypatch):
     return lanes
 
 
-def test_prescan_full_bracket_lane_gate(monkeypatch, gt_nano, nano,
+def test_prescan_full_bracket_lane_gate(monkeypatch, own_gt_nano, nano,
                                        zenith_budget):
     """The tangent pass settles most pre-scan lanes, so at most an eighth
     of them reach the chord stage."""
-    gt = dataclasses.replace(gt_nano)  # no bounds from earlier plans
     lanes = _count_chord_lanes(monkeypatch)
-    sel = ss.select_and_price("gamma", gt, zenith_budget, 3, RHO, nano)
+    sel = ss.select_and_price("gamma", own_gt_nano, zenith_budget, 3, RHO,
+                              nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert len(lanes) == 1
     assert lanes[0] <= ss.scheduler.GRID_POINTS_DEFAULT // 8
@@ -985,41 +992,44 @@ def test_prescan_lower_chord_lane_gate(monkeypatch, scenario, zenith_budget,
     assert counts["cdf_lanes"] <= 1.5 * lanes_with_chord
 
 
-def test_prescan_exact_lane_gate_below_shape_one(monkeypatch, gt_nano_wide,
-                                                 nano, zenith_budget):
+def test_prescan_exact_lane_gate_below_shape_one(monkeypatch,
+                                                 own_gt_nano_wide, nano,
+                                                 zenith_budget):
     """With cv 0.9 and image_sigma 1 the pooled shapes fall below 1, where
     the tangent bracket settles nothing; the series bracket settles every
     pre-scan lane, so no lane runs the chords or the exact CDF."""
-    assert gt_nano_wide.grid_values.shapes.max() < 1.0
+    assert own_gt_nano_wide.grid_values.shapes.max() < 1.0
     counts = _count_plan_work(monkeypatch)
     chord_lanes = _count_chord_lanes(monkeypatch)
-    ss.select_and_price("gamma", gt_nano_wide, zenith_budget, 1, RHO, nano)
+    ss.select_and_price("gamma", own_gt_nano_wide, zenith_budget, 1, RHO,
+                        nano)
     assert counts["cdf_lanes"] == 0 and sum(chord_lanes) == 0
 
 
 @pytest.mark.parametrize("n_img", [2, 3])
 def test_prescan_series_bracket_settles_shapes_below_the_cutoff(
-        monkeypatch, gt_nano_wide, nano, zenith_budget, n_img):
+        monkeypatch, own_gt_nano_wide, nano, zenith_budget, n_img):
     """The batch shapes of these plans lie between 1 and the series cutoff,
     where the tangent and chord bounds are loose; the lanes the tangent
     leaves in doubt take the series bracket, and none runs the exact CDF
     (171 and 182 lanes did with the cutoff at 1)."""
-    batch = n_img * gt_nano_wide.grid_values.shapes
+    batch = n_img * own_gt_nano_wide.grid_values.shapes
     assert 1.0 <= batch.min() and batch.max() < kernels._SERIES_CUTOFF
     counts = _count_plan_work(monkeypatch)
-    sel = ss.select_and_price("gamma", gt_nano_wide, zenith_budget, n_img,
-                              RHO, nano)
+    sel = ss.select_and_price("gamma", own_gt_nano_wide, zenith_budget,
+                              n_img, RHO, nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert counts["cdf_lanes"] == 0
 
 
 @pytest.mark.parametrize("method", ["gamma", "cantelli"])
-def test_one_shape_solve_per_probe_gate(monkeypatch, method, gt_nano, nano,
-                                        zenith_budget):
+def test_one_shape_solve_per_probe_gate(monkeypatch, method, own_gt_nano,
+                                        nano, zenith_budget):
     """No probe and no pricing on the ground truth solves the pooled-shape
     equation: the ground truth interpolates its kept grid shapes."""
     counts = _count_plan_work(monkeypatch)
-    sel = ss.select_and_price(method, gt_nano, zenith_budget, 3, RHO, nano)
+    sel = ss.select_and_price(method, own_gt_nano, zenith_budget, 3, RHO,
+                              nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert counts["probes"] <= 8
     assert counts["shape_solves"] == 0 and counts["grid_shape_solves"] == 0
@@ -1028,7 +1038,7 @@ def test_one_shape_solve_per_probe_gate(monkeypatch, method, gt_nano, nano,
 # ---------------------------------------------------------------- pre-scan bounds
 
 def test_screen_below_shape_one_skips_the_tangent_terms(
-        monkeypatch, gt_nano_wide, nano, zenith_budget):
+        monkeypatch, own_gt_nano_wide, nano, zenith_budget):
     """On the shapes-below-1 plan (nano, cv 0.9, image_sigma 1, zenith,
     n_img 1) the tangent bracket is trivial on every lane, so the screen
     computes no tangent terms, and its flags are still the exact CDF's."""
@@ -1040,14 +1050,14 @@ def test_screen_below_shape_one_skips_the_tangent_terms(
         return tangent_terms(a, x)
 
     monkeypatch.setattr(kernels, "_tangent_terms", counted)
-    shape, scale = (gt_nano_wide.grid_values.shapes,
-                    gt_nano_wide.grid_values.scales)
+    shape, scale = (own_gt_nano_wide.grid_values.shapes,
+                    own_gt_nano_wide.grid_values.scales)
     t_proc = zenith_budget.t_proc_s
     assert shape.max() < 1.0
     flags, _ = kernels.reg_lower_gamma_at_least(shape, t_proc / scale, RHO)
     assert np.array_equal(flags, ss.gamma_cdf(t_proc, shape, scale) >= RHO)
-    sel = ss.select_and_price("gamma", dataclasses.replace(gt_nano_wide),
-                              zenith_budget, 1, RHO, nano)
+    sel = ss.select_and_price("gamma", own_gt_nano_wide, zenith_budget, 1,
+                              RHO, nano)
     assert sel.frequency_hz > nano.f_min_hz
     assert terms == []
     # a grid with one lane at shape 1 or above computes them
@@ -1079,8 +1089,10 @@ def _count_screens(monkeypatch):
 
 
 def _bounded_keys(store):
-    # the keys of a GridValues that keep per-lane arrays
-    return [key for key, entry in store._keys.items() if entry[2] is not None]
+    # the keys of a GridValues whose entry is the (2, lanes) bounds array
+    lanes = store.shapes.shape[0]
+    return [key for key, bounds in store._keys.items()
+            if bounds.shape == (2, lanes)]
 
 
 def test_plan_stream_screen_gate(monkeypatch, scenario):
@@ -1114,12 +1126,15 @@ def test_plan_stream_screen_gate(monkeypatch, scenario):
                for gt in truths.values()) == len(PLAN_STREAM_BLOCK)
 
 
-def test_one_off_plans_and_sweeps_keep_no_bounds(monkeypatch, scenario,
-                                                 zenith_budget, tmp_path):
-    """A one-off gamma plan and the default fig5 sweep (86 elevations from
-    90 down to 5 degrees, so every plan's t_proc is a new low for its key)
-    screen GRID_POINTS_DEFAULT lanes in one call per gamma plan and
-    allocate no bounds."""
+def test_cold_fig5_screen_gate(monkeypatch, scenario, zenith_budget,
+                               tmp_path):
+    """A one-off gamma plan screens GRID_POINTS_DEFAULT lanes in one call
+    and keeps bounds for its key. The first fig5 run in a process (86
+    elevations, both platforms, two batch sizes each) plans each key in
+    bisection order of t_proc, so after the two ends each plan's t_proc
+    lies between two screened ones: its more than 300 gamma plans make at
+    most 64 screen calls on at most 8192 lanes (328 calls and 83,968
+    lanes when a key kept bounds only from a repeated t_proc on)."""
     counts = _count_screens(monkeypatch)
     solve = ss.scheduler.solve_optimal_frequency
     gamma_plans = []
@@ -1134,49 +1149,62 @@ def test_one_off_plans_and_sweeps_keep_no_bounds(monkeypatch, scenario,
     ss.select_and_price("gamma", gt, zenith_budget, 3, RHO, gt.platform)
     assert counts["calls"] == 1
     assert counts["lanes"] == ss.scheduler.GRID_POINTS_DEFAULT
-    sweep = scenario.elevation_sweep_deg
-    assert len(sweep) == 86 and list(sweep) == sorted(sweep, reverse=True)
+    assert _bounded_keys(gt.grid_values) == [(3, RHO)]
+    counts["calls"] = counts["lanes"] = 0
+    gamma_plans.clear()
+    assert len(scenario.elevation_sweep_deg) == 86
     # the first fig5 run on its ground truths, as in a fresh process
     ss.harness._ground_truth.cache_clear()
     ss.run_fig5(scenario, str(tmp_path))
     assert len(gamma_plans) > 300
-    assert counts["calls"] == len(gamma_plans)
-    assert counts["lanes"] == (len(gamma_plans)
-                               * ss.scheduler.GRID_POINTS_DEFAULT)
-    stores = list(counts["stores"].values())
-    assert len(stores) == 1 + len(scenario.platforms)
-    assert all(s._keys and not _bounded_keys(s) for s in stores)
+    assert counts["calls"] <= 64
+    assert counts["lanes"] <= 8192
+    stores = [s for s in counts["stores"].values() if s is not gt.grid_values]
+    assert len(stores) == len(scenario.platforms)
+    assert all(_bounded_keys(s) == list(s._keys) for s in stores)
 
 
-def test_a_repeated_end_of_the_range_starts_bounds(gt_nano, zenith_budget):
-    """A key starts keeping bounds once a plan's t_proc lies in the range
-    of its earlier plans, ends included: a repeat of the first t_proc, of
-    the lowest or of the highest. A new low or high only widens the range.
-    Every flag is the full screen's."""
+def test_a_keys_first_plan_keeps_bounds(gt_nano, zenith_budget):
+    """A key keeps bounds from its first plan: every lane that screen
+    settled is bounded at that t_proc, from above where it is feasible
+    and from below where it is not, and every other lane is unbounded.
+    Every flag, of the first plan and of the later ones, is the full
+    screen's."""
     nano = gt_nano.platform
     values = gt_nano.grid_values
     t0 = zenith_budget.t_proc_s
     streams = {(1, 0.5): (t0, t0), (2, 0.5): (t0, 0.9 * t0, 0.9 * t0),
-               (3, 0.5): (t0, 0.9 * t0, 1.1 * t0, 1.1 * t0)}
+               (3, RHO): (t0, 0.9 * t0, 1.1 * t0, 1.1 * t0)}
     bounds = ss.scheduler.GridValues(nano.f_min_hz, nano.f_max_hz,
                                      values.shapes, values.scales)
+    above = below = 0
     for key, plans in streams.items():
+        assert not _bounded_keys(bounds)
         for k, t_proc in enumerate(plans):
-            assert not _bounded_keys(bounds), (key, k)
             got = bounds.gamma_flags(*key, t_proc)
-            want, _ = kernels.reg_lower_gamma_at_least(
+            want, settled = kernels.reg_lower_gamma_at_least(
                 key[0] * values.shapes, t_proc / values.scales, key[1])
             assert np.array_equal(got, want), (key, k)
-        assert _bounded_keys(bounds) == [key]
-        assert bounds._keys[key][:2] == [min(plans), max(plans)]
+            assert _bounded_keys(bounds) == [key], (key, k)
+            if k == 0:
+                settled = np.broadcast_to(settled, want.shape)
+                t_lo, t_hi = bounds._keys[key]
+                assert np.array_equal(t_hi, np.where(
+                    want & settled, t_proc, np.inf))
+                assert np.array_equal(t_lo, np.where(
+                    ~want & settled, math.nextafter(t_proc, math.inf),
+                    -np.inf))
+                above += np.count_nonzero(want & settled)
+                below += np.count_nonzero(~want & settled)
         bounds._keys.clear()
+    assert above > 0 and below > 0  # bounds of either kind were checked
 
 
 def test_repeated_figure_runs_read_flags_off_the_bounds(monkeypatch, scenario,
                                                         tmp_path):
     """In one process the figure runners share one ground truth per
     platform, so a key's bounds outlive the call that started them: from
-    the third identical call on, run_fig4 and run_fig5 on the default
+    the second identical call on, run_fig4 and run_fig5 on the default
     scenario read every gamma pre-scan flag off the bounds and make no
     screen call. No call prices a reliability the figures do not write,
     so none calls gamma_cdf."""
@@ -1195,7 +1223,7 @@ def test_repeated_figure_runs_read_flags_off_the_bounds(monkeypatch, scenario,
             counts["calls"] = 0
             runner(scenario, str(tmp_path))
             screens.append(counts["calls"])
-        assert screens[0] > 0 and screens[2:] == [0, 0], (runner, screens)
+        assert screens[0] > 0 and screens[1:] == [0, 0, 0], (runner, screens)
     assert cdf_calls == []
 
 
@@ -1220,11 +1248,11 @@ def test_bounds_skip_lanes_the_screen_leaves_near_rho_th(
         monkeypatch, gt_nano, zenith_budget):
     """A lane whose exact P lies within two screen margins of rho_th is not
     settled, so it bounds nothing: rho_th here is one lane's exact P at
-    t0, and every screen at t0 (at activation, of every lane, of the lane
-    alone) leaves that lane unbounded while the flags stay the full
-    screen's. Every other lane is bounded at t0 itself, so a plan at t0
-    again screens that lane alone, and one at another t_proc screened
-    before screens nothing."""
+    t0, and every screen at t0 (a key's first, of every lane, of the lane
+    alone) leaves that lane unbounded there while the flags stay the full
+    screen's. Every other lane is bounded at t0 by the key's first plan,
+    so a plan at t0 again screens that lane alone, and one at another
+    t_proc screened before screens nothing."""
     screened = []
     screen = ss.scheduler.GridValues._screen
 
@@ -1242,7 +1270,7 @@ def test_bounds_skip_lanes_the_screen_leaves_near_rho_th(
     assert abs(rho_th - RHO) < 0.01
     bounds = ss.scheduler.GridValues(nano.f_min_hz, nano.f_max_hz, shapes,
                                      scales)
-    plans = (0.9 * t0, 1.1 * t0, t0, t0, 1.05 * t0, t0, 1.05 * t0)
+    plans = (t0, t0, 1.05 * t0, t0, 1.05 * t0)
     for t_proc in plans:
         got = bounds.gamma_flags(n_img, rho_th, t_proc)
         want, settled = kernels.reg_lower_gamma_at_least(
@@ -1250,13 +1278,14 @@ def test_bounds_skip_lanes_the_screen_leaves_near_rho_th(
         assert np.array_equal(got, want), t_proc
         if t_proc == t0:
             assert got[lane] and not settled[lane]
-    # full screens up to the activation at t0, then t0 screens the one lane
-    # each time; 1.05 t0 screens every lane in doubt above t0, then nothing
-    assert screened == [None, None, None, [lane], None, [lane]]
-    t_lo, t_hi = bounds._keys[n_img, rho_th][2]
+    # the first plan at t0 screens every lane and the next the one lane;
+    # 1.05 t0 screens every lane in doubt above t0, then nothing
+    assert screened == [None, [lane], None, [lane]]
+    t_lo, t_hi = bounds._keys[n_img, rho_th]
     assert t_lo[lane] == -math.inf and t_hi[lane] == 1.05 * t0
-    # activated elsewhere, the first plan at t0 screens every lane in
-    # doubt, and leaves the lane unbounded there too
+    # a first plan elsewhere bounds the lane there: 0.9 t0 from below and
+    # 1.1 t0 from above. The first plan at t0 screens every lane in doubt,
+    # and leaves the lane unbounded at t0 too
     bounds = ss.scheduler.GridValues(nano.f_min_hz, nano.f_max_hz, shapes,
                                      scales)
     screened.clear()
@@ -1266,9 +1295,9 @@ def test_bounds_skip_lanes_the_screen_leaves_near_rho_th(
             n_img * shapes, t_proc / scales, rho_th)
         assert np.array_equal(got, want), t_proc
     assert screened == [None, None, None, None, [lane]]
-    t_lo, t_hi = bounds._keys[n_img, rho_th][2]
+    t_lo, t_hi = bounds._keys[n_img, rho_th]
     assert t_lo[lane] == math.nextafter(0.95 * t0, math.inf)
-    assert t_hi[lane] == math.inf
+    assert t_hi[lane] == 1.1 * t0
 
 
 def _fitted_non_monotone(scenario, gt, budget):
