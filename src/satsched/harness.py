@@ -73,7 +73,8 @@ class GroundTruth:
     for the platform range (``GRID_POINTS_DEFAULT`` = 256 clocks, one
     array solve at construction; cells of span/255, 2.8 MHz on nano): the
     pooled shapes and scales there, positive and finite by construction,
-    the moments they imply, and the gamma pre-scan's bounds on them.
+    the moments they imply, and the gamma pre-scan's bounds and the
+    Cantelli pre-scan's bands on them.
 
     At a clock in [f_min, f_max] the pooled shape comes from a cubic
     Hermite interpolant on that grid, built at construction: in each cell,
@@ -405,6 +406,9 @@ def budget_from_legs(scenario: Scenario, legs: CommLegs) -> LatencyBudget:
 
 
 def _fmt(value) -> str:
+    # most cells are Python floats: one type test, then the general ladder
+    if type(value) is float:
+        return format(value, ".9g")
     if value is None:
         return ""
     if isinstance(value, str):

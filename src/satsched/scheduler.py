@@ -54,9 +54,10 @@ reads them when that range equals its platform's, a float comparison, and
 otherwise asks the model's ``shape_at`` and ``scale_at`` for the grid. The
 Gamma pre-scan skips its validity mask on kept values; the Cantelli
 moments of a shape/scale model (:meth:`MomentModel.from_shape_scale_model`)
-carry its ``grid_values``, so their pre-scan forms no product on the grid
-and skips its validity checks. A Gamma plan on the ground truth it is
-priced under reports its own score at the chosen clock as the reliability.
+carry its ``grid_values``, so their pre-scan reads its flags off the
+values' bands (below) and skips its validity checks. A Gamma plan on the
+ground truth it is priced under reports its own score at the chosen clock
+as the reliability.
 
 Each search probe of either planner takes shape and scale from one
 ``shape_scale_at`` call. The ground truth answers it from a cubic Hermite
@@ -81,9 +82,19 @@ between two planned before, which is why fig5 plans each key in
 bisection order of t_proc. The bounds live as long as the model:
 ``harness.ground_truth_for`` keeps the ground truths of its last eight
 distinct inputs, so repeated figure runs in one process plan on the same
-ones. The Cantelli pre-scan keeps none:
-its screen is a dozen array passes, about what the bookkeeping costs on
-the plans that still screen.
+ones.
+
+The Cantelli pre-scan reads its flags off a band per key instead. On kept
+values the float formula's verdict on lane i switches once, inside
+T_i (1 +- delta) around the exact threshold T_i = n_img m_i +
+sqrt(n_img v_i rho_th / (1 - rho_th)) (m_i, v_i the per-image moments),
+with delta = 8 u (1/rho_th + 1/(1 - rho_th)) and u = 2**-53
+(:class:`GridValues` derives it). A key's first plan builds the band in
+four array passes, under the dozen of one pass of the formula; every plan
+then compares t_proc with both ends and evaluates the formula only on
+lanes inside their band (none on the default figures), so the flags, and
+every plan, are the formula's bit for bit. Keys the analysis does not
+cover get an unbounded band, so every lane takes the formula.
 """
 
 import collections
@@ -103,10 +114,21 @@ GRID_POINTS_DEFAULT = 256
 # the boundary search stops when its bracket shrinks below this fraction of
 # the span; well under the 1e-4-span tightness that callers verify
 _BRACKET_REL_TOL = 1e-9
-# (n_img, rho_th) keys a model keeps gamma pre-scan bounds for, the least
-# recently planned dropped first; each holds two GRID_POINTS_DEFAULT float64
-# arrays (4 KiB)
+# (n_img, rho_th) keys a model keeps pre-scan bounds for, per planner, the
+# least recently planned dropped first; a key's gamma bounds and its
+# Cantelli band each hold two GRID_POINTS_DEFAULT float64 arrays (4 KiB)
 _BOUND_KEYS = 64
+# the Cantelli band's half-width is _BAND_C * 2**-53 * (1/rho_th +
+# 1/(1 - rho_th)) relative to each lane's threshold; the rounding analysis
+# in GridValues needs 3.3
+_BAND_C = 8.0
+# a key gets a band only for rho_th in [_BAND_RHO_MIN, 1 - _BAND_RHO_MIN]
+# and n_img <= _BAND_N_MAX, and only while v * rho_th / (1 - rho_th) stays
+# within 2**+-_BAND_EXP on every lane, so that nothing the formula or the
+# band computes near a threshold under- or overflows
+_BAND_RHO_MIN = 2.0 ** -30
+_BAND_N_MAX = 2 ** 40
+_BAND_EXP = 899
 
 
 @functools.lru_cache(maxsize=64)
@@ -122,9 +144,25 @@ def planner_grid(f_min_hz: float, f_max_hz: float) -> np.ndarray:
     return grid
 
 
+def _cantelli_verdict(m: np.ndarray, v: np.ndarray, t_proc: float,
+                      rho_th: float) -> np.ndarray:
+    """The float Cantelli score's verdict, score >= rho_th, on every lane of
+    the batch moments ``m`` and ``v``: the one formula both the pre-scan on
+    a model's own moments and the kept values' bands defer to. v = 0 meets
+    the bound (the mean-crossing limit) also where slack^2 underflows to 0,
+    and a NaN score (v infinite) fails. For fixed m and v >= 0 every
+    operation is a rounded monotone function of t_proc, so a lane's verdict
+    switches from False to True at most once as t_proc grows."""
+    slack = t_proc - m
+    with np.errstate(all="ignore"):
+        s = 1.0 - v / (v + slack * slack)
+    return ((s >= rho_th) | (v == 0.0)) & (slack > 0.0)
+
+
 class GridValues:
     """A shape/scale model's checked values on the planner grid of one
-    frequency range, and the gamma pre-scan's per-lane bounds on them.
+    frequency range, and the pre-scans' per-lane bounds on them: the gamma
+    pre-scan's from earlier screens, the Cantelli pre-scan's in closed form.
 
     ``f_min_hz`` and ``f_max_hz`` are the range the values were built for;
     ``shapes`` and ``scales`` the model's values on
@@ -158,13 +196,59 @@ class GridValues:
     two. At most ``_BOUND_KEYS`` keys are kept, the least recently planned
     dropped first.
 
-    The bounds are shared by every holder of the model, a ground truth
-    that ``harness.ground_truth_for`` keeps included, and last as long as
-    it; a key's arrays are stored only once complete.
+    :meth:`cantelli_flags` keeps, per (n_img, rho_th) key and in a store
+    of its own, a band (lo, hi) around each lane's Cantelli threshold. With
+    the batch moments m = n_img * mean and v = n_img * variance that the
+    formula (:func:`_cantelli_verdict`) forms, lane i is feasible in exact
+    arithmetic iff t_proc >= T_i = m_i + S_i, S_i = sqrt(v_i * k) and
+    k = rho_th / (1 - rho_th). The formula's verdict is monotone in t_proc
+    and switches inside T_i (1 +- delta), with
+    delta = c u (1/rho_th + 1/(1 - rho_th)) and u = 2**-53. So a lane is
+    feasible at every t_proc >= hi_i = T_i (1 + delta) and infeasible at
+    every t_proc < lo_i = T_i (1 - delta), and only lanes with
+    lo <= t_proc < hi take the formula.
+
+    The derivation of c, with every operation within u relative (the key
+    conditions below keep S near each threshold between 2**-450 and
+    2**450, so nothing there under- or overflows), w = 1 - rho_th:
+
+    * the formula is True once its float 1 - v / (v + slack^2) rounds to
+      rho_th or above. That holds when its quotient is at most w: with the
+      square, the sum and the quotient each off by u, once
+      slack >= S sqrt(1 + u (1 + w) / rho_th) / (1 - u), and with the
+      slack t_proc - m off by u, once t_proc - m >= S (1 + u/rho_th +
+      1.5 u);
+    * it is False while 1 - quotient < rho_th (1 - u), below half the
+      float gap under rho_th; alike, while t_proc - m < S (1 - u/rho_th -
+      u/(2w) - 1.5 u);
+    * m >= 0, so t_proc >= T (1 + e) gives t_proc - m >= S (1 + e), and
+      t_proc < T (1 - e) gives t_proc - m < S (1 - e);
+    * the band computes T as (mean + sqrt(variance * (k / n_img))) times
+      n_img (1 +- delta): k, k / n_img, the product, the root, the sum, the
+      factor and the last product, against the formula's rounded m and v,
+      put it within 7.5 u of T.
+
+    So delta >= u (1/rho_th + 1/(2w)) + 9.1 u suffices, and since
+    1/rho_th + 1/w >= 4, c >= 3.3 does; the band uses c = ``_BAND_C`` = 8.
+    That holds for rho_th in [2**-30, 1 - 2**-30], n_img <= 2**40 and
+    2**-899 <= n_img * variance * k <= 2**899 on every lane (the kept
+    variances' extremes are kept for this check); a key outside those gets
+    the band (-inf, inf) on every lane, so every lane takes the formula.
+    At most ``_BOUND_KEYS`` bands are kept, the least recently planned
+    dropped first, apart from the gamma keys, so no Cantelli key evicts
+    gamma bounds. A band costs four array passes on a key's first plan
+    (the product, the root, the sum and the scaling to both rows, under
+    the dozen of one pass of the formula), and a plan one comparison on
+    both rows and two counts; on the default figures no lane ever falls
+    inside a band.
+
+    The bounds and bands are shared by every holder of the model, a ground
+    truth that ``harness.ground_truth_for`` keeps included, and last as
+    long as it; a key's arrays are stored only once complete.
     """
 
     __slots__ = ("f_min_hz", "f_max_hz", "shapes", "scales", "means",
-                 "variances", "_keys")
+                 "variances", "_variance_range", "_keys", "_bands")
 
     def __init__(self, f_min_hz: float, f_max_hz: float, shapes: np.ndarray,
                  scales: np.ndarray):
@@ -176,8 +260,12 @@ class GridValues:
             arr.flags.writeable = False
         self.shapes, self.scales = shapes, scales
         self.means, self.variances = means, variances
-        # key -> the (2, lanes) array (t_lo, t_hi)
+        self._variance_range = (float(variances.min()),
+                                float(variances.max()))
+        # gamma pre-scan: key -> the (2, lanes) array (t_lo, t_hi)
         self._keys = collections.OrderedDict()
+        # Cantelli pre-scan: key -> the (2, lanes) band (lo, hi)
+        self._bands = collections.OrderedDict()
 
     def on(self, platform: Platform) -> bool:
         """Whether these values lie on the grid the platform's plans scan:
@@ -243,6 +331,46 @@ class GridValues:
         np.putmask(bounds[0], doubt > flags, math.nextafter(t_proc, math.inf))
         return flags
 
+    def _cantelli_band(self, n_img, rho_th):
+        # the (2, lanes) band (lo, hi) of a key; see the class docstring
+        k = rho_th / (1.0 - rho_th)
+        v_min, v_max = self._variance_range
+        if not (_BAND_RHO_MIN <= rho_th <= 1.0 - _BAND_RHO_MIN
+                and n_img <= _BAND_N_MAX
+                and 2.0 ** -_BAND_EXP <= v_min * n_img * k
+                and v_max * n_img * k <= 2.0 ** _BAND_EXP):
+            return np.repeat([[-np.inf], [np.inf]], self.means.shape[0],
+                             axis=1)
+        delta = _BAND_C * 2.0 ** -53 * (1.0 / rho_th + 1.0 / (1.0 - rho_th))
+        root = np.sqrt(self.variances * (k / n_img))
+        return np.multiply.outer(
+            (n_img * (1.0 - delta), n_img * (1.0 + delta)), self.means + root)
+
+    def cantelli_flags(self, n_img: int, rho_th: float,
+                       t_proc: float) -> np.ndarray:
+        """The flags of :func:`_cantelli_verdict` on the kept moments, every
+        lane: read off the key's band, built on its first plan, and taken
+        from the formula only on the lanes with lo <= t_proc < hi."""
+        key = (n_img, rho_th)
+        bands = self._bands
+        # taken out and put back last, as the gamma bounds
+        band = bands.pop(key, None)
+        if band is None:
+            band = self._cantelli_band(n_img, rho_th)
+            if len(bands) >= _BOUND_KEYS:
+                bands.popitem(last=False)
+        bands[key] = band
+        # row 1 (hi <= t_proc) implies row 0 (lo <= t_proc), so the rows
+        # count alike unless some lane lies inside its band
+        known = band <= t_proc
+        flags = known[1]
+        if np.count_nonzero(known[0]) != np.count_nonzero(flags):
+            lanes = np.flatnonzero(known[0] ^ flags)
+            flags[lanes] = _cantelli_verdict(
+                n_img * self.means[lanes], n_img * self.variances[lanes],
+                t_proc, rho_th)
+        return flags
+
 
 @dataclass(frozen=True)
 class LatencyBudget:
@@ -295,8 +423,9 @@ class MomentModel:
     underlying model; :meth:`moments_at`, which the Cantelli planner calls,
     uses it then. ``grid_values``, when given, is the :class:`GridValues`
     of the shape/scale model the moments come from: on its grid the
-    Cantelli pre-scan takes its ``means`` and ``variances``, without a
-    validity mask, in place of the functions' values.
+    Cantelli pre-scan reads flags off its bands
+    (:meth:`GridValues.cantelli_flags`), without a validity mask, in place
+    of the functions' values.
     """
 
     mean_fn: object
@@ -534,7 +663,12 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
     solved directly on the frequency axis; no closed form is assumed because
     the variance depends on f on both sides of the inequality. The
     pre-scan takes the moments' ``grid_values`` when they were built for
-    the platform's range, else :meth:`MomentModel.moments_at` on the grid.
+    the platform's range, through :meth:`GridValues.cantelli_flags`, whose
+    per-key band leaves the formula only the lanes within a rounding band
+    of their threshold (none, on the default figures); else
+    :meth:`MomentModel.moments_at` on the grid and the formula on every
+    lane, with a validity mask. Either way the flags are those of
+    :func:`_cantelli_verdict`.
     """
     n_img, rho_th = _check_common(n_img, rho_th, budget)
     t_proc = budget.t_proc_s
@@ -555,21 +689,14 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
 
     def flags(grid):
         if kept:
-            m, v = values.means, values.variances
-        else:
-            m, v = moments.moments_at(grid)
+            # kept moments are products of positive finite values, never
+            # NaN or negative, and a mean that overflows leaves no slack
+            return values.cantelli_flags(n_img, rho_th, t_proc)
+        m, v = moments.moments_at(grid)
         m = n_img * np.asarray(m, dtype=np.float64)
         v = n_img * np.asarray(v, dtype=np.float64)
-        slack = t_proc - m
-        # the float score's verdict on every lane: v = 0 meets the bound
-        # (the mean-crossing limit) also where slack^2 underflows to 0, and
-        # a NaN score (v infinite) fails
-        with np.errstate(all="ignore"):
-            s = 1.0 - v / (v + slack * slack)
-        out = ((s >= rho_th) | (v == 0.0)) & (slack > 0.0)
-        # kept moments are products of positive finite values, never NaN
-        # or negative, and a mean that overflows leaves no slack
-        return out if kept else out & np.isfinite(m) & (v >= 0.0)
+        return (_cantelli_verdict(m, v, t_proc, rho_th) & np.isfinite(m)
+                & (v >= 0.0))
 
     return _boundary_search(score, flags, rho_th, platform.f_min_hz,
                             platform.f_max_hz, "cantelli moment bound")

@@ -695,6 +695,41 @@ def test_fig5_t_proc_is_the_planners_budget(scenario, tmp_path, monkeypatch):
     assert budgeted > len(rows) // 2
 
 
+def _reference_fmt(value) -> str:
+    # the CSV cell format by type, without the float fast path
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".9g")
+
+
+def test_csv_cells_format_as_the_type_ladder(scenario, tmp_path,
+                                             monkeypatch):
+    """Every cell fig4 and fig5 write, and values of every cell type, is
+    formatted as the general type ladder formats it."""
+    cells = [None, "", "nano", True, False, np.True_, 0, -3, np.int64(7),
+             0.0, -0.0, 1.5, 1e-300, 5e-324, math.inf, -math.inf, math.nan,
+             np.float64(0.1), np.float32(0.1), 2 ** 60]
+    write_csv = ss.harness._write_csv
+
+    def capture(path, header, rows):
+        rows = list(rows)
+        cells.extend(v for row in rows for v in row)
+        return write_csv(path, header, rows)
+
+    monkeypatch.setattr(ss.harness, "_write_csv", capture)
+    ss.run_fig4(scenario, str(tmp_path))
+    ss.run_fig5(scenario, str(tmp_path))
+    assert sum(type(v) is float for v in cells) > 1000
+    assert [ss.harness._fmt(v) for v in cells] == [_reference_fmt(v)
+                                                   for v in cells]
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 86])
 def test_bisection_order_visits_each_index_between_two_visited(n):
     """Every index once, both ends first; each later index is the midpoint

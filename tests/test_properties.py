@@ -1,0 +1,70 @@
+"""Property tests, run under a derandomized Hypothesis profile so that tier-1
+draws the same examples on every run."""
+
+import math
+
+import numpy as np
+import pytest
+
+import satsched as ss
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# the same examples on every run, none stored between runs, no per-example
+# deadline on a shared machine
+DERANDOMIZED = hypothesis.settings(derandomize=True, database=None,
+                                   deadline=None, max_examples=150)
+
+_truths = st.builds(
+    lambda name, cv, sigma, variance_model: (name, cv, sigma,
+                                             variance_model),
+    st.sampled_from(["nano", "agx"]), st.floats(0.001, 0.9),
+    st.floats(0.0, 1.0), st.sampled_from(["structural", "constant"]))
+
+
+@DERANDOMIZED
+@hypothesis.given(
+    truth=_truths, rho_th=st.floats(1e-6, 1.0 - 1e-6),
+    n_img=st.integers(1, 1000),
+    lanes=st.lists(st.integers(0, ss.scheduler.GRID_POINTS_DEFAULT - 1),
+                   min_size=1, max_size=6),
+    factors=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=6))
+def test_cantelli_band_flags_are_the_formula_on_every_lane(
+        scenario, truth, rho_th, n_img, lanes, factors):
+    """On a fresh ground truth (cv 0.001-0.9, image_sigma 0-1, both
+    variance models), the kept values' Cantelli flags equal the formula's
+    on every lane: at t_proc a random factor off a lane's threshold T, at
+    T and one float either side of it, at T (1 +- delta), and at the band's
+    lo and hi and the float below each."""
+    name, cv, sigma, variance_model = truth
+    pi = [p.name for p in scenario.platforms].index(name)
+    gt = ss.synthesize_ground_truth(
+        scenario.platforms[pi], cv, scenario.gt_n_images,
+        ss.stream(scenario.seed, scenario.bit_generator, ss.NS_GROUND_TRUTH,
+                  pi),
+        image_sigma=sigma, variance_model=variance_model)
+    values = gt.grid_values
+    m, v = n_img * values.means, n_img * values.variances
+    delta = (ss.scheduler._BAND_C * 2.0 ** -53
+             * (1.0 / rho_th + 1.0 / (1.0 - rho_th)))
+    points = []
+    for lane in lanes:
+        t = float(m[lane] + math.sqrt(v[lane] * rho_th / (1.0 - rho_th)))
+        points += [t * f for f in factors]
+        points += [t, math.nextafter(t, -math.inf),
+                   math.nextafter(t, math.inf), t * (1.0 - delta),
+                   t * (1.0 + delta)]
+    for t_proc in points:
+        got = values.cantelli_flags(n_img, rho_th, t_proc)
+        want = ss.scheduler._cantelli_verdict(m, v, t_proc, rho_th)
+        assert np.array_equal(got, want), t_proc
+    # the band is built on the first plan above; at each lane's own edges
+    lo, hi = values._bands[n_img, rho_th]
+    for edge in (lo, hi):
+        for t_proc in (edge, np.nextafter(edge, -np.inf)):
+            for lane in lanes:
+                t = float(t_proc[lane])
+                got = values.cantelli_flags(n_img, rho_th, t)
+                want = ss.scheduler._cantelli_verdict(m, v, t, rho_th)
+                assert np.array_equal(got, want), t

@@ -1400,6 +1400,187 @@ def test_prescan_bounds_are_sound(monkeypatch, scenario, gt_nano_wide,
     assert min(screens.values()) >= 100, screens
 
 
+# ---------------------------------------------------------------- cantelli bands
+
+def _count_cantelli_work(monkeypatch):
+    """Count from here on the Cantelli bands built, as (id of the
+    GridValues, n_img, rho_th), and the lanes the Cantelli formula
+    evaluates."""
+    counts = {"bands": [], "formula_lanes": 0}
+    band = ss.scheduler.GridValues._cantelli_band
+    verdict = ss.scheduler._cantelli_verdict
+
+    def counted_band(self, n_img, rho_th):
+        counts["bands"].append((id(self), n_img, rho_th))
+        return band(self, n_img, rho_th)
+
+    def counted_verdict(m, v, t_proc, rho_th):
+        counts["formula_lanes"] += m.shape[0]
+        return verdict(m, v, t_proc, rho_th)
+
+    monkeypatch.setattr(ss.scheduler.GridValues, "_cantelli_band",
+                        counted_band)
+    monkeypatch.setattr(ss.scheduler, "_cantelli_verdict", counted_verdict)
+    return counts
+
+
+def test_cantelli_band_work_gate(monkeypatch, scenario, own_gt_nano,
+                                 own_gt_agx, tmp_path):
+    """On the default scenario, with the figure runners planning on this
+    test's own ground truths: a cold run_fig5 builds one Cantelli band per
+    (platform, n_img, rho_th) key it plans and no more, the first run_fig4
+    one per key fig5 did not plan, and a second run_fig4 and run_fig5
+    build none. No Cantelli plan of these runs takes the formula on a
+    single grid lane, the cold ones included."""
+    truths = (own_gt_nano, own_gt_agx)
+    assert [gt.platform for gt in truths] == list(scenario.platforms)
+    monkeypatch.setattr(ss.harness, "ground_truth_for",
+                        lambda scenario, pi: truths[pi])
+    names = {id(gt.grid_values): gt.platform.name for gt in truths}
+    counts = _count_cantelli_work(monkeypatch)
+
+    def built():
+        keys = [(names[store], n, r) for store, n, r in counts["bands"]]
+        counts["bands"].clear()
+        return keys
+
+    ss.run_fig5(scenario, str(tmp_path))
+    fig5_keys = built()
+    assert sorted(fig5_keys) == sorted(
+        (p.name, n_img, scenario.rho_th) for p in scenario.platforms
+        for n_img in scenario.fig5_n_img[p.name])
+    ss.run_fig4(scenario, str(tmp_path))
+    fig4_keys = built()
+    assert len(fig4_keys) == len(set(fig4_keys)) > len(fig5_keys)
+    assert set(fig4_keys).isdisjoint(fig5_keys)
+    ss.run_fig4(scenario, str(tmp_path))
+    ss.run_fig5(scenario, str(tmp_path))
+    assert built() == []
+    assert counts["formula_lanes"] == 0
+
+
+def _cantelli_hex(moments, budget, n_img, rho_th, platform):
+    # the plan's fields as float.hex, or the reliability an infeasible
+    # plan raises
+    try:
+        sol = ss.solve_cantelli_frequency(moments, budget, n_img, rho_th,
+                                          platform)
+    except InfeasibleConstraintError as exc:
+        return float.hex(exc.achievable_reliability)
+    return (float.hex(sol.frequency_hz),
+            float.hex(sol.predicted_reliability), sol.non_monotone)
+
+
+def test_kept_cantelli_moments_plan_bit_for_bit(monkeypatch, scenario,
+                                                own_gt_nano, own_gt_agx):
+    """Cantelli plans on MomentModel.from_shape_scale_model(gt), whose
+    pre-scan reads its flags off the kept values' bands, equal bit for bit
+    those on the same callables with grid_values=None, whose pre-scan
+    takes the formula on every lane: n_img 1-12, elevations 25/50/90 and
+    rho_th 0.5/0.95/0.99 on nano and agx."""
+    budgets = [ss.budget_from_legs(scenario, ss.comm_legs(scenario, el))
+               for el in (25.0, 50.0, 90.0)]
+    counts = _count_cantelli_work(monkeypatch)
+    plans = infeasible = 0
+    for gt in (own_gt_nano, own_gt_agx):
+        kept = ss.MomentModel.from_shape_scale_model(gt)
+        unkept = dataclasses.replace(kept, grid_values=None)
+        assert kept.grid_values is gt.grid_values
+        for budget in budgets:
+            for rho_th in (0.5, 0.95, 0.99):
+                for n_img in range(1, 13):
+                    args = (budget, n_img, rho_th, gt.platform)
+                    lanes = counts["formula_lanes"]
+                    got = _cantelli_hex(kept, *args)
+                    assert counts["formula_lanes"] == lanes
+                    want = _cantelli_hex(unkept, *args)
+                    assert counts["formula_lanes"] == (
+                        lanes + ss.scheduler.GRID_POINTS_DEFAULT)
+                    assert got == want, (gt.platform.name, args)
+                    plans += 1
+                    infeasible += isinstance(got, str)
+    assert plans == 2 * 3 * 3 * 12 and 0 < infeasible < plans // 2
+
+
+def test_cantelli_bands_keep_their_own_cap(scenario, zenith_budget):
+    """The bands live in a store of their own: more Cantelli keys than the
+    cap evict no gamma key's bounds, and the model keeps the
+    ``_BOUND_KEYS`` bands planned last."""
+    gt = dataclasses.replace(ss.ground_truth_for(scenario, 0))
+    ss.solve_optimal_frequency(gt, zenith_budget, 3, RHO, gt.platform)
+    moments = ss.MomentModel.from_shape_scale_model(gt)
+    cap = ss.scheduler._BOUND_KEYS
+    rhos = np.linspace(0.5, 0.99, 2 * cap).tolist()
+    for rho_th in rhos:
+        _plan_or_reliability(ss.solve_cantelli_frequency, moments,
+                             zenith_budget, 3, rho_th, gt.platform)
+    store = gt.grid_values
+    assert _bounded_keys(store) == [(3, RHO)]
+    assert list(store._bands) == [(3, r) for r in rhos[-cap:]]
+
+
+def _scaled_values(gt, factor):
+    # a GridValues on gt's grid with every scale times ``factor``
+    values = gt.grid_values
+    return ss.scheduler.GridValues(values.f_min_hz, values.f_max_hz,
+                                   values.shapes, values.scales * factor)
+
+
+@pytest.mark.parametrize("rho_th,factor", [
+    (2.0 ** -31, 1.0), (1.0 - 2.0 ** -31, 1.0), (RHO, 1e-152),
+    (RHO, 1e151)])
+def test_cantelli_keys_outside_the_band_range_take_the_formula(
+        gt_nano, rho_th, factor):
+    """A key whose rho_th lies outside [2**-30, 1 - 2**-30], or whose
+    n_img * variance * k leaves [2**-899, 2**899] on some lane, gets the
+    band (-inf, inf) on every lane, so its flags are the formula's at every
+    t_proc."""
+    values = _scaled_values(gt_nano, factor)
+    n_img = 3
+    band = values._cantelli_band(n_img, rho_th)
+    assert band.shape == (2, ss.scheduler.GRID_POINTS_DEFAULT)
+    assert (band[0] == -np.inf).all() and (band[1] == np.inf).all()
+    m, v = n_img * values.means, n_img * values.variances
+    # t_proc from half the least threshold to twice the largest
+    thresholds = m + np.sqrt(v * (rho_th / (1.0 - rho_th)))
+    mixed = 0
+    for t_proc in np.geomspace(0.5 * thresholds.min(), 2.0 * thresholds.max(),
+                               40).tolist():
+        got = values.cantelli_flags(n_img, rho_th, t_proc)
+        want = ss.scheduler._cantelli_verdict(m, v, t_proc, rho_th)
+        assert np.array_equal(got, want), t_proc
+        mixed += want.any() and not want.all()
+    assert mixed > 0
+
+
+def test_cantelli_band_edges_bracket_every_switch(gt_nano, gt_agx):
+    """Every lane's formula is infeasible just below the band's lo and
+    feasible at its hi, on both ground truths, rho_th from 2**-30 to
+    1 - 2**-30 and n_img 1-1000, also on scales moved toward either end of
+    the range a band is built for; with the formula monotone in t_proc,
+    the band's flags are then the formula's at every t_proc."""
+    rhos = [2.0 ** -30, 1e-6, 0.01, 0.5, RHO, 0.99, 1.0 - 1e-6,
+            1.0 - 2.0 ** -30]
+    checked = 0
+    for gt in (gt_nano, gt_agx):
+        # scales 1e+-120 times as large leave n_img * variance * k within
+        # 2**+-899 at every rho_th and n_img here
+        for factor in (1.0, 1e-120, 1e120):
+            values = _scaled_values(gt, factor)
+            for rho_th in rhos:
+                for n_img in (1, 7, 1000):
+                    lo, hi = values._cantelli_band(n_img, rho_th)
+                    assert np.isfinite(hi).all()
+                    m = n_img * values.means
+                    v = n_img * values.variances
+                    verdict = ss.scheduler._cantelli_verdict
+                    assert verdict(m, v, hi, rho_th).all()
+                    assert not verdict(m, v, np.nextafter(lo, -np.inf),
+                                       rho_th).any()
+                    checked += 1
+    assert checked == 2 * 3 * len(rhos) * 3
+
+
 # ---------------------------------------------------------------- boundary search
 
 def _reference_bisection(score, flags, rho_th, f_min_hz, f_max_hz, what):
