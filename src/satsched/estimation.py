@@ -123,10 +123,11 @@ class FrequencyModel:
     :func:`~satsched.scheduler.planner_grid`, where the values are kept in
     ``grid_values``, a :class:`~satsched.scheduler.GridValues` for the
     fitted domain. So a dip narrower than one grid cell (span/255) is
-    rejected too. Fitted over the platform range, the model's grid is the
-    one a plan scans, and the planners read those kept values as they do
-    the ground truth's. ``shape_at``, ``scale_at`` and ``shape_scale_at``
-    evaluate the polynomials.
+    rejected too. The domain is the range the model vouches for: the
+    planners search it clipped to the platform's range, and read the kept
+    values whenever the platform's range covers it, as every fit the
+    package makes over [f_min, f_max] does. ``shape_at``, ``scale_at`` and
+    ``shape_scale_at`` evaluate the polynomials.
     """
 
     shape_poly: Polynomial
@@ -214,7 +215,8 @@ def fit_moment_model(samples_by_freq, platform: Platform,
     """Moment counterpart of fit_frequency_model for the Cantelli planner.
 
     Mean comes from the least-squares mean-time model; per-frequency sample
-    variances are regressed with the same polynomial degree.
+    variances are regressed with the same polynomial degree. The moments
+    have no shape/scale ``source``.
     """
     freqs = sorted(float(f) for f in samples_by_freq)
     samples = [ExecSample(frequency_hz=f, time_s=float(t), image_id=-1)
@@ -225,10 +227,10 @@ def fit_moment_model(samples_by_freq, platform: Platform,
                           for f in freqs])
     var_poly = polyfit(np.array(freqs), variances, degree)
 
-    def mean_fn(f_hz: float) -> float:
-        return coeff / f_hz + mu_sync
+    def moments_fn(f_hz):
+        return coeff / f_hz + mu_sync, var_poly(f_hz)
 
-    return MomentModel(mean_fn=mean_fn, variance_fn=var_poly)
+    return MomentModel(moments_fn)
 
 
 def draw_subset(dataset, n_s: int, rng: np.random.Generator) -> np.ndarray:

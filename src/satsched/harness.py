@@ -74,7 +74,8 @@ class GroundTruth:
     array solve at construction; cells of span/255, 2.8 MHz on nano): the
     pooled shapes and scales there, positive and finite by construction,
     the moments they imply, and the gamma pre-scan's bounds and the
-    Cantelli pre-scan's bands on them.
+    Cantelli pre-scan's bands on them. Its range is the one the ground
+    truth vouches for, so no plan on the ground truth leaves it.
 
     At a clock in [f_min, f_max] the pooled shape comes from a cubic
     Hermite interpolant on that grid, built at construction: in each cell,
@@ -93,9 +94,9 @@ class GroundTruth:
     ``shape_scale_at`` returns the pair from one lookup; ``shape_at`` and
     ``scale_at`` at a clock, and ``law_at`` (the pricing lookup), take
     their values from it, and ``shape_at`` and ``scale_at`` solve an array
-    of clocks afresh. Two ground truths are equal only when they are the same
-    object, and hash by identity; a pickle or copy holds the four init
-    fields and derives the rest again.
+    of clocks afresh, a reference that no planner calls. Two ground truths
+    are equal only when they are the same object, and hash by identity; a
+    pickle or copy holds the four init fields and derives the rest again.
     """
 
     platform: Platform

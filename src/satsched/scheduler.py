@@ -16,16 +16,15 @@ score linearly between the ends of a bracket, halves the value of an end
 that two probes in a row left in place, and bisects instead when the
 bracket falls too far behind what bisection would have reached. The
 returned clock is feasible by its float score and lies within 1e-9 of the
-span above an infeasible one. Neither planner assumes the constraint is
-monotone in f, since polynomial shape/scale fits need not be. The scan
-evaluates the whole grid as one array and each search probe is a single
-float. The array CDF runs the scalar kernel lane by lane, so the scan and
-the probes score a clock alike.
+searched span above an infeasible one. Neither planner assumes the
+constraint is monotone in f, since polynomial shape/scale fits need not
+be. The scan evaluates the whole grid as one array and each search probe
+is a single float. The array CDF runs the scalar kernel lane by lane, so
+the scan and the probes score a clock alike.
 
 The scan needs only one flag per grid point (score >= rho_th), so each
 planner hands the search two callbacks: a float score for the probes and a
-flags function for the grid, which makes no masked copies when every grid
-point has valid parameters. The Gamma planner's flags come from
+flags function for the grid. The Gamma planner's flags come from
 :func:`~satsched.kernels.reg_lower_gamma_at_least`, which runs the exact
 CDF only where closed-form brackets leave a flag in doubt. Every reported
 score comes from a float evaluation, the same exact path the search probes
@@ -45,19 +44,19 @@ limit was 8x finer, at 8x the screened lanes per plan; the plans of the
 default figures agree between the two grids to the search tolerance.
 
 The grid is built once per frequency range (:func:`planner_grid`) and
-shared, so a model does its frequency-only work once. The ground truth and
-a fitted :class:`~satsched.estimation.FrequencyModel` each keep a
-:class:`GridValues` (their ``grid_values``): the range it was built for,
-read-only shapes and scales on that range's grid, checked positive and
-finite at construction, and the means and variances they imply. A planner
-reads them when that range equals its platform's, a float comparison, and
-otherwise asks the model's ``shape_at`` and ``scale_at`` for the grid. The
-Gamma pre-scan skips its validity mask on kept values; the Cantelli
-moments of a shape/scale model (:meth:`MomentModel.from_shape_scale_model`)
-carry its ``grid_values``, so their pre-scan reads its flags off the
-values' bands (below) and skips its validity checks. A Gamma plan on the
-ground truth it is priced under reports its own score at the chosen clock
-as the reliability.
+shared, so a model does its frequency-only work once. A shape/scale model
+has two members: ``grid_values``, a :class:`GridValues` whose range is the
+one the model vouches for (a fit's fitted range, the ground truth's own
+platform's) and whose values there it checked positive and finite, and
+``shape_scale_at(f)``, the pair at one clock. Each planner searches that
+range clipped to the platform's (:func:`_planner_values`), so no plan
+leaves the range a model was fitted on and no pre-scan needs a validity
+mask. The Cantelli moments of a shape/scale model
+(:meth:`MomentModel.from_shape_scale_model`) keep it as their ``source``
+and read their flags off the same values' bands (below); only moments
+with no source are evaluated on the platform's grid, with a validity
+mask. A Gamma plan on the ground truth it is priced under reports its own
+score at the chosen clock as the reliability.
 
 Each search probe of either planner takes shape and scale from one
 ``shape_scale_at`` call. The ground truth answers it from a cubic Hermite
@@ -164,14 +163,13 @@ class GridValues:
     frequency range, and the pre-scans' per-lane bounds on them: the gamma
     pre-scan's from earlier screens, the Cantelli pre-scan's in closed form.
 
-    ``f_min_hz`` and ``f_max_hz`` are the range the values were built for;
-    ``shapes`` and ``scales`` the model's values on
-    ``planner_grid(f_min_hz, f_max_hz)``, which the model's constructor
-    checked positive and finite; ``means`` (shape * scale) and
+    ``f_min_hz`` and ``f_max_hz`` are the range the values were built for,
+    the one the model vouches for; ``shapes`` and ``scales`` the model's
+    values on ``planner_grid(f_min_hz, f_max_hz)``, which the model's
+    constructor checked positive and finite; ``means`` (shape * scale) and
     ``variances`` (mean * scale) the moments there, in the operation order
     of :meth:`MomentModel.from_shape_scale_model`. All four are read-only.
-    A planner uses them only when the range equals its platform's, so the
-    grid it scans is the one they were built on.
+    A planner scans them when its platform's range covers theirs.
 
     :meth:`gamma_flags` keeps, per (n_img, rho_th) key, two arrays over the
     grid, t_lo and t_hi: lane i is infeasible at every t_proc < t_lo[i] and
@@ -266,12 +264,6 @@ class GridValues:
         self._keys = collections.OrderedDict()
         # Cantelli pre-scan: key -> the (2, lanes) band (lo, hi)
         self._bands = collections.OrderedDict()
-
-    def on(self, platform: Platform) -> bool:
-        """Whether these values lie on the grid the platform's plans scan:
-        the range they were built for equals the platform's."""
-        return (self.f_min_hz == platform.f_min_hz
-                and self.f_max_hz == platform.f_max_hz)
 
     def _screen(self, n_img, rho_th, t_proc, lanes=None):
         # (flags, settled) on the lanes at ``lanes``, every lane for None
@@ -416,63 +408,53 @@ def processing_budget(t_e2e_s: float, t_ul_s: float, t_isl_s: float,
 class MomentModel:
     """First two moments of per-image execution time versus frequency.
 
-    ``mean_fn(f)`` and ``variance_fn(f)`` return per-image values in seconds
-    and seconds squared, and must accept a scalar or a 1-d frequency array
-    (a fitted Polynomial qualifies). ``moments_fn(f)``, when given, returns
-    the pair ``(mean_fn(f), variance_fn(f))`` from one visit to the
-    underlying model; :meth:`moments_at`, which the Cantelli planner calls,
-    uses it then. ``grid_values``, when given, is the :class:`GridValues`
-    of the shape/scale model the moments come from: on its grid the
-    Cantelli pre-scan reads flags off its bands
-    (:meth:`GridValues.cantelli_flags`), without a validity mask, in place
-    of the functions' values.
+    ``moments_fn(f)`` returns the per-image pair (mean, variance), in
+    seconds and seconds squared, at a clock. ``source`` is the shape/scale
+    model the moments come from, or None. With a source, the Cantelli
+    planner searches the range the source vouches for, clipped to the
+    platform's, and its pre-scan reads flags off the bands of the source's
+    :class:`GridValues` (:meth:`GridValues.cantelli_flags`). Without one,
+    the planner searches the platform's range, and ``moments_fn`` must
+    also take its grid, a 1-d clock array (a fitted Polynomial qualifies).
     """
 
-    mean_fn: object
-    variance_fn: object
-    moments_fn: object = None
-    grid_values: GridValues = field(default=None, repr=False, compare=False)
+    moments_fn: object
+    source: object = field(default=None, repr=False, compare=False)
 
     def moments_at(self, f_hz):
-        """(mean, variance) per image at a clock or a 1-d clock array."""
-        if self.moments_fn is not None:
-            return self.moments_fn(f_hz)
-        return self.mean_fn(f_hz), self.variance_fn(f_hz)
+        """(mean, variance) per image: the pair ``moments_fn`` returns."""
+        return self.moments_fn(f_hz)
 
     @classmethod
     def from_shape_scale_model(cls, model) -> "MomentModel":
         """Adopt the moments implied by a shape/scale frequency model.
 
         The mean is shape * scale and the variance that mean times scale,
-        from one ``shape_scale_at`` call at a clock and from ``shape_at``
-        and ``scale_at`` on an array. The model's ``grid_values`` (None
-        for a model that keeps none) come along, so a plan on their grid
-        forms no product there.
+        from one ``shape_scale_at`` call at a clock. The model comes along
+        as the ``source``, so a plan reads the moments its ``grid_values``
+        keep and forms no product on the grid.
         """
         def moments_fn(f_hz):
-            if isinstance(f_hz, np.ndarray):
-                shape, scale = model.shape_at(f_hz), model.scale_at(f_hz)
-            else:
-                shape, scale = model.shape_scale_at(f_hz)
+            shape, scale = model.shape_scale_at(f_hz)
             mean = shape * scale
             return mean, mean * scale
 
-        return cls(mean_fn=lambda f_hz: moments_fn(f_hz)[0],
-                   variance_fn=lambda f_hz: moments_fn(f_hz)[1],
-                   moments_fn=moments_fn, grid_values=model.grid_values)
+        return cls(moments_fn, source=model)
 
 
 @dataclass(frozen=True)
 class FrequencySolution:
     """Outcome of a feasibility-boundary search over frequency.
 
-    ``frequency_hz`` is feasible by a float evaluation of the planner's
-    score (where that evaluation and the grid pre-scan round apart, which
-    only a model whose float and array values differ at a grid clock can
-    cause, the pre-scan's verdict stands), ``predicted_reliability`` is
-    that score, and a clock at most 1e-9 of the platform span lower was
-    found infeasible, by a float probe or by the pre-scan; an answer of
-    f_min has nothing below it.
+    ``frequency_hz`` lies in the searched range, the platform's clipped to
+    the range the model vouches for. It is feasible by a float evaluation
+    of the planner's score (where that evaluation and the grid pre-scan
+    round apart, which only a model whose grid values and float values
+    differ at a grid clock can cause, the pre-scan's verdict stands),
+    ``predicted_reliability`` is that score, and a clock at most 1e-9 of
+    the searched span lower was found infeasible, by a float probe or by
+    the pre-scan. An answer at the searched range's low end claims nothing
+    about clocks below it.
     ``non_monotone`` is set when the grid pre-scan saw an infeasible point
     above the lowest feasible one; the lowest feasible frequency is still
     returned in that case.
@@ -532,7 +514,8 @@ def _boundary_search(score, flags, rho_th: float, f_min_hz: float,
     feasible_idx = np.flatnonzero(on_grid)
     if feasible_idx.size == 0:
         raise InfeasibleConstraintError(
-            f"{what}: constraint unsatisfied even at f_max = {f_max_hz:.6g} Hz",
+            f"{what}: constraint unsatisfied even at the searched range's "
+            f"high end, {f_max_hz:.6g} Hz",
             achievable_reliability=float(score(f_max_hz)))
     first = int(feasible_idx[0])
     non_monotone = not bool(on_grid[first:].all())
@@ -580,76 +563,72 @@ def _boundary_search(score, flags, rho_th: float, f_min_hz: float,
                              non_monotone=non_monotone)
 
 
+def _planner_values(model, platform: Platform) -> GridValues:
+    """The :class:`GridValues` a plan of ``model`` on ``platform`` scans and
+    whose range it searches: the platform's range clipped to the one the
+    model vouches for, that of its ``grid_values``. Those are the values
+    when the clipped range is their own; otherwise one-off values on the
+    clipped range's grid, from ``shape_scale_at`` at each of its clocks and
+    kept nowhere. Raises DomainError when the two ranges do not overlap."""
+    values = model.grid_values
+    lo, hi = values.f_min_hz, values.f_max_hz
+    if platform.f_min_hz <= lo and hi <= platform.f_max_hz:
+        return values
+    lo, hi = max(lo, platform.f_min_hz), min(hi, platform.f_max_hz)
+    if not lo < hi:
+        raise DomainError(
+            f"the model vouches for [{values.f_min_hz:.6g}, "
+            f"{values.f_max_hz:.6g}] Hz, outside the platform's "
+            f"[{platform.f_min_hz:.6g}, {platform.f_max_hz:.6g}] Hz")
+    pairs = [model.shape_scale_at(f) for f in planner_grid(lo, hi).tolist()]
+    shapes, scales = np.array(pairs, dtype=np.float64).T.copy()
+    return GridValues(lo, hi, shapes, scales)
+
+
 def solve_optimal_frequency(model, budget: LatencyBudget, n_img: int,
                             rho_th: float, platform: Platform) -> FrequencySolution:
     """Lowest clock whose batch Gamma law meets the deadline quantile.
 
-    ``model`` is a per-image shape/scale model with four members:
+    ``model`` is a per-image shape/scale model with two members:
 
-    * ``shape_at(f)`` and ``scale_at(f)`` on a 1-d frequency array, which
-      the grid pre-scan calls when the model keeps no values for the
-      platform's range;
+    * ``grid_values``, a :class:`GridValues`, whose range is the one the
+      model vouches for;
     * ``shape_scale_at(f)``, the pair at one clock, which every search
-      probe calls;
-    * ``grid_values``: a :class:`GridValues` or None.
+      probe calls.
 
     The batch of n_img images has shape n_img * shape at the same scale.
-    Feasibility at f means CDF(t_proc) >= rho_th under that batch law.
-    Frequencies where the model evaluates to nonpositive or non-finite
-    parameters count as infeasible rather than erroring, so damaged fits
-    degrade gracefully. When ``grid_values`` were built for the platform's
-    range (the ground truth's, a
-    :class:`~satsched.estimation.FrequencyModel`'s fitted over it), the
-    pre-scan reads their shapes and scales, which the model checked at
-    construction, without the per-lane validity mask.
+    Feasibility at f means CDF(t_proc) >= rho_th under that batch law. The
+    plan searches the platform's range clipped to the model's
+    (:func:`_planner_values`), where the model vouches for its values.
 
-    The grid pre-scan flags points with
-    :func:`~satsched.kernels.reg_lower_gamma_at_least`, whose flags, and so
-    the answer, are those of the exact CDF on every point; on kept values,
-    through :meth:`GridValues.gamma_flags`, whose first plan of an
-    (n_img, rho_th) key screens every point and keeps bounds from it, and
-    whose later plans screen only the points earlier plans at other t_proc
-    left in doubt.
+    The grid pre-scan flags points through :meth:`GridValues.gamma_flags`,
+    whose flags, and so the answer, are those of the exact CDF on every
+    point: a key's first plan screens every point with
+    :func:`~satsched.kernels.reg_lower_gamma_at_least` and keeps bounds
+    from it, and later plans screen only the points earlier plans at other
+    t_proc left in doubt.
 
     Raises:
-        InfeasibleConstraintError: even f_max misses the quantile; the error
-            carries the reliability achievable at f_max.
+        DomainError: the model's range and the platform's do not overlap.
+        InfeasibleConstraintError: even the searched range's high end
+            misses the quantile; the error carries the reliability
+            achievable there.
     """
     n_img, rho_th = _check_common(n_img, rho_th, budget)
     t_proc = budget.t_proc_s
-    values = model.grid_values
-    kept = values is not None and values.on(platform)
+    values = _planner_values(model, platform)
     shape_scale_at = model.shape_scale_at
 
     def score(f_hz: float) -> float:
         shape, scale = shape_scale_at(f_hz)
-        shape = float(shape)
-        scale = float(scale)
-        if not (math.isfinite(shape) and math.isfinite(scale)
-                and shape > 0.0 and scale > 0.0):
-            return 0.0
-        # gamma_cdf's checks hold: these and _check_common's t_proc > 0
-        return kernels.reg_lower_gamma(n_img * shape, t_proc / scale)
+        # gamma_cdf's checks hold: the model vouches for shape and scale
+        # on the searched range, and _check_common for t_proc > 0
+        return kernels.reg_lower_gamma(n_img * float(shape),
+                                       t_proc / float(scale))
 
-    def flags(grid):
-        if kept:
-            # checked positive and finite when the model was built: no
-            # per-plan mask, and the values' bounds
-            return values.gamma_flags(n_img, rho_th, t_proc)
-        shape = np.asarray(model.shape_at(grid), dtype=np.float64)
-        scale = np.asarray(model.scale_at(grid), dtype=np.float64)
-        ok = (np.isfinite(shape) & np.isfinite(scale)
-              & (shape > 0.0) & (scale > 0.0))
-        if ok.all():  # no masked copies
-            return kernels.reg_lower_gamma_at_least(
-                n_img * shape, t_proc / scale, rho_th)[0]
-        out = np.zeros(grid.shape[0], dtype=bool)
-        out[ok] = kernels.reg_lower_gamma_at_least(
-            n_img * shape[ok], t_proc / scale[ok], rho_th)[0]
-        return out
-
-    return _boundary_search(score, flags, rho_th, platform.f_min_hz,
-                            platform.f_max_hz, "gamma quantile constraint")
+    return _boundary_search(
+        score, lambda grid: values.gamma_flags(n_img, rho_th, t_proc),
+        rho_th, values.f_min_hz, values.f_max_hz, "gamma quantile constraint")
 
 
 def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
@@ -661,22 +640,22 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
     the miss probability is at most v / (v + (t_proc - m)^2) whenever
     t_proc > m. Feasibility requires that bound <= 1 - rho_th. The bound is
     solved directly on the frequency axis; no closed form is assumed because
-    the variance depends on f on both sides of the inequality. The
-    pre-scan takes the moments' ``grid_values`` when they were built for
-    the platform's range, through :meth:`GridValues.cantelli_flags`, whose
-    per-key band leaves the formula only the lanes within a rounding band
-    of their threshold (none, on the default figures); else
-    :meth:`MomentModel.moments_at` on the grid and the formula on every
-    lane, with a validity mask. Either way the flags are those of
-    :func:`_cantelli_verdict`.
+    the variance depends on f on both sides of the inequality. Moments with
+    a ``source`` are planned on its range clipped to the platform's, as
+    :func:`solve_optimal_frequency` plans a model, and the pre-scan reads
+    their flags through :meth:`GridValues.cantelli_flags`, whose per-key
+    band leaves the formula only the lanes within a rounding band of their
+    threshold (none, on the default figures). Moments without one are
+    planned on the platform's range, their ``moments_fn`` on the grid and
+    the formula on every lane, with a validity mask. Either way the flags
+    are those of :func:`_cantelli_verdict`.
     """
     n_img, rho_th = _check_common(n_img, rho_th, budget)
     t_proc = budget.t_proc_s
-    values = moments.grid_values
-    kept = values is not None and values.on(platform)
+    moments_fn = moments.moments_fn
 
     def score(f_hz: float) -> float:
-        m, v = moments.moments_at(f_hz)
+        m, v = moments_fn(f_hz)
         m = n_img * float(m)
         v = n_img * float(v)
         slack = t_proc - m
@@ -687,19 +666,26 @@ def solve_cantelli_frequency(moments: MomentModel, budget: LatencyBudget,
             return 1.0  # variance-free mean-crossing limit
         return 1.0 - v / (v + slack * slack)
 
-    def flags(grid):
-        if kept:
-            # kept moments are products of positive finite values, never
-            # NaN or negative, and a mean that overflows leaves no slack
-            return values.cantelli_flags(n_img, rho_th, t_proc)
-        m, v = moments.moments_at(grid)
-        m = n_img * np.asarray(m, dtype=np.float64)
-        v = n_img * np.asarray(v, dtype=np.float64)
-        return (_cantelli_verdict(m, v, t_proc, rho_th) & np.isfinite(m)
-                & (v >= 0.0))
+    if moments.source is None:
+        f_min_hz, f_max_hz = platform.f_min_hz, platform.f_max_hz
 
-    return _boundary_search(score, flags, rho_th, platform.f_min_hz,
-                            platform.f_max_hz, "cantelli moment bound")
+        def flags(grid):
+            m, v = moments_fn(grid)
+            m = n_img * np.asarray(m, dtype=np.float64)
+            v = n_img * np.asarray(v, dtype=np.float64)
+            return (_cantelli_verdict(m, v, t_proc, rho_th) & np.isfinite(m)
+                    & (v >= 0.0))
+    else:
+        # moments of positive finite values, never NaN or negative, and a
+        # mean that overflows leaves no slack
+        values = _planner_values(moments.source, platform)
+        f_min_hz, f_max_hz = values.f_min_hz, values.f_max_hz
+
+        def flags(grid):
+            return values.cantelli_flags(n_img, rho_th, t_proc)
+
+    return _boundary_search(score, flags, rho_th, f_min_hz, f_max_hz,
+                            "cantelli moment bound")
 
 
 @dataclass(frozen=True)
@@ -724,10 +710,13 @@ def select_and_price(method: str, ground_truth, budget: LatencyBudget,
     always evaluated under ``ground_truth``, regardless of what the planner
     believed: its ``law_at(f)`` gives the pooled per-image law at the chosen
     clock (a ground truth used as a default model or moments also needs
-    the model members :func:`solve_optimal_frequency` lists). A gamma plan
-    made on ``ground_truth`` itself (``model`` None or that very object)
-    already scored the chosen clock with the same kernel on the same batch
-    shape and t_proc / scale, so that score is the reliability.
+    the two model members :func:`solve_optimal_frequency` lists). Either
+    planner searches the platform's range clipped to the one its model
+    vouches for, the ground truth's being its own platform's, and raises
+    DomainError when they do not overlap. A gamma plan made on
+    ``ground_truth`` itself (``model`` None or that very object) already
+    scored the chosen clock with the same kernel on the same batch shape
+    and t_proc / scale, so that score is the reliability.
     """
     on_truth = False
     if method == "gamma":

@@ -186,13 +186,13 @@ def test_model_positivity_guard_rejects_overflow():
             _model(huge, ss.Polynomial((1.0,)), 1.0, 2.0)
 
 
-def test_model_positivity_guard_narrow_domain_plans_through_the_mask(
+def test_model_positivity_guard_narrow_domain_plans_on_its_own_range(
         scenario, gt_nano, nano, zenith_budget):
     """A model fitted over part of the platform range (what ``satsched
-    fit`` builds from a log) keeps its values on its own grid, so a plan
-    on the platform grid evaluates the polynomials and masks the lanes
-    where they fail. Its plan equals one on a copy of the model that keeps
-    nothing, and the lanes past the fitted range count as infeasible."""
+    fit`` builds from a log) vouches only for that part: both planners
+    search it alone, read the values the model keeps on its grid and probe
+    no clock outside it, so a curve that turns negative past the fitted
+    range is never evaluated there."""
     lo, hi = 1.2 * nano.f_min_hz, 0.8 * nano.f_max_hz
     freqs = np.linspace(lo, hi, 8)
     rng = ss.stream(scenario.seed, scenario.bit_generator, 7, 9)
@@ -200,37 +200,47 @@ def test_model_positivity_guard_narrow_domain_plans_through_the_mask(
                                        freqs, rng)
     fitted = ss.fit_frequency_model(dict(zip(freqs.tolist(), times)))
     assert (fitted.domain_lo_hz, fitted.domain_hi_hz) == (lo, hi)
-    grid = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
-    assert not fitted.grid_values.on(nano)
+    values = fitted.grid_values
+    assert (values.f_min_hz, values.f_max_hz) == (lo, hi)
 
-    class Polynomials:  # a model's fitted curves, nothing kept
-        grid_values = None
-
+    class Probed:  # the model, recording every clock a plan asks it for
         def __init__(self, model):
             self.model = model
-
-        def shape_at(self, f_hz):
-            return self.model.shape_poly(f_hz)
-
-        def scale_at(self, f_hz):
-            return self.model.scale_poly(f_hz)
+            self.grid_values = model.grid_values
+            self.clocks = []
 
         def shape_scale_at(self, f_hz):
-            return self.shape_at(f_hz), self.scale_at(f_hz)
+            self.clocks.append(f_hz)
+            return self.model.shape_scale_at(f_hz)
 
-    # the second shape turns negative past the fitted range (zero at
-    # 1.1 hi): those lanes are masked, not raised on
+    # the second shape turns negative just past the fitted range (zero at
+    # 1.1 hi)
     falling = _model(ss.Polynomial((50.0, -50.0 / (1.1 * hi))),
                      fitted.scale_poly, lo, hi)
+    grid = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
     assert (falling.shape_at(grid) <= 0.0).any()
-    plans = [ss.solve_optimal_frequency(model, zenith_budget, 3, 0.95, nano)
-             for model in (fitted, falling)]
-    assert plans == [ss.solve_optimal_frequency(Polynomials(model),
-                                                zenith_budget, 3, 0.95, nano)
-                     for model in (fitted, falling)]
-    assert nano.f_min_hz < plans[0].frequency_hz < hi
-    plan = plans[1]
-    assert plan.non_monotone and plan.frequency_hz < 1.1 * hi
+    floors = []
+    for model in (fitted, falling):
+        probed = Probed(model)
+        plans = [
+            ss.solve_optimal_frequency(probed, zenith_budget, 3, 0.95, nano),
+            ss.solve_cantelli_frequency(
+                ss.MomentModel.from_shape_scale_model(probed), zenith_budget,
+                3, 0.95, nano)]
+        assert plans == [
+            ss.solve_optimal_frequency(model, zenith_budget, 3, 0.95, nano),
+            ss.solve_cantelli_frequency(
+                ss.MomentModel.from_shape_scale_model(model), zenith_budget,
+                3, 0.95, nano)]
+        assert probed.clocks and lo <= min(probed.clocks)
+        assert max(probed.clocks) <= hi
+        for plan in plans:
+            assert lo <= plan.frequency_hz <= hi
+            assert plan.predicted_reliability >= 0.95
+        floors.append([plan.frequency_hz == lo for plan in plans])
+    # the fit's gamma plan lands on the fitted range's floor: the
+    # extrapolated curves would meet rho_th a little below it
+    assert floors == [[True, False], [True, True]]
 
 
 def test_model_rejects_underdetermined_input(scenario, homogeneous_gt, nano):
@@ -257,10 +267,11 @@ def test_moment_model_mean_closure_matches_bsp(scenario, nano):
         by_freq[float(f)] = np.abs(rng.normal(m, 0.02 * m, 400))
     mom = ss.fit_moment_model(by_freq, nano, degree=3)
     for f in (nano.f_min_hz, 0.6 * nano.f_max_hz, nano.f_max_hz):
-        pred = float(mom.mean_fn(f))
+        pred, variance = mom.moments_at(f)
         true = ss.mean_exec_time(f, nano)
         assert abs(pred - true) / true < 0.01
-        assert float(mom.variance_fn(f)) >= 0.0
+        assert float(variance) >= 0.0
+    assert mom.source is None
 
 
 def test_moment_model_from_shape_scale(gt_nano, nano):
@@ -268,8 +279,10 @@ def test_moment_model_from_shape_scale(gt_nano, nano):
     f = 0.7 * nano.f_max_hz
     a = float(gt_nano.shape_at(f))
     t = float(gt_nano.scale_at(f))
-    assert float(mom.mean_fn(f)) == pytest.approx(a * t, rel=1e-12)
-    assert float(mom.variance_fn(f)) == pytest.approx(a * t * t, rel=1e-12)
+    mean, variance = mom.moments_at(f)
+    assert float(mean) == pytest.approx(a * t, rel=1e-12)
+    assert float(variance) == pytest.approx(a * t * t, rel=1e-12)
+    assert mom.source is gt_nano
 
 
 # --------------------------------------------------------------- draw_subset

@@ -1,6 +1,7 @@
 """Property tests, run under a derandomized Hypothesis profile so that tier-1
 draws the same examples on every run."""
 
+import functools
 import math
 
 import numpy as np
@@ -68,3 +69,65 @@ def test_cantelli_band_flags_are_the_formula_on_every_lane(
                 got = values.cantelli_flags(n_img, rho_th, t)
                 want = ss.scheduler._cantelli_verdict(m, v, t, rho_th)
                 assert np.array_equal(got, want), t
+
+
+@hypothesis.settings(DERANDOMIZED, max_examples=100)
+@hypothesis.given(
+    truth=_truths, ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    n_img=st.integers(1, 12), rho_th=st.floats(0.05, 0.99),
+    budget_factor=st.floats(0.8, 1.6),
+    method=st.sampled_from(["gamma", "cantelli"]))
+def test_sub_range_fit_plans_inside_its_range(
+        scenario, truth, ends, n_img, rho_th, budget_factor, method):
+    """A model polyfitted to a fresh ground truth's shapes and scales at 8
+    clocks spread over a random part of the platform range (at least a
+    twentieth of it; no sampling) is planned by either planner inside that
+    part: a feasible plan's clock lies in it, its predicted reliability is
+    at least rho_th, and unless it is the part's low end, the model's score
+    1e-9 of the part's span below it misses rho_th. t_proc is the batch
+    mean at the part's middle times a random factor."""
+    name, cv, sigma, variance_model = truth
+    pi = [p.name for p in scenario.platforms].index(name)
+    platform = scenario.platforms[pi]
+    gt = ss.synthesize_ground_truth(
+        platform, cv, scenario.gt_n_images,
+        ss.stream(scenario.seed, scenario.bit_generator, ss.NS_GROUND_TRUTH,
+                  pi),
+        image_sigma=sigma, variance_model=variance_model)
+    a, b = sorted(ends)
+    hypothesis.assume(b - a >= 0.05)
+    span = platform.f_max_hz - platform.f_min_hz
+    lo, hi = platform.f_min_hz + a * span, platform.f_min_hz + b * span
+    clocks = np.linspace(lo, hi, 8)
+    model = ss.FrequencyModel(
+        shape_poly=ss.polyfit(clocks, gt.shape_at(clocks), 3),
+        scale_poly=ss.polyfit(clocks, gt.scale_at(clocks), 3),
+        per_frequency_fits={}, degree=3, r2_shape=1.0, r2_scale=1.0,
+        domain_lo_hz=lo, domain_hi_hz=hi)
+    lo, hi = model.domain_lo_hz, model.domain_hi_hz
+    moments = ss.MomentModel.from_shape_scale_model(model)
+    t_proc = budget_factor * n_img * moments.moments_at(0.5 * (lo + hi))[0]
+    budget = ss.LatencyBudget(t_proc, 0.0, 0.0, 0.0)
+
+    if method == "gamma":
+        def score(f_hz):
+            shape, scale = model.shape_scale_at(f_hz)
+            return ss.kernels.reg_lower_gamma(n_img * shape, t_proc / scale)
+        solve = functools.partial(ss.solve_optimal_frequency, model)
+    else:
+        def score(f_hz):
+            m, v = moments.moments_at(f_hz)
+            m, v = n_img * m, n_img * v
+            slack = t_proc - m
+            return 1.0 - v / (v + slack * slack) if slack > 0.0 else 0.0
+        solve = functools.partial(ss.solve_cantelli_frequency, moments)
+    try:
+        sol = solve(budget, n_img, rho_th, platform)
+    except ss.InfeasibleConstraintError:
+        return
+    f = sol.frequency_hz
+    assert lo <= f <= hi
+    assert sol.predicted_reliability >= rho_th
+    if f > lo:
+        below = f - ss.scheduler._BRACKET_REL_TOL * (hi - lo)
+        assert score(below) < rho_th, (f, below)

@@ -10,8 +10,8 @@ import pytest
 
 import satsched as ss
 from satsched import kernels
-from satsched.errors import (DomainError, InfeasibleBudgetError,
-                             InfeasibleConstraintError)
+from satsched.errors import (DomainError, EstimationError,
+                             InfeasibleBudgetError, InfeasibleConstraintError)
 
 RHO = 0.95
 
@@ -130,25 +130,18 @@ def test_invalid_batch_and_threshold_rejected(gt_nano, nano, zenith_budget):
             ss.solve_optimal_frequency(gt_nano, zenith_budget, 2, rho, nano)
 
 
-class _BrokenFit:
-    """A fit gone wrong: nonpositive shape everywhere."""
-
-    grid_values = None
-
-    def shape_at(self, f_hz):
-        return -1.0 * np.ones_like(np.asarray(f_hz, dtype=np.float64))
-
-    def scale_at(self, f_hz):
-        return np.ones_like(np.asarray(f_hz, dtype=np.float64))
-
-    def shape_scale_at(self, f_hz):
-        return self.shape_at(f_hz), self.scale_at(f_hz)
-
-
-def test_broken_model_is_infeasible_not_crash(nano, zenith_budget):
-    with pytest.raises(InfeasibleConstraintError) as exc_info:
-        ss.solve_optimal_frequency(_BrokenFit(), zenith_budget, 2, RHO, nano)
-    assert exc_info.value.achievable_reliability == 0.0
+def test_broken_model_is_rejected_not_planned(nano):
+    """A fit gone wrong, with a nonpositive shape or scale everywhere, never
+    reaches a planner: FrequencyModel rejects it when it is built, which is
+    why the planners check no shape or scale."""
+    good = ss.Polynomial((1.0,))
+    for bad in (ss.Polynomial((-1.0,)), ss.Polynomial((0.0,))):
+        for shape, scale in ((bad, good), (good, bad)):
+            with pytest.raises(EstimationError):
+                ss.FrequencyModel(
+                    shape_poly=shape, scale_poly=scale, per_frequency_fits={},
+                    degree=0, r2_shape=1.0, r2_scale=1.0,
+                    domain_lo_hz=nano.f_min_hz, domain_hi_hz=nano.f_max_hz)
 
 
 # ---------------------------------------------------------------- cantelli
@@ -159,15 +152,23 @@ def _work_per_hz(platform):
                                                   * platform.n_flops)
 
 
+def _variance_free_moments(platform):
+    # the mean-time model's moments with no dispersion, at a clock or on
+    # the grid
+    a_coef = _work_per_hz(platform)
+
+    def moments_fn(f):
+        f = np.asarray(f, dtype=np.float64)
+        return a_coef / f + platform.mu_sync_s, np.zeros_like(f)
+    return ss.MomentModel(moments_fn)
+
+
 def test_zero_variance_reduces_to_mean_crossing(nano, zenith_budget):
     """With no dispersion the bound degenerates to the mean-deadline
     crossing, which has a closed form on the 1/f mean curve."""
     n_img = 4
     a_coef = _work_per_hz(nano)
-    moments = ss.MomentModel(
-        mean_fn=lambda f: a_coef / np.asarray(f, dtype=np.float64)
-        + nano.mu_sync_s,
-        variance_fn=lambda f: np.zeros_like(np.asarray(f, dtype=np.float64)))
+    moments = _variance_free_moments(nano)
     sol = ss.solve_cantelli_frequency(moments, zenith_budget, n_img, RHO, nano)
     expected = n_img * a_coef / (zenith_budget.t_proc_s
                                  - n_img * nano.mu_sync_s)
@@ -187,7 +188,7 @@ def test_agrees_with_fixed_point_closed_form(gt_nano, nano, zenith_budget):
     t_proc = zenith_budget.t_proc_s
     f = nano.f_max_hz
     for _ in range(200):
-        spread = k * math.sqrt(n_img * float(moments.variance_fn(f)))
+        spread = k * math.sqrt(n_img * float(moments.moments_at(f)[1]))
         f_next = n_img * a_coef / (t_proc - n_img * nano.mu_sync_s - spread)
         if abs(f_next - f) <= 1e-13 * f:
             f = f_next
@@ -214,8 +215,8 @@ def test_moment_bound_score_at_solution(gt_nano, nano, zenith_budget):
     n_img = 3
     moments = ss.MomentModel.from_shape_scale_model(gt_nano)
     sol = ss.solve_cantelli_frequency(moments, zenith_budget, n_img, RHO, nano)
-    m = n_img * float(moments.mean_fn(sol.frequency_hz))
-    v = n_img * float(moments.variance_fn(sol.frequency_hz))
+    m, v = moments.moments_at(sol.frequency_hz)
+    m, v = n_img * float(m), n_img * float(v)
     slack = zenith_budget.t_proc_s - m
     assert slack > 0.0
     score = 1.0 - v / (v + slack * slack)
@@ -224,11 +225,7 @@ def test_moment_bound_score_at_solution(gt_nano, nano, zenith_budget):
 
 
 def test_mean_above_budget_is_infeasible(nano, zenith_budget):
-    a_coef = _work_per_hz(nano)
-    moments = ss.MomentModel(
-        mean_fn=lambda f: a_coef / np.asarray(f, dtype=np.float64)
-        + nano.mu_sync_s,
-        variance_fn=lambda f: np.zeros_like(np.asarray(f, dtype=np.float64)))
+    moments = _variance_free_moments(nano)
     # 40 * mu_sync alone exceeds t_proc ~ 0.489 s, so no clock can help
     with pytest.raises(InfeasibleConstraintError) as exc_info:
         ss.solve_cantelli_frequency(moments, zenith_budget, 40, RHO, nano)
@@ -260,7 +257,7 @@ def test_cantelli_variance_free_plan_with_underflowing_slack(nano):
     square underflows to 0: every grid point is feasible, as its float score
     of 1 says."""
     budget = ss.LatencyBudget(1e-170, 0.0, 0.0, 0.0)
-    free = ss.MomentModel(lambda f: 0.0 * f, lambda f: 0.0 * f)
+    free = ss.MomentModel(lambda f: (0.0 * f, 0.0 * f))
     sol = ss.solve_cantelli_frequency(free, budget, 1, RHO, nano)
     assert sol.frequency_hz == nano.f_min_hz
     assert sol.predicted_reliability == 1.0 and not sol.non_monotone
@@ -283,21 +280,19 @@ def test_energy_grows_with_batch_size(gt_nano, nano, zenith_budget):
 
 
 class _Pessimist:
-    """Planner belief with the truth's shape but a 20% inflated scale."""
-
-    grid_values = None
+    """Planner belief with the truth's shape but a 20% inflated scale, on
+    the truth's range."""
 
     def __init__(self, truth):
         self._truth = truth
-
-    def shape_at(self, f_hz):
-        return self._truth.shape_at(f_hz)
-
-    def scale_at(self, f_hz):
-        return 1.2 * np.asarray(self._truth.scale_at(f_hz), dtype=np.float64)
+        values = truth.grid_values
+        self.grid_values = ss.scheduler.GridValues(
+            values.f_min_hz, values.f_max_hz, values.shapes,
+            1.2 * values.scales)
 
     def shape_scale_at(self, f_hz):
-        return self.shape_at(f_hz), self.scale_at(f_hz)
+        shape, scale = self._truth.shape_scale_at(f_hz)
+        return shape, 1.2 * scale
 
 
 def test_pricing_ignores_planner_model(gt_nano, nano, zenith_budget):
@@ -319,12 +314,103 @@ def test_pricing_ignores_planner_model(gt_nano, nano, zenith_budget):
         rel=1e-12)
 
 
-def _fitted_nano(scenario, gt, platform, lo_hz, hi_hz):
-    """A FrequencyModel fitted from 400 draws at 8 clocks over [lo, hi]."""
+def _fitted_nano(scenario, gt, platform, lo_hz, hi_hz, draws=400):
+    """A FrequencyModel fitted from ``draws`` draws at each of 8 clocks over
+    [lo, hi]."""
     freqs = np.linspace(lo_hz, hi_hz, 8)
     rng = ss.stream(scenario.seed, scenario.bit_generator, 7, 9)
-    times = gt.sample_image_times(np.arange(400) % gt.n_images, freqs, rng)
+    times = gt.sample_image_times(np.arange(draws) % gt.n_images, freqs, rng)
     return ss.fit_frequency_model(dict(zip(freqs.tolist(), times)), degree=3)
+
+
+def _both_plans(model, budget, n_img, rho_th, platform):
+    # the gamma plan on a shape/scale model and the Cantelli plan on its
+    # moments, or the reliability an infeasible plan reports
+    return (_plan_or_reliability(ss.solve_optimal_frequency, model, budget,
+                                 n_img, rho_th, platform),
+            _plan_or_reliability(
+                ss.solve_cantelli_frequency,
+                ss.MomentModel.from_shape_scale_model(model), budget, n_img,
+                rho_th, platform))
+
+
+@pytest.mark.parametrize("lo_x,hi_x", [
+    (1.2, 0.8),  # inside the platform's range
+    (0.8, 1.1),  # around it
+    (0.8, 0.8),  # over its low end
+    (1.2, 1.1),  # over its high end
+], ids=["sub-range", "super-range", "low-overlap", "high-overlap"])
+def test_fitted_range_clipped_to_the_platform(scenario, own_gt_nano, nano,
+                                              lo_x, hi_x):
+    """A model fitted over [lo_x f_min, hi_x f_max] is planned by either
+    planner on that range clipped to the platform's: at elevations 25/50/90
+    and n_img 1-6 every plan lies in the clipped range and equals the plan
+    on the same polynomials fitted to vouch for the clipped range alone,
+    whose kept values are the one-off values a plan builds there."""
+    fit = _fitted_nano(scenario, own_gt_nano, nano, lo_x * nano.f_min_hz,
+                       hi_x * nano.f_max_hz)
+    lo = max(fit.domain_lo_hz, nano.f_min_hz)
+    hi = min(fit.domain_hi_hz, nano.f_max_hz)
+    clipped = dataclasses.replace(fit, domain_lo_hz=lo, domain_hi_hz=hi)
+    interior = 0
+    for el in (25.0, 50.0, 90.0):
+        budget = ss.budget_from_legs(scenario, ss.comm_legs(scenario, el))
+        for n_img in range(1, 7):
+            got = _both_plans(fit, budget, n_img, RHO, nano)
+            assert got == _both_plans(clipped, budget, n_img, RHO, nano)
+            for plan in got:
+                if isinstance(plan, ss.FrequencySolution):
+                    assert lo <= plan.frequency_hz <= hi
+                    assert plan.predicted_reliability >= RHO
+                    interior += lo < plan.frequency_hz < hi
+    assert interior > 0
+
+
+@pytest.mark.parametrize("edge,lo_x,hi_x", [
+    ("f_min_hz", 0.5, 0.9),  # below the platform's range
+    ("f_min_hz", 0.5, 1.0),  # meeting it at f_min alone
+    ("f_max_hz", 1.1, 1.4),  # above it
+], ids=["below", "touching", "above"])
+def test_disjoint_fit_raises(scenario, own_gt_nano, nano, zenith_budget,
+                             edge, lo_x, hi_x):
+    """A model fitted over [lo_x, hi_x] times one end of the platform's
+    range shares no span with it, so it has nothing to plan on: both
+    planners raise DomainError."""
+    edge_hz = getattr(nano, edge)
+    fit = _fitted_nano(scenario, own_gt_nano, nano, lo_x * edge_hz,
+                       hi_x * edge_hz)
+    moments = ss.MomentModel.from_shape_scale_model(fit)
+    with pytest.raises(DomainError):
+        ss.solve_optimal_frequency(fit, zenith_budget, 3, RHO, nano)
+    with pytest.raises(DomainError):
+        ss.select_and_price("cantelli", own_gt_nano, zenith_budget, 3, RHO,
+                            nano, moments=moments)
+
+
+def test_partial_range_fit_meets_its_quantile_under_the_truth(
+        scenario, own_gt_nano, nano, zenith_budget):
+    """Nano, eight fit clocks over [0.70, 0.95] f_max with 1120 draws each,
+    so the fitted range is [0.714, 0.969] GHz: at zenith, every plan of
+    either planner for n_img 1-6 lies in that range and meets rho_th under
+    the ground truth. Searched over the whole platform range, the
+    extrapolated curves would plan 0.490 GHz for n_img 6, with a
+    ground-truth reliability of 1.2e-5."""
+    fit = _fitted_nano(scenario, own_gt_nano, nano, 0.70 * nano.f_max_hz,
+                       0.95 * nano.f_max_hz, draws=1120)
+    assert (fit.domain_lo_hz, fit.domain_hi_hz) == (0.714e9, 0.969e9)
+    moments = ss.MomentModel.from_shape_scale_model(fit)
+    floor = []
+    for n_img in range(1, 7):
+        for sel in (ss.select_and_price("gamma", own_gt_nano, zenith_budget,
+                                        n_img, RHO, nano, model=fit),
+                    ss.select_and_price("cantelli", own_gt_nano,
+                                        zenith_budget, n_img, RHO, nano,
+                                        moments=moments)):
+            assert 0.714e9 <= sel.frequency_hz <= 0.969e9
+            assert sel.reliability >= RHO
+            floor.append(sel.frequency_hz == 0.714e9)
+    # n_img 4 lands on the fitted range's floor; n_img 6 plans above it
+    assert floor[6] and not floor[10] and not floor[11]
 
 
 def test_plan_kernel_work_gate(monkeypatch, scenario, own_gt_nano, nano,
@@ -337,10 +423,9 @@ def test_plan_kernel_work_gate(monkeypatch, scenario, own_gt_nano, nano,
     * the gamma plan on the ground truth makes no CDF call after the
       search's last probe;
     * a gamma plan on the ground truth or on a FrequencyModel fitted over
-      the platform range evaluates no Polynomial, solves no pooled shape
-      and calls no shape_at or scale_at on the grid (a model fitted over a
-      narrower range calls both there and evaluates both polynomials,
-      once each);
+      a range inside the platform's, the whole range or a part of it,
+      evaluates no Polynomial, solves no pooled shape and calls no
+      shape_at or scale_at on the grid;
     * the Cantelli grid pass takes the kept moments, so it asks the ground
       truth for no grid shapes or scales to multiply."""
     fitted = _fitted_nano(scenario, own_gt_nano, nano, nano.f_min_hz,
@@ -368,9 +453,23 @@ def test_plan_kernel_work_gate(monkeypatch, scenario, own_gt_nano, nano,
     assert counts["grid_lookups"] == 0
     ss.select_and_price("gamma", own_gt_nano, zenith_budget, 3, RHO, nano,
                         model=narrow)
-    assert counts["grid_polynomial_evals"] == 2
-    assert counts["grid_lookups"] == 2
+    assert counts["grid_polynomial_evals"] == 0
+    assert counts["grid_lookups"] == 0
     assert counts["grid_shape_solves"] == 0
+
+
+def _unkept_moments(gt):
+    """gt's Cantelli moments with no source: at a clock from one
+    shape_scale_at call, on an array from a fresh solve, so the pre-scan
+    takes the formula on every lane, with its validity mask."""
+    def moments_fn(f_hz):
+        if isinstance(f_hz, np.ndarray):
+            shape, scale = gt.shape_at(f_hz), gt.scale_at(f_hz)
+        else:
+            shape, scale = gt.shape_scale_at(f_hz)
+        mean = shape * scale
+        return mean, mean * scale
+    return ss.MomentModel(moments_fn)
 
 
 def _masked_select_and_price(method, gt, budget, n_img, rho_th, platform):
@@ -397,14 +496,8 @@ def _masked_select_and_price(method, gt, budget, n_img, rho_th, platform):
             score, flags, rho_th, platform.f_min_hz, platform.f_max_hz,
             method)
     else:
-        def variance(f_hz):
-            scale = gt.scale_at(f_hz)
-            return gt.shape_at(f_hz) * scale * scale
-
-        moments = ss.MomentModel(lambda f_hz: gt.shape_at(f_hz)
-                                 * gt.scale_at(f_hz), variance)
-        sol = ss.solve_cantelli_frequency(moments, budget, n_img, rho_th,
-                                          platform)
+        sol = ss.solve_cantelli_frequency(_unkept_moments(gt), budget, n_img,
+                                          rho_th, platform)
     f_hz = sol.frequency_hz
     law = ss.batch_law(gt.law_at(f_hz), n_img)
     return ss.PricedSelection(
@@ -619,25 +712,25 @@ def test_planner_grid_scales_are_cached(gt_nano, nano):
 def test_ground_truth_keeps_grid_moments(monkeypatch, gt_nano, nano):
     """The ground truth keeps its Cantelli moments on the planner grid, in
     the operation order of the shape/scale closures, read-only; the moment
-    model built from it carries the same values and forms them again on
-    the grid, and its pre-scan flags without the validity checks equal the
-    checked flags on a copy of the same moments that keeps none."""
+    model built from it keeps the ground truth as its source and forms the
+    same values at every grid clock, and its pre-scan flags without the
+    validity checks equal the checked flags on the same moments with no
+    source."""
     grid = ss.scheduler.planner_grid(nano.f_min_hz, nano.f_max_hz)
     values = gt_nano.grid_values
     shapes, scales = values.shapes, values.scales
     assert np.array_equal(values.means, shapes * scales)
     assert np.array_equal(values.variances, shapes * scales * scales)
     kept = ss.MomentModel.from_shape_scale_model(gt_nano)
-    assert np.array_equal(kept.grid_values.means, values.means)
-    assert np.array_equal(kept.grid_values.variances, values.variances)
+    assert kept.source is gt_nano
     for arr in (values.means, values.variances):
         assert not arr.flags.writeable
-    # the moment functions form the same products on the grid
-    assert np.array_equal(kept.mean_fn(grid), values.means)
-    assert np.array_equal(kept.variance_fn(grid), values.variances)
-    copied = ss.MomentModel(lambda f: np.array(kept.mean_fn(f)),
-                            lambda f: np.array(kept.variance_fn(f)))
-    assert copied.grid_values is None
+    # the moment function forms the same products at the grid clocks
+    pairs = [kept.moments_at(f) for f in grid.tolist()]
+    assert pairs == list(zip(values.means.tolist(),
+                             values.variances.tolist()))
+    copied = _unkept_moments(gt_nano)
+    assert copied.source is None
     search = ss.scheduler._boundary_search
     flags = []
 
@@ -760,19 +853,17 @@ def _damaged_moments(gt, grid, t_proc, n_img):
     pairs = [(math.nan, None), (None, math.nan), (-math.inf, None),
              (None, math.inf), (None, -0.0), (None, -1e-3),
              (5e-324, 5e-324), (tight, 0.0), (tight, None)]
-    true = ss.MomentModel.from_shape_scale_model(gt)
+    true = _unkept_moments(gt)
 
-    def damaged(fn, k):
-        def moment(f_hz):
-            out = np.array(fn(f_hz), dtype=np.float64)
-            for g, pair in zip(grid, pairs):
-                if pair[k] is not None:
-                    out[f_hz == g] = pair[k]
-            return out
-        return moment
+    def damaged(f_hz):
+        out = [np.array(x, dtype=np.float64) for x in true.moments_at(f_hz)]
+        for g, pair in zip(grid, pairs):
+            for moment, value in zip(out, pair):
+                if value is not None:
+                    moment[f_hz == g] = value
+        return tuple(out)
 
-    return ss.MomentModel(damaged(true.mean_fn, 0),
-                          damaged(true.variance_fn, 1))
+    return ss.MomentModel(damaged)
 
 
 @pytest.mark.parametrize("method", ["gamma", "cantelli", "cantelli-damaged"])
@@ -1475,17 +1566,17 @@ def test_kept_cantelli_moments_plan_bit_for_bit(monkeypatch, scenario,
                                                 own_gt_nano, own_gt_agx):
     """Cantelli plans on MomentModel.from_shape_scale_model(gt), whose
     pre-scan reads its flags off the kept values' bands, equal bit for bit
-    those on the same callables with grid_values=None, whose pre-scan
-    takes the formula on every lane: n_img 1-12, elevations 25/50/90 and
-    rho_th 0.5/0.95/0.99 on nano and agx."""
+    those on the same moments with no source, whose pre-scan takes the
+    formula on every lane: n_img 1-12, elevations 25/50/90 and rho_th
+    0.5/0.95/0.99 on nano and agx."""
     budgets = [ss.budget_from_legs(scenario, ss.comm_legs(scenario, el))
                for el in (25.0, 50.0, 90.0)]
     counts = _count_cantelli_work(monkeypatch)
     plans = infeasible = 0
     for gt in (own_gt_nano, own_gt_agx):
         kept = ss.MomentModel.from_shape_scale_model(gt)
-        unkept = dataclasses.replace(kept, grid_values=None)
-        assert kept.grid_values is gt.grid_values
+        unkept = _unkept_moments(gt)
+        assert kept.source is gt
         for budget in budgets:
             for rho_th in (0.5, 0.95, 0.99):
                 for n_img in range(1, 13):

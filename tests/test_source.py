@@ -218,3 +218,32 @@ def test_planners_take_grid_values_without_identity_checks():
     assert _identity_checks(sources["scheduler.py"]) == []
     assert [name for name, source in sources.items()
             if _defines(source, "_on_planner_grid")] == []
+
+
+def _reads_of(source: str, names: tuple) -> list:
+    # every attribute or name in ``names`` the code reads, called or not
+    found = [(node.lineno, ast.unparse(node))
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and node.attr in names
+             or isinstance(node, ast.Name) and node.id in names]
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_reads_scan_finds_them():
+    src = ("def plan(model, grid):\n"
+           "    shape = model.shape_at(grid)\n"
+           "    scale_at = model.scale_at\n"
+           "    return model.shape_scale_at(grid[0]), scale_at(grid)\n")
+    assert _reads_of(src, ("shape_at", "scale_at")) == [
+        "2: model.shape_at", "3: model.scale_at", "3: scale_at",
+        "4: scale_at"]
+
+
+def test_planners_ask_a_model_only_for_one_clock_at_a_time():
+    """The planners ask a shape/scale model for its ``grid_values`` and for
+    ``shape_scale_at`` at one clock: the scheduler reads no array
+    ``shape_at`` or ``scale_at``, so a model plans only on the values it
+    vouches for."""
+    source = (PKG / "scheduler.py").read_text(encoding="utf-8")
+    assert _reads_of(source, ("shape_scale_at",))
+    assert _reads_of(source, ("shape_at", "scale_at")) == []
