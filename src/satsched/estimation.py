@@ -5,7 +5,21 @@ Three layers:
 1. Moment estimators for the mean-time model (inefficiency factor and sync
    overhead) via closed-form least squares on the 1/f regressor.
 2. Per-frequency Gamma MLE fits stitched into a FrequencyModel by polynomial
-   regression of shape and scale against frequency.
+   regression of shape and scale against frequency. A subset replicate's
+   draws come as one (clocks x n_s) matrix, and ``fit_frequency_model``
+   fits every clock from it in one pass: a Gamma MLE needs only each
+   row's mean and mean log, so
+   :func:`~satsched.numerics.fit_gamma_mle_rows` takes the min, max, mean
+   and mean-log reductions over the whole matrix, row by row, and then
+   walks the clocks in ascending order with the per-clock checks and the
+   scalar shape solve, so the first clock that fails raises as a per-clock
+   loop would. A measured log, whose clocks need not hold equally many
+   samples, goes through the same function one clock at a time. The two
+   polynomials share one design: :func:`~satsched.numerics.polyfit` keeps
+   the Vandermonde design, its column norms and the window map per (fit
+   grid, degree), read-only, and solves one ``lstsq`` per polynomial, so
+   each stays bit for bit ``Polynomial.fit(...).convert()``. R-squared of
+   both comes from one pass over the two rows.
 3. A subset-sampling study: repeatedly fit models from small random subsets
    of the image set, plan a frequency with each, and score the true deadline
    miss probability of that plan under the ground truth.
@@ -24,7 +38,7 @@ import numpy as np
 from .compute import Platform, batch_law
 from .errors import (DomainError, EstimationError, InfeasibleConstraintError,
                      check_count, check_positive)
-from .numerics import Polynomial, fit_gamma_mle, gamma_cdf, polyfit
+from .numerics import Polynomial, fit_gamma_mle_rows, gamma_cdf, polyfit
 from .rand import NS_SUBSET_STUDY, stream
 from .scheduler import (GridValues, LatencyBudget, MomentModel, planner_grid,
                         solve_optimal_frequency)
@@ -70,12 +84,16 @@ def estimate_bsp_moments(samples, platform: Platform):
     return slope, intercept
 
 
-def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res <= 1e-24 else 0.0
-    return 1.0 - ss_res / ss_tot
+def _r_squared(xs: np.ndarray, ys: np.ndarray, polys) -> list:
+    """R-squared of each polynomial of ``polys`` against its row of ``ys``
+    at ``xs``, the sums of every row taken in one pass."""
+    fitted = np.stack([p(xs) for p in polys])
+    ss_res = np.square(ys - fitted).sum(axis=1).tolist()
+    # the mean as ndarray.mean forms it: the row sum over the count
+    mean = ys.sum(axis=1, keepdims=True) / ys.shape[1]
+    ss_tot = np.square(ys - mean).sum(axis=1).tolist()
+    return [(1.0 if res <= 1e-24 else 0.0) if tot == 0.0 else 1.0 - res / tot
+            for res, tot in zip(ss_res, ss_tot)]
 
 
 def _positive_at_extrema(poly: Polynomial, lo: float, hi: float) -> bool:
@@ -173,40 +191,66 @@ class FrequencyModel:
         return self.shape_poly(f_hz), self.scale_poly(f_hz)
 
 
-def fit_frequency_model(samples_by_freq, degree: int = 3) -> FrequencyModel:
+def fit_frequency_model(samples_by_freq, degree: int = 3,
+                        frequencies=None) -> FrequencyModel:
     """Fit per-frequency Gamma laws and regress them against frequency.
 
     ``samples_by_freq`` maps clock frequency to an array of positive
-    execution times (pooled across images). Needs at least degree+1 distinct
-    frequencies with at least 2 samples each.
+    execution times (pooled across images), or, with ``frequencies`` given
+    (strictly increasing), is a 2-d array whose row k holds the times at
+    ``frequencies[k]``. Needs at least degree+1 distinct frequencies with
+    at least 2 samples each.
+
+    Every clock's MLE comes from
+    :func:`~satsched.numerics.fit_gamma_mle_rows`: a 2-d array in one pass,
+    a mapping one clock at a time, since a measured log's clocks need not
+    hold equally many samples. Either way the clocks are walked in
+    ascending order and the first that cannot be fitted raises.
     """
     degree = check_count("degree", degree, least=0)
-    freqs = sorted(float(f) for f in samples_by_freq)
+    if frequencies is None:
+        freqs = sorted(float(f) for f in samples_by_freq)
+        # (clocks, the 2-d array of their rows), one clock each
+        groups = [([f], np.reshape(np.asarray(samples_by_freq[f],
+                                              dtype=np.float64), (1, -1)))
+                  for f in freqs]
+    else:
+        xs = np.asarray(frequencies, dtype=np.float64)
+        times = np.asarray(samples_by_freq, dtype=np.float64)
+        if xs.ndim != 1 or times.ndim != 2 or times.shape[0] != xs.size:
+            raise DomainError(
+                "samples_by_freq must be a 2-d array with one row per frequency")
+        if not np.all(xs[1:] > xs[:-1]):
+            raise DomainError("frequencies must be strictly increasing")
+        freqs = xs.tolist()
+        groups = [(freqs, times)]
     if len(freqs) < degree + 1:
         raise DomainError(
             f"need at least degree+1={degree + 1} distinct frequencies, got {len(freqs)}")
     fits = {}
-    for f in freqs:
-        times = np.asarray(samples_by_freq[f], dtype=np.float64)
-        if times.size < 2:
-            raise DomainError(f"need >= 2 samples at {f:.6g} Hz, got {times.size}")
-        try:
-            fits[f] = fit_gamma_mle(times).law
-        except (DomainError, EstimationError) as exc:
-            raise EstimationError(f"MLE failed at {f:.6g} Hz: {exc}") from exc
+    for clocks, block in groups:
+        n = block.shape[1]
+        mles = fit_gamma_mle_rows(block)
+        for f in clocks:
+            if n < 2:
+                raise DomainError(f"need >= 2 samples at {f:.6g} Hz, got {n}")
+            try:
+                fits[f] = next(mles).law
+            except (DomainError, EstimationError) as exc:
+                raise EstimationError(f"MLE failed at {f:.6g} Hz: {exc}") from exc
     xs = np.array(freqs)
-    shapes = np.array([fits[f].shape for f in freqs])
-    scales = np.array([fits[f].scale for f in freqs])
+    ys = np.array([[law.shape for law in fits.values()],
+                   [law.scale for law in fits.values()]])
     try:
-        shape_poly = polyfit(xs, shapes, degree)
-        scale_poly = polyfit(xs, scales, degree)
+        shape_poly = polyfit(xs, ys[0], degree)
+        scale_poly = polyfit(xs, ys[1], degree)
     except EstimationError as exc:
         raise EstimationError(f"frequency regression failed: {exc}") from exc
+    r2_shape, r2_scale = _r_squared(xs, ys, (shape_poly, scale_poly))
     return FrequencyModel(
         shape_poly=shape_poly, scale_poly=scale_poly,
         per_frequency_fits=fits, degree=degree,
-        r2_shape=_r_squared(shapes, shape_poly(xs)),
-        r2_scale=_r_squared(scales, scale_poly(xs)),
+        r2_shape=r2_shape, r2_scale=r2_scale,
         domain_lo_hz=float(xs[0]), domain_hi_hz=float(xs[-1]))
 
 
@@ -314,13 +358,12 @@ def run_subset_replicate(ground_truth, dataset, n_s: int, fit_frequencies,
     flagged infeasible, and is still scored.
     """
     ids = draw_subset(dataset, n_s, rng)
-    freqs = sorted(float(f) for f in fit_frequencies)
-    samples_by_freq = dict(zip(freqs, ground_truth.sample_image_times(
-        ids, np.array(freqs), rng)))
+    freqs = np.array(sorted(float(f) for f in fit_frequencies))
+    times = ground_truth.sample_image_times(ids, freqs, rng)
     infeasible = False
     model = None
     try:
-        model = fit_frequency_model(samples_by_freq, degree=degree)
+        model = fit_frequency_model(times, degree=degree, frequencies=freqs)
         f_hat = solve_optimal_frequency(model, budget, n_img, rho_th,
                                         platform).frequency_hz
     except (EstimationError, InfeasibleConstraintError):

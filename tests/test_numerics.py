@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import satsched as ss
-from satsched import kernels
+from satsched import kernels, numerics
 from satsched.errors import ConvergenceError, DomainError, EstimationError
 
 
@@ -297,6 +297,172 @@ def test_mle_equals_reference_on_fig3_replicate_rows(scenario, gt_nano, gt_agx):
     assert fits == 2 * len(scenario.fig3_sample_sizes) * 3 * len(clocks)
 
 
+def _reference_r_squared(y, fitted):
+    ss_res = float(np.sum((y - fitted) ** 2))
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0.0:
+        return 1.0 if ss_res <= 1e-24 else 0.0
+    return 1.0 - ss_res / ss_tot
+
+
+def _reference_fit_frequency_model(freqs, rows, degree):
+    """fit_frequency_model as a per-clock loop, kept as the reference for
+    the one-pass fit: the reference MLE on each row in ascending clock
+    order, then per polynomial a fit on numpy's own design, its Horner
+    values and its R-squared. Returns every number the model keeps, as
+    float.hex."""
+    fits = {}
+    for f, row in zip(freqs, rows):
+        if row.size < 2:
+            raise DomainError(f"need >= 2 samples at {f:.6g} Hz, got {row.size}")
+        try:
+            fits[f] = _reference_fit_gamma_mle(row).law
+        except (DomainError, EstimationError) as exc:
+            raise EstimationError(f"MLE failed at {f:.6g} Hz: {exc}") from exc
+    xs = np.array(freqs)
+    out = {f: (law.shape.hex(), law.scale.hex()) for f, law in fits.items()}
+    for ys in (np.array([law.shape for law in fits.values()]),
+               np.array([law.scale for law in fits.values()])):
+        poly = _reference_polyfit(xs, ys, degree)
+        out[len(out)] = ([c.hex() for c in poly.coefficients],
+                         _reference_r_squared(ys, poly(xs)).hex())
+    return out
+
+
+def _reference_polyfit(xs, ys, degree):
+    """``Polynomial.fit(xs, ys, degree).convert()`` with numpy's own design,
+    built on every call: its window fit, then the composition back to the
+    power basis that polyfit shares with ``convert`` (pinned to it by
+    test_polyfit_equals_numpy_fit_convert_bit_for_bit), at a fraction of
+    ``convert``'s cost."""
+    lo, hi = float(xs.min()), float(xs.max())
+    off, scl = (-hi - lo) / (hi - lo), 2.0 / (hi - lo)
+    window_coef = np.polynomial.polynomial.polyfit(off + scl * xs, ys,
+                                                   degree).tolist()
+    coef = [window_coef[-1]]
+    for c in window_coef[-2::-1]:
+        coef = ([coef[0] * off + c]
+                + [coef[j] * off + coef[j - 1] * scl for j in range(1, len(coef))]
+                + [coef[-1] * scl])
+    return ss.Polynomial(tuple(coef))
+
+
+def _model_hex(model):
+    out = {f: (law.shape.hex(), law.scale.hex())
+           for f, law in model.per_frequency_fits.items()}
+    for poly, r2 in ((model.shape_poly, model.r2_shape),
+                     (model.scale_poly, model.r2_scale)):
+        out[len(out)] = ([c.hex() for c in poly.coefficients], r2.hex())
+    return out
+
+
+def _fig3_row_sets(scenario, gts):
+    # (clocks, sample matrix) of every default fig3 replicate, drawn on
+    # the replicate's own stream as run_subset_replicate draws them
+    for pi, gt in enumerate(gts):
+        clocks = np.sort(ss.fit_frequency_grid(gt.platform,
+                                               scenario.fit_n_frequencies))
+        for n_s in scenario.fig3_sample_sizes:
+            for k in range(scenario.fig3_k_replicates):
+                rng = ss.stream(scenario.seed, scenario.bit_generator,
+                                ss.NS_SUBSET_STUDY, pi, n_s, k)
+                ids = ss.draw_subset(gt.image_ids, n_s, rng)
+                yield clocks, gt.sample_image_times(ids, clocks, rng)
+
+
+def test_one_pass_fit_equals_the_per_clock_reference_on_fig3(
+        scenario, gt_nano, gt_agx):
+    """fit_frequency_model on each default fig3 replicate's sample matrix
+    keeps the per-clock fits, both polynomials and both R-squared of the
+    per-clock reference, bit for bit; one replicate per sample size also
+    through the mapping form, one clock at a time."""
+    fits = 0
+    for clocks, times in _fig3_row_sets(scenario, (gt_nano, gt_agx)):
+        freqs = clocks.tolist()
+        want = _reference_fit_frequency_model(freqs, times,
+                                              scenario.fit_degree)
+        got = ss.fit_frequency_model(times, scenario.fit_degree,
+                                     frequencies=clocks)
+        assert _model_hex(got) == want
+        if fits % scenario.fig3_k_replicates == 0:
+            by_clock = ss.fit_frequency_model(dict(zip(freqs, times)),
+                                              scenario.fit_degree)
+            assert _model_hex(by_clock) == want
+        fits += 1
+    assert fits == (2 * len(scenario.fig3_sample_sizes)
+                    * scenario.fig3_k_replicates)
+
+
+@pytest.mark.parametrize("damage", ["nan", "zero", "degenerate", "short"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_one_pass_fit_raises_at_the_reference_clock(scenario, gt_nano,
+                                                    damage, where):
+    """A damaged row at the first, middle or last clock of a fig3 sample
+    matrix raises the reference's error: the same type, naming the same
+    clock, with the same message and the same cause. In the mapping form
+    a short row there does too, rows before it being fitted first."""
+    clocks, times = next(_fig3_row_sets(scenario, (gt_nano,)))
+    row = {"first": 0, "middle": times.shape[0] // 2, "last": -1}[where]
+    rows = list(times)  # views of the matrix's rows
+    if damage == "nan":
+        times[row, 3] = math.nan
+    elif damage == "zero":
+        times[row, 0] = 0.0
+    elif damage == "degenerate":
+        times[row] = times[row, 0]
+    else:
+        rows[row] = times[row, :1]
+    freqs = clocks.tolist()
+    with pytest.raises(ss.SatschedError) as want:
+        _reference_fit_frequency_model(freqs, rows, scenario.fit_degree)
+    forms = [dict(zip(freqs, rows))]
+    if damage != "short":
+        forms.append(times)
+    for form in forms:
+        with pytest.raises(ss.SatschedError) as got:
+            ss.fit_frequency_model(form, scenario.fit_degree,
+                                   frequencies=None if isinstance(form, dict)
+                                   else clocks)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert f"{freqs[row]:.6g} Hz" in str(got.value)
+        assert type(got.value.__cause__) is type(want.value.__cause__)
+        assert str(got.value.__cause__) == str(want.value.__cause__)
+
+
+def test_one_pass_fit_rejects_a_malformed_matrix(scenario, gt_nano):
+    clocks, times = next(_fig3_row_sets(scenario, (gt_nano,)))
+    with pytest.raises(DomainError, match="one row per frequency"):
+        ss.fit_frequency_model(times[1:], frequencies=clocks)
+    with pytest.raises(DomainError, match="one row per frequency"):
+        ss.fit_frequency_model(times[0], frequencies=clocks[:1])
+    with pytest.raises(DomainError, match="strictly increasing"):
+        ss.fit_frequency_model(times, frequencies=clocks[::-1])
+    with pytest.raises(DomainError, match="need >= 2 samples at"):
+        ss.fit_frequency_model(times[:, :1], frequencies=clocks)
+
+
+def test_mle_rows_equal_the_one_row_fit_and_its_reference():
+    """fit_gamma_mle_rows on a matrix yields, row by row, the bits of
+    fit_gamma_mle on each row alone and of the reference; a row that
+    cannot be fitted raises only once the rows before it were yielded."""
+    rng = np.random.default_rng(20261020)
+    for n in (2, 3, 7, 8, 9, 100, 1001):
+        x = rng.gamma(rng.uniform(0.5, 50.0, (6, 1)), 1.0, (6, n))
+        x *= 10.0 ** rng.uniform(-6.0, 3.0, (6, 1))
+        fits = list(numerics.fit_gamma_mle_rows(x))
+        for row, fit in zip(x, fits):
+            _assert_same_fit(fit, ss.fit_gamma_mle(row))
+            _assert_same_fit(fit, _reference_fit_gamma_mle(row))
+    x[3, 5] = -1.0
+    rows = numerics.fit_gamma_mle_rows(x)
+    assert len([next(rows) for _ in range(3)]) == 3
+    with pytest.raises(DomainError, match="strictly positive"):
+        next(rows)
+    with pytest.raises(DomainError, match="2-d array"):
+        next(numerics.fit_gamma_mle_rows(x[0]))
+
+
 def test_mle_unconverged_shape_solve_raises_the_reference_error(monkeypatch):
     # no finite positive sample makes the Newton solve fail, so stand in a
     # solve that does not converge
@@ -443,3 +609,63 @@ def test_ks_separates_wrong_families():
     es = rng.exponential(1.0, 4000)
     # same mean, very different shape
     assert ss.ks_statistic(es, ss.GammaLaw(5.0, 0.2)) > 0.1
+
+
+def _reference_ks_statistic(samples, law):
+    """ks_statistic as the full evaluation: the CDF at every sorted
+    sample, kept as the reference for the bound sweep."""
+    x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    n = x.size
+    cdf = ss.gamma_cdf(x, law.shape, law.scale)
+    d_plus = float(np.max(np.arange(1, n + 1, dtype=np.float64) / n - cdf))
+    d_minus = float(np.max(cdf - np.arange(0, n, dtype=np.float64) / n))
+    return max(d_plus, d_minus, 0.0)
+
+
+def _ks_inputs():
+    # (samples, law): the other KS tests' inputs, samples from the law and
+    # from near it, rounded samples with ties, samples at the mode
+    law = ss.GammaLaw(3.0, 2.0)
+    n = 100
+    yield (np.array([ss.gamma_quantile((i - 0.5) / n, law.shape, law.scale)
+                     for i in range(1, n + 1)]), law)
+    yield np.array([ss.gamma_quantile(0.5, law.shape, law.scale)]), law
+    yield (ss.generator_from(ss.child_seed(123, 3)).exponential(1.0, 4000),
+           ss.GammaLaw(5.0, 0.2))
+    rng = np.random.default_rng(20261020)
+    for i in range(120):
+        n = int(rng.choice([2, 7, 63, 64, 65, 129, 1000, 4097]))
+        law = ss.GammaLaw(float(10.0 ** rng.uniform(-0.5, 2.5)),
+                          float(10.0 ** rng.uniform(-3.0, 1.0)))
+        x = rng.gamma(law.shape * (1.0 + 0.1 * (i % 3 == 1)), law.scale, n)
+        if i % 4 == 2:  # ties
+            x = np.round(x / law.scale, 1) * law.scale + law.scale / 10.0
+        if i % 5 == 3 and law.shape > 1.0:  # a quarter at the mode
+            x[: n // 4] = (law.shape - 1.0) * law.scale
+        yield x, law
+
+
+def test_ks_sweep_equals_the_full_evaluation():
+    inputs = 0
+    for x, law in _ks_inputs():
+        assert (ss.ks_statistic(x, law).hex()
+                == _reference_ks_statistic(x, law).hex()), (x.size, law)
+        inputs += 1
+    assert inputs == 123
+
+
+def test_ks_sweep_evaluates_few_lanes(monkeypatch):
+    """On 1e5 samples from the law, at most 5% of the sorted samples take
+    the exact CDF, and the distance is the full evaluation's."""
+    lanes = []
+    exact = kernels.reg_lower_gamma_arr
+    monkeypatch.setattr(kernels, "reg_lower_gamma_arr",
+                        lambda a, x: lanes.append(len(a)) or exact(a, x))
+    law = ss.GammaLaw(4.0, 0.25)
+    xs = ss.sample_gamma(law.shape, law.scale,
+                         ss.generator_from(ss.child_seed(123, 7)),
+                         size=100_000)
+    d = ss.ks_statistic(xs, law)
+    assert 0 < sum(lanes) <= 0.05 * xs.size
+    monkeypatch.undo()
+    assert d.hex() == _reference_ks_statistic(xs, law).hex()

@@ -247,3 +247,36 @@ def test_planners_ask_a_model_only_for_one_clock_at_a_time():
     source = (PKG / "scheduler.py").read_text(encoding="utf-8")
     assert _reads_of(source, ("shape_scale_at",))
     assert _reads_of(source, ("shape_at", "scale_at")) == []
+
+
+def _calls_to(source: str, name: str) -> list:
+    # every call of ``name``, as a bare name or as an attribute
+    found = [(node.lineno, ast.unparse(node.func))
+             for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call)
+             and (isinstance(node.func, ast.Name) and node.func.id == name
+                  or isinstance(node.func, ast.Attribute)
+                  and node.func.attr == name)]
+    return [f"{line}: {text}" for line, text in sorted(found)]
+
+
+def test_call_scan_finds_them():
+    src = ("def fit(x, kernels, numerics):\n"
+           "    a = kernels.solve_gamma_shape(x)\n"
+           "    b = solve_gamma_shape(x) + solve_gamma_shape_arr(x)\n"
+           "    f = numerics.fit_gamma_mle\n"
+           "    return fit_gamma_mle(x), f(x)\n")
+    assert _calls_to(src, "solve_gamma_shape") == [
+        "2: kernels.solve_gamma_shape", "3: solve_gamma_shape"]
+    assert _calls_to(src, "fit_gamma_mle") == ["5: fit_gamma_mle"]
+
+
+def test_one_gamma_mle_path():
+    """The frequency model fits its clocks through fit_gamma_mle_rows, not
+    clock by clock through fit_gamma_mle, and numerics solves the MLE shape
+    in one place, the body both share."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PKG.glob("*.py"))}
+    assert _calls_to(sources["estimation.py"], "fit_gamma_mle_rows")
+    assert _calls_to(sources["estimation.py"], "fit_gamma_mle") == []
+    assert len(_calls_to(sources["numerics.py"], "solve_gamma_shape")) == 1
