@@ -33,7 +33,7 @@ instead of returning the last iterate.
 
 The planner's grid pre-scan asks only whether P(a, x) >= p on each lane;
 :func:`reg_lower_gamma_at_least` answers that, exactly, and its docstring
-describes how closed-form brackets spare most lanes the exact kernel.
+describes how closed-form bounds spare most lanes the exact kernel.
 
 Everything here is a pure function and assumes in-domain inputs; nothing
 here checks an argument. The callers do: the public functions of
@@ -432,28 +432,6 @@ def _tangent_terms(a, x):
     return log_g, right, tan
 
 
-def _upper_chord(a, x, log_lo_density):
-    # Q(a, x) >= the chord of the density over [x, x + w], w = 1.5 sqrt(a)
-    w = 1.5 * np.sqrt(a)
-    d = (a - 1.0) * np.log1p(w / x) - w
-    return np.exp(log_lo_density + np.log(w) + _log_chord_factor(d))
-
-
-def _lower_chord(a, x, log_lo_density):
-    # P(a, x) >= the chord of the density over [x - w, x], w as above but
-    # capped at x/2
-    w = np.minimum(1.5 * np.sqrt(a), 0.5 * x)
-    d = (a - 1.0) * np.log1p(-w / x) + w
-    return np.exp(log_lo_density + np.log(w) + _log_chord_factor(d))
-
-
-# The lower chord's mass is at most its width 1.5 sqrt(a) times the mode
-# density, and the mode density is below 1/sqrt(2 pi (a - 1)) (Stirling), so
-# it stays below lo_th wherever lo_th^2 (a - 1) > 1.5^2 / (2 pi) a. The cap
-# sits 3% above 1.5^2 / (2 pi) = 0.3581, far above the chord's rounding.
-_LOWER_CHORD_CAP = 0.37
-
-
 def _reg_lower_gamma_tangent(a, x):
     # lo <= P(a, x) <= hi on arrays, x > 0, with one log1p, one log and one
     # exp pass. For a >= 1, log t^(a-1) e^(-t) is concave, so its tangent at
@@ -477,65 +455,25 @@ def _reg_lower_gamma_tangent(a, x):
     return lo, hi, log_g
 
 
-def _reg_lower_gamma_chords(a, x, log_g, lo_th):
-    # lo <= P(a, x) <= hi on arrays, a >= 1, not clipped, with log_g taken
-    # from the tangent pass on the same lanes instead of computed again. The
-    # chords of the log-concave density bound it below: Q >= (g/x) w
-    # (e^d - 1)/d over [x, x + w], w = 1.5 sqrt(a), and P likewise over
-    # [x - w, x] (w capped at x/2), where d is the change of the log density
-    # across the chord. hi is 1 - the upper chord on every lane. lo is the
-    # lower chord only where that could reach lo_th (see _LOWER_CHORD_CAP),
-    # else 0, so a threshold the lower chord cannot meet costs no lower-chord
-    # pass.
+def _reg_lower_gamma_chord(a, x, log_g):
+    # P(a, x) <= hi on arrays, a >= 1, not clipped, with log_g taken from the
+    # tangent pass on the same lanes instead of computed again. The chord of
+    # the log-concave density over [x, x + w], w = 1.5 sqrt(a), bounds it
+    # below, so Q >= (g/x) w (e^d - 1)/d, where d is the change of the log
+    # density across the chord, and hi = 1 - that
+    w = 1.5 * np.sqrt(a)
+    d = (a - 1.0) * np.log1p(w / x) - w
     log_lo_density = log_g - 1.0 / (12.0 * a) - np.log(x)
-    hi = 1.0 - _upper_chord(a, x, log_lo_density)
-    lo = np.zeros(a.shape)
-    reach = lo_th * lo_th * (a - 1.0) <= _LOWER_CHORD_CAP * a
-    if reach.any():
-        lo[reach] = _lower_chord(a[reach], x[reach], log_lo_density[reach])
-    return lo, hi
+    return 1.0 - np.exp(log_lo_density + np.log(w) + _log_chord_factor(d))
 
 
-# terms of the power series that brackets P(a, x) below _SERIES_CUTOFF
-_SERIES_TERMS = 40
-
-
-def _series_bracket(a, x):
-    # P(a, x) = x^a e^-x / Gamma(a+1) sum_k x^k / ((a+1)...(a+k)).
-    # lo sums the first _SERIES_TERMS terms at x capped at a + _SERIES_TERMS
-    # (P rises in x, and no term overflows there); hi adds the rest as a
-    # geometric tail of ratio x / (a + _SERIES_TERMS), or is inf where that
-    # ratio is >= 1. ln Gamma(a+1) = ln Gamma(z) - sum_{j=1..8} ln(a+j), with
-    # z = a + 9 and the Stirling remainder of ln Gamma(z) in [1/(12z) -
-    # 1/(360z^3), 1/(12z)]; for z < 13 the true remainder is at least 2e-9
-    # from each end, far above rounding.
-    top = a + _SERIES_TERMS
-    x_lo = np.minimum(x, top)
-    ak, term, head = a.copy(), np.ones(a.shape), np.ones(a.shape)
-    for _ in range(_SERIES_TERMS - 1):
-        ak += 1.0
-        term *= x_lo / ak
-        head += term
-    tail = np.divide(term * x, top - x, out=np.full(a.shape, np.inf),
-                     where=x < top)
-    z = a + 9.0
-    log_rising = np.log(np.prod(a[:, None] + np.arange(1.0, 9.0), axis=1))
-    log_lo = (a * np.log(x_lo) - x_lo - (z - 0.5) * np.log(z) + z
-              - _HALF_LOG_2PI + log_rising - 1.0 / (12.0 * z))
-    return (np.exp(log_lo) * head,
-            np.exp(log_lo + 1.0 / (360.0 * z * z * z)) * (head + tail))
-
-
-# a bracket settles a lane only when it clears p by this much, the exact
+# a bound settles a lane only when it clears p by this much, the exact
 # kernel when its value clears p by twice as much
 _SCREEN_MARGIN = 1e-9
-# doubt lanes below this shape take the series bracket, where the chords are
-# loose and 40 terms reach well past the usual quantiles; the rest the chords
-_SERIES_CUTOFF = 4.0
 # a call on at most this many lanes runs the exact kernel on each at once:
-# there the brackets' fixed cost of a few dozen array passes exceeds the
+# there the bounds' fixed cost of a few dozen array passes exceeds the
 # scalar kernel's
-EXACT_ONLY_LANES = 4
+_EXACT_ONLY_LANES = 4
 
 
 def _settled(lo, hi, p):
@@ -564,22 +502,22 @@ def reg_lower_gamma_at_least(a, x, p):
     lane, a > 0, x > 0, 0 < p < 1, and the lanes settled with margin.
 
     Returns ``(flags, settled)``, ``settled`` a bool mask or True when it
-    is set on every lane. Closed-form brackets lo <= P <= hi spare
-    most lanes the exact kernel (:func:`reg_lower_gamma_arr`). A bracket
-    settles a lane when lo >= p + _SCREEN_MARGIN (flag set) or
-    hi < p - _SCREEN_MARGIN (flag clear), a margin far above the rounding of
-    the bracket and of the exact kernel. Each stage takes the lanes the last
-    one left in doubt:
+    is set on every lane. Closed-form bounds on P spare most lanes the
+    exact kernel (:func:`reg_lower_gamma_arr`). A bound settles a lane when
+    lo >= p + _SCREEN_MARGIN (flag set) or hi < p - _SCREEN_MARGIN (flag
+    clear), a margin far above the rounding of the bound and of the exact
+    kernel. Each stage takes the lanes the last one left in doubt:
 
-    1. the tangent bracket, on every lane (trivial below shape 1, and not
-       computed at all when every lane is below 1);
-    2. below shape _SERIES_CUTOFF the power series of P closed by a
-       geometric tail, above it chords of the density that reuse the tangent
-       pass's density factor (the lower chord only where it could reach p);
-    3. the exact kernel.
+    1. the tangent bracket lo <= P <= hi, on every lane (trivial below
+       shape 1, and not computed at all when every lane is below 1);
+    2. on lanes of shape 1 or more, the upper chord, a bound P <= hi alone
+       that reuses the tangent pass's density factor, so it can only prove
+       a flag clear;
+    3. the exact kernel, on the lanes still in doubt, those below shape 1
+       among them.
 
-    A call on at most EXACT_ONLY_LANES lanes goes straight to stage 3.
-    ``settled`` is set on every lane a bracket settled and on every exact
+    A call on at most _EXACT_ONLY_LANES lanes goes straight to stage 3.
+    ``settled`` is set on every lane a bound settled and on every exact
     lane whose value lies at least 2 * _SCREEN_MARGIN from p; it is clear
     only on exact lanes closer to p than that. So the true P of a settled
     lane clears p by more than the exact kernel's rounding, and since P
@@ -588,26 +526,21 @@ def reg_lower_gamma_at_least(a, x, p):
 
     Unchecked; the stages are looked up as module globals at call time.
     """
-    if a.shape[0] <= EXACT_ONLY_LANES:
+    if a.shape[0] <= _EXACT_ONLY_LANES:
         return _exact_at_least(a, x, p)
     lo, hi, log_g = _reg_lower_gamma_tangent(a, x)
     flags, doubt = _settled(lo, hi, p)
     doubt = np.flatnonzero(doubt)
     if doubt.size == 0:
         return flags, True
-    series = a[doubt] < _SERIES_CUTOFF
-    chords = doubt[~series]
-    series = doubt[series]
-    exact = series[:0]
-    if series.size:
-        flags[series], left = _settled(
-            *_series_bracket(a[series], x[series]), p)
-        exact = series[left]
-    if chords.size:
-        flags[chords], left = _settled(
-            *_reg_lower_gamma_chords(a[chords], x[chords], log_g[chords],
-                                     p + _SCREEN_MARGIN), p)
-        exact = np.concatenate((exact, chords[left]))
+    # a doubt lane's flag is clear; the chord keeps in doubt only the lanes
+    # it cannot prove below p, and has no bound below shape 1
+    left = a[doubt] < 1.0
+    chord = doubt[~left]
+    if chord.size:
+        left[~left] = _reg_lower_gamma_chord(
+            a[chord], x[chord], log_g[chord]) >= p - _SCREEN_MARGIN
+    exact = doubt[left]
     settled = True
     if exact.size:
         flags[exact], near = _exact_at_least(a[exact], x[exact], p)
@@ -694,9 +627,9 @@ def warm_up() -> None:
     q_func(1.0)
     one = np.ones(2, dtype=np.float64)
     reg_lower_gamma_arr(one + 1.0, one)
-    # lanes on each side of _SERIES_CUTOFF, all left in doubt by the tangent
-    # pass, more of them than the exact-only path takes
-    shapes = np.repeat([2.0, 8.0], EXACT_ONLY_LANES)
+    # more lanes than the exact-only path takes, all left in doubt by the
+    # tangent pass and the chord, so every stage runs
+    shapes = np.full(_EXACT_ONLY_LANES + 1, 8.0)
     reg_lower_gamma_at_least(shapes, shapes, 0.5)
     digamma_arr(one)
     solve_gamma_shape_arr(one * 0.01)

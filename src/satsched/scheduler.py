@@ -26,7 +26,7 @@ The scan needs only one flag per grid point (score >= rho_th), so each
 planner hands the search two callbacks: a float score for the probes and a
 flags function for the grid. The Gamma planner's flags come from
 :func:`~satsched.kernels.reg_lower_gamma_at_least`, which runs the exact
-CDF only where closed-form brackets leave a flag in doubt. Every reported
+CDF only where closed-form bounds leave a flag in doubt. Every reported
 score comes from a float evaluation, the same exact path the search probes
 take.
 
@@ -70,8 +70,8 @@ for the Gamma pre-scan: per (n_img, rho_th), for each
 grid point, a t_proc at or below which it is proven infeasible and one at
 or above which it is proven feasible, both taken from earlier screens of
 that point that cleared rho_th with margin. The Gamma pre-scan screens only
-the points between their two bounds, at most a few of them alone through
-the exact kernel, and usually none once a key has seen a few dozen plans.
+the points between their two bounds, gathered into one screen call, and
+usually none once a key has seen a few dozen plans.
 Its flags are the full screen's on every point, so every plan is the same
 bit for bit. A key keeps bounds from its first plan on, whose full screen
 stores them, so a one-off plan pays one 2 x 256 float64 array on top of
@@ -277,10 +277,9 @@ class GridValues:
                     t_proc: float) -> np.ndarray:
         """The flags P(n_img * shape, t_proc / scale) >= rho_th on every
         lane: those of the full screen, from as few screened lanes as the
-        key's bounds allow. At most ``kernels.EXACT_ONLY_LANES`` doubt lanes
-        are gathered and screened alone, the screen then taking the exact
-        kernel on each; with more, every lane is screened, which costs about
-        as much as a gathered screen would."""
+        key's bounds allow. A key's first plan screens every lane; a later
+        one gathers the lanes its bounds leave in doubt and screens those
+        alone."""
         key = (n_img, rho_th)
         keys = self._keys
         # taken out and put back last, so the first key is the least
@@ -306,18 +305,12 @@ class GridValues:
         known = bounds <= t_proc
         flags = known[1]
         doubt = known[0] ^ flags
-        n_doubt = np.count_nonzero(doubt)
-        if n_doubt == 0:
+        if np.count_nonzero(doubt) == 0:
             return flags
-        if n_doubt > kernels.EXACT_ONLY_LANES:
-            flags, settled = self._screen(n_img, rho_th, t_proc)
-            if isinstance(settled, np.ndarray):
-                doubt &= settled
-        else:
-            lanes = np.flatnonzero(doubt)
-            flags[lanes], settled = self._screen(n_img, rho_th, t_proc, lanes)
-            if isinstance(settled, np.ndarray):
-                doubt[lanes] = settled
+        lanes = np.flatnonzero(doubt)
+        flags[lanes], settled = self._screen(n_img, rho_th, t_proc, lanes)
+        if isinstance(settled, np.ndarray):
+            doubt[lanes] = settled
         # t_lo <= t_proc < t_hi on every doubt lane, so these only tighten
         np.putmask(bounds[1], flags & doubt, t_proc)
         np.putmask(bounds[0], doubt > flags, math.nextafter(t_proc, math.inf))

@@ -24,6 +24,18 @@ _truths = st.builds(
     st.floats(0.0, 1.0), st.sampled_from(["structural", "constant"]))
 
 
+def _fresh_truth(scenario, truth):
+    # a ground truth built afresh from a _truths draw, on the default
+    # scenario's stream for its platform
+    name, cv, sigma, variance_model = truth
+    pi = [p.name for p in scenario.platforms].index(name)
+    return ss.synthesize_ground_truth(
+        scenario.platforms[pi], cv, scenario.gt_n_images,
+        ss.stream(scenario.seed, scenario.bit_generator, ss.NS_GROUND_TRUTH,
+                  pi),
+        image_sigma=sigma, variance_model=variance_model)
+
+
 @DERANDOMIZED
 @hypothesis.given(
     truth=_truths, rho_th=st.floats(1e-6, 1.0 - 1e-6),
@@ -38,13 +50,7 @@ def test_cantelli_band_flags_are_the_formula_on_every_lane(
     on every lane: at t_proc a random factor off a lane's threshold T, at
     T and one float either side of it, at T (1 +- delta), and at the band's
     lo and hi and the float below each."""
-    name, cv, sigma, variance_model = truth
-    pi = [p.name for p in scenario.platforms].index(name)
-    gt = ss.synthesize_ground_truth(
-        scenario.platforms[pi], cv, scenario.gt_n_images,
-        ss.stream(scenario.seed, scenario.bit_generator, ss.NS_GROUND_TRUTH,
-                  pi),
-        image_sigma=sigma, variance_model=variance_model)
+    gt = _fresh_truth(scenario, truth)
     values = gt.grid_values
     m, v = n_img * values.means, n_img * values.variances
     delta = (ss.scheduler._BAND_C * 2.0 ** -53
@@ -71,6 +77,47 @@ def test_cantelli_band_flags_are_the_formula_on_every_lane(
                 assert np.array_equal(got, want), t
 
 
+@DERANDOMIZED
+@hypothesis.given(
+    truth=_truths, rho_th=st.floats(0.01, 0.99),
+    n_img=st.integers(1, 1000),
+    lanes=st.lists(st.integers(0, ss.scheduler.GRID_POINTS_DEFAULT - 1),
+                   min_size=1, max_size=2),
+    factors=st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4))
+# batch shapes below 1 (n_img 1) and between 1 and 4 (n_img 2 and 3) on
+# every lane, at the default and a low rho_th
+@hypothesis.example(truth=("nano", 0.9, 1.0, "structural"), rho_th=0.95,
+                    n_img=1, lanes=[0, 200], factors=[0.9, 1.3])
+@hypothesis.example(truth=("nano", 0.9, 1.0, "structural"), rho_th=0.1,
+                    n_img=2, lanes=[100], factors=[0.7, 1.1])
+@hypothesis.example(truth=("agx", 0.9, 1.0, "constant"), rho_th=0.3,
+                    n_img=3, lanes=[255], factors=[1.0, 1.6])
+def test_gamma_flags_are_the_exact_kernels_on_every_lane(
+        scenario, truth, rho_th, n_img, lanes, factors):
+    """On a fresh ground truth (cv 0.001-0.9, image_sigma 0-1, both
+    variance models, so batch shapes below 1, between 1 and 4 and far
+    above), the kept values' gamma pre-scan flags equal the exact kernel's
+    on every lane, plan after plan on one key: at t_proc a random factor
+    off a lane's batch mean, at the lane's rho_th quantile and one float
+    either side of it, and then at each of those again in reverse order."""
+    gt = _fresh_truth(scenario, truth)
+    values = gt.grid_values
+    a = n_img * values.shapes
+    points = []
+    for lane in lanes:
+        mean = float(a[lane] * values.scales[lane])
+        points += [mean * f for f in factors]
+        t = float(values.scales[lane]
+                  * ss.kernels.gamma_quantile_unit(rho_th, float(a[lane])))
+        points += [t, math.nextafter(t, -math.inf),
+                   math.nextafter(t, math.inf)]
+    want = {t: ss.kernels.reg_lower_gamma_arr(a, t / values.scales) >= rho_th
+            for t in points}
+    for t_proc in points + points[::-1]:
+        got = values.gamma_flags(n_img, rho_th, t_proc)
+        assert np.array_equal(got, want[t_proc]), t_proc
+
+
 @hypothesis.settings(DERANDOMIZED, max_examples=100)
 @hypothesis.given(
     truth=_truths, ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
@@ -86,14 +133,8 @@ def test_sub_range_fit_plans_inside_its_range(
     at least rho_th, and unless it is the part's low end, the model's score
     1e-9 of the part's span below it misses rho_th. t_proc is the batch
     mean at the part's middle times a random factor."""
-    name, cv, sigma, variance_model = truth
-    pi = [p.name for p in scenario.platforms].index(name)
-    platform = scenario.platforms[pi]
-    gt = ss.synthesize_ground_truth(
-        platform, cv, scenario.gt_n_images,
-        ss.stream(scenario.seed, scenario.bit_generator, ss.NS_GROUND_TRUTH,
-                  pi),
-        image_sigma=sigma, variance_model=variance_model)
+    gt = _fresh_truth(scenario, truth)
+    platform = gt.platform
     a, b = sorted(ends)
     hypothesis.assume(b - a >= 0.05)
     span = platform.f_max_hz - platform.f_min_hz

@@ -760,11 +760,10 @@ def test_unknown_method_rejected(gt_nano, nano, zenith_budget):
 def test_screened_flags_equal_exact_flags():
     """Over random lanes, the screened flags equal the exact CDF's flags.
     A fifth of the lanes sit within 1e-12 of the rho_th quantile. Sets 80 to
-    99 have shapes below 1 only, and x up to past a + _SERIES_TERMS, where
-    the series bracket has no upper bound and the exact CDF decides; the
-    last 20 sets do the same with shapes from 1 up to the series cutoff."""
+    99 have shapes below 1 only, where the tangent and the chord bound
+    nothing and the exact CDF decides, and x from 1e-4 to 80; the last 20
+    sets do the same with shapes from 1 up to 4, where both are loose."""
     rng = np.random.default_rng(20261019)
-    past_series = 0
     for i in range(120):
         n = 128
         rho_th = rng.uniform(0.01, 0.99)
@@ -776,7 +775,7 @@ def test_screened_flags_equal_exact_flags():
             shape = np.exp(rng.uniform(math.log(0.02), 0.0, n))
             x = np.exp(rng.uniform(math.log(1e-4), math.log(80.0), n))
         else:
-            shape = rng.uniform(1.0, kernels._SERIES_CUTOFF, n)
+            shape = rng.uniform(1.0, 4.0, n)
             x = np.exp(rng.uniform(math.log(1e-4), math.log(80.0), n))
         edge = rng.random(n) < 0.2
         x[edge] = [kernels.gamma_quantile_unit(rho_th, a) * (1.0 + e)
@@ -793,17 +792,14 @@ def test_screened_flags_equal_exact_flags():
         assert settled is True or settled.dtype == bool
         near = np.abs(exact - rho_th) < 2.0 * kernels._SCREEN_MARGIN
         assert not np.any(~np.broadcast_to(settled, n) & ~near)
-        past_series += np.sum(t_proc / scale
-                              >= shape + kernels._SERIES_TERMS)
-    assert past_series > 0
 
 
 def _check_screen_margin(monkeypatch, offset, settled, liar):
-    # a bracket whose lower end clears rho_th by less than 1e-9 settles
-    # nothing; by more, every lane, and then no exact CDF runs at all. The
-    # lying bracket sits on one screening stage (the tangent pass or the
-    # chord stage); the other stage gets the trivial bracket [0, 1], which
-    # settles nothing
+    # a bound that clears rho_th by less than 1e-9 settles nothing; by more,
+    # every lane, and then no exact CDF runs at all. The lying bound sits on
+    # one screening stage: the tangent pass puts every P above rho_th, the
+    # one-sided chord stage every P below it. The other stage gets a trivial
+    # bound, which settles nothing
     rho_th = 0.95
     shape = np.full(6, 50.0)
     scale = np.linspace(0.8, 1.2, 6) / 50.0
@@ -815,26 +811,28 @@ def _check_screen_margin(monkeypatch, offset, settled, liar):
         exact_lanes.append(a.size)
         return arr_cdf(a, x)
 
-    def bracket(a, stage):
-        lo = rho_th + offset if stage == liar else 0.0
-        return np.full(a.shape, lo), np.ones(a.shape)
+    def tangent(a, x):
+        lo = rho_th + offset if liar == "tangent" else 0.0
+        return np.full(a.shape, lo), np.ones(a.shape), np.zeros(a.shape)
+
+    def chord(a, x, log_g):
+        return np.full(a.shape, rho_th - offset if liar == "chord" else 1.0)
 
     monkeypatch.setattr(kernels, "reg_lower_gamma_arr", counted_cdf)
-    monkeypatch.setattr(kernels, "_reg_lower_gamma_tangent",
-                        lambda a, x: (*bracket(a, "tangent"),
-                                      np.zeros(a.shape)))
-    monkeypatch.setattr(kernels, "_reg_lower_gamma_chords",
-                        lambda a, x, log_g, lo_th: bracket(a, "chords"))
+    monkeypatch.setattr(kernels, "_reg_lower_gamma_tangent", tangent)
+    monkeypatch.setattr(kernels, "_reg_lower_gamma_chord", chord)
     flags, _ = kernels.reg_lower_gamma_at_least(shape, 1.0 / scale, rho_th)
     if settled:
-        assert flags.all() and exact_lanes == []
+        assert exact_lanes == []
+        assert np.array_equal(flags, np.full(6, liar == "tangent"))
     else:
         assert np.array_equal(flags, exact >= rho_th) and exact_lanes == [6]
+    assert 0 < np.count_nonzero(exact >= rho_th) < 6
 
 
 @pytest.mark.parametrize("offset,settled", [(0.5e-9, False), (2e-9, True)])
 def test_screen_settles_only_past_the_margin(monkeypatch, offset, settled):
-    _check_screen_margin(monkeypatch, offset, settled, liar="chords")
+    _check_screen_margin(monkeypatch, offset, settled, liar="chord")
 
 
 @pytest.mark.parametrize("offset,settled", [(0.5e-9, False), (2e-9, True)])
@@ -1035,13 +1033,13 @@ def own_gt_nano_wide(gt_nano_wide):
 
 def _count_chord_lanes(monkeypatch):
     lanes = []
-    chords = kernels._reg_lower_gamma_chords
+    chord = kernels._reg_lower_gamma_chord
 
-    def counted_chords(a, x, log_g, lo_th):
+    def counted_chord(a, x, log_g):
         lanes.append(a.shape[0])
-        return chords(a, x, log_g, lo_th)
+        return chord(a, x, log_g)
 
-    monkeypatch.setattr(kernels, "_reg_lower_gamma_chords", counted_chords)
+    monkeypatch.setattr(kernels, "_reg_lower_gamma_chord", counted_chord)
     return lanes
 
 
@@ -1057,19 +1055,19 @@ def test_prescan_full_bracket_lane_gate(monkeypatch, own_gt_nano, nano,
     assert lanes[0] <= ss.scheduler.GRID_POINTS_DEFAULT // 8
 
 
-# exact CDF lanes of the n_img 1-12 gamma plans at zenith, measured with
-# the lower chord (and, in the comment, without it)
-@pytest.mark.parametrize("platform_name,rho_th,lanes_with_chord", [
-    ("nano", 0.1, 225),  # 1363 without the lower chord
-    ("nano", 0.3, 524),  # 1034
-    ("agx", 0.1, 188),   # 1322
-    ("agx", 0.3, 503),   # 1058
+# exact CDF lanes of the cold n_img 1-12 gamma plans at zenith
+@pytest.mark.parametrize("platform_name,rho_th,exact_lanes", [
+    ("nano", 0.1, 172),
+    ("nano", 0.3, 130),
+    ("agx", 0.1, 164),
+    ("agx", 0.3, 131),
 ])
-def test_prescan_lower_chord_lane_gate(monkeypatch, scenario, zenith_budget,
-                                       platform_name, rho_th,
-                                       lanes_with_chord):
-    """At a low rho_th the lower chord settles the lanes that sit above the
-    quantile; without it about 2-6x as many lanes run the exact CDF."""
+def test_prescan_low_rho_exact_lane_gate(monkeypatch, scenario, zenith_budget,
+                                         platform_name, rho_th, exact_lanes):
+    """At a low rho_th the tangent bracket leaves more lanes in doubt, and
+    the one-sided chord settles only those below the quantile: the cold
+    n_img 1-12 plans run the exact CDF on at most 1.5 times the lanes
+    pinned here (29, 66, 23 and 62 with a lower chord as well)."""
     pi = [p.name for p in scenario.platforms].index(platform_name)
     # a copy: the shared ground truth may keep bounds from earlier plans
     gt = dataclasses.replace(ss.ground_truth_for(scenario, pi))
@@ -1080,37 +1078,35 @@ def test_prescan_lower_chord_lane_gate(monkeypatch, scenario, zenith_budget,
                                        gt.platform)
         except InfeasibleConstraintError:
             pass
-    assert counts["cdf_lanes"] <= 1.5 * lanes_with_chord
+    assert counts["cdf_lanes"] <= 1.5 * exact_lanes
 
 
 def test_prescan_exact_lane_gate_below_shape_one(monkeypatch,
                                                  own_gt_nano_wide, nano,
                                                  zenith_budget):
-    """With cv 0.9 and image_sigma 1 the pooled shapes fall below 1, where
-    the tangent bracket settles nothing; the series bracket settles every
-    pre-scan lane, so no lane runs the chords or the exact CDF."""
+    """With cv 0.9 and image_sigma 1 the pooled shapes fall below 1. At
+    n_img 1 the tangent bracket and the chord bound nothing, so a cold
+    plan runs the exact CDF on every pre-scan lane; at n_img 2 and 3 the
+    batch shapes lie between 1 and 4, and the tangent and the chord leave
+    21 and 23 lanes to it. A second plan at the same t_proc reads every
+    flag off the key's bounds and screens no lane."""
     assert own_gt_nano_wide.grid_values.shapes.max() < 1.0
+    grid = ss.scheduler.GRID_POINTS_DEFAULT
     counts = _count_plan_work(monkeypatch)
-    chord_lanes = _count_chord_lanes(monkeypatch)
-    ss.select_and_price("gamma", own_gt_nano_wide, zenith_budget, 1, RHO,
-                        nano)
-    assert counts["cdf_lanes"] == 0 and sum(chord_lanes) == 0
-
-
-@pytest.mark.parametrize("n_img", [2, 3])
-def test_prescan_series_bracket_settles_shapes_below_the_cutoff(
-        monkeypatch, own_gt_nano_wide, nano, zenith_budget, n_img):
-    """The batch shapes of these plans lie between 1 and the series cutoff,
-    where the tangent and chord bounds are loose; the lanes the tangent
-    leaves in doubt take the series bracket, and none runs the exact CDF
-    (171 and 182 lanes did with the cutoff at 1)."""
-    batch = n_img * own_gt_nano_wide.grid_values.shapes
-    assert 1.0 <= batch.min() and batch.max() < kernels._SERIES_CUTOFF
-    counts = _count_plan_work(monkeypatch)
-    sel = ss.select_and_price("gamma", own_gt_nano_wide, zenith_budget,
-                              n_img, RHO, nano)
-    assert sel.frequency_hz > nano.f_min_hz
-    assert counts["cdf_lanes"] == 0
+    screens = _count_screens(monkeypatch)
+    for n_img, exact_lanes in ((1, grid), (2, 21), (3, 23)):
+        batch = n_img * own_gt_nano_wide.grid_values.shapes
+        assert (batch.max() < 1.0) == (n_img == 1) and batch.max() < 4.0
+        counts["cdf_lanes"] = screens["lanes"] = 0
+        first = ss.select_and_price("gamma", own_gt_nano_wide, zenith_budget,
+                                    n_img, RHO, nano)
+        assert first.frequency_hz > nano.f_min_hz
+        assert screens["lanes"] == grid
+        assert counts["cdf_lanes"] == exact_lanes, n_img
+        screens["lanes"] = 0
+        again = ss.select_and_price("gamma", own_gt_nano_wide, zenith_budget,
+                                    n_img, RHO, nano)
+        assert again == first and screens["lanes"] == 0
 
 
 @pytest.mark.parametrize("method", ["gamma", "cantelli"])
@@ -1343,7 +1339,8 @@ def test_bounds_skip_lanes_the_screen_leaves_near_rho_th(
     alone) leaves that lane unbounded there while the flags stay the full
     screen's. Every other lane is bounded at t0 by the key's first plan,
     so a plan at t0 again screens that lane alone, and one at another
-    t_proc screened before screens nothing."""
+    t_proc screened before screens nothing. A later plan screens the lanes
+    its bounds leave in doubt, gathered."""
     screened = []
     screen = ss.scheduler.GridValues._screen
 
@@ -1362,16 +1359,22 @@ def test_bounds_skip_lanes_the_screen_leaves_near_rho_th(
     bounds = ss.scheduler.GridValues(nano.f_min_hz, nano.f_max_hz, shapes,
                                      scales)
     plans = (t0, t0, 1.05 * t0, t0, 1.05 * t0)
+    flags_at = {}
     for t_proc in plans:
         got = bounds.gamma_flags(n_img, rho_th, t_proc)
         want, settled = kernels.reg_lower_gamma_at_least(
             n_img * shapes, t_proc / scales, rho_th)
         assert np.array_equal(got, want), t_proc
+        flags_at[t_proc] = want
         if t_proc == t0:
             assert got[lane] and not settled[lane]
     # the first plan at t0 screens every lane and the next the one lane;
-    # 1.05 t0 screens every lane in doubt above t0, then nothing
-    assert screened == [None, [lane], None, [lane]]
+    # 1.05 t0 screens every lane in doubt above t0 (those infeasible at t0,
+    # and the lane), then nothing
+    in_doubt = ~flags_at[t0]
+    in_doubt[lane] = True
+    assert screened == [None, [lane], np.flatnonzero(in_doubt).tolist(),
+                        [lane]]
     t_lo, t_hi = bounds._keys[n_img, rho_th]
     assert t_lo[lane] == -math.inf and t_hi[lane] == 1.05 * t0
     # a first plan elsewhere bounds the lane there: 0.9 t0 from below and
@@ -1385,7 +1388,15 @@ def test_bounds_skip_lanes_the_screen_leaves_near_rho_th(
         want, _ = kernels.reg_lower_gamma_at_least(
             n_img * shapes, t_proc / scales, rho_th)
         assert np.array_equal(got, want), t_proc
-    assert screened == [None, None, None, None, [lane]]
+        flags_at[t_proc] = want
+
+    def between(lo, hi):
+        # lanes feasible at hi and not at lo
+        return np.flatnonzero(flags_at[hi] & ~flags_at[lo]).tolist()
+
+    assert screened == [None, np.flatnonzero(~flags_at[0.9 * t0]).tolist(),
+                        between(0.9 * t0, 1.1 * t0),
+                        between(0.95 * t0, 1.1 * t0), [lane]]
     t_lo, t_hi = bounds._keys[n_img, rho_th]
     assert t_lo[lane] == math.nextafter(0.95 * t0, math.inf)
     assert t_hi[lane] == 1.1 * t0
