@@ -345,20 +345,31 @@ def _full_bracket(a, x):
 
 
 def test_bracket_holds_against_mpmath():
-    """On shapes 1-1e5 with x within 8 standard deviations of the mean, and
-    on shapes 1-4 with x from 1e-4 to 60, where the chord stage takes the
-    lanes the tangent leaves in doubt."""
+    """On shapes 1-1e5 with x within 8 standard deviations of the mean."""
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(20261018)
     a = np.exp(rng.uniform(0.0, math.log(1e5), 120))
     a[:2] = (1.0, 1e5)
     x = np.maximum(a + rng.uniform(-8.0, 8.0, a.size) * np.sqrt(a), 1e-3)
-    rng = np.random.default_rng(20261105)
-    small = rng.uniform(1.0, 4.0, 200)
-    a = np.append(a, small)
-    x = np.append(x, np.exp(rng.uniform(math.log(1e-4), math.log(60.0),
-                                        small.size)))
     lo, hi = _full_bracket(a, x)
+    assert np.all(lo <= hi)
+    with mpmath.workdps(50):
+        for ai, xi, li, ui in zip(a, x, lo, hi):
+            p = float(mpmath.gammainc(ai, 0, xi, regularized=True))
+            assert li - _BRACKET_ROUNDING <= p <= ui + _BRACKET_ROUNDING, (ai, xi)
+
+
+def test_series_bracket_up_to_the_cutoff_holds_against_mpmath():
+    """On shapes 1-4 with x from 1e-4 to 60, the lanes a series bracket
+    once took below a cutoff of 4: the tangent and the upper chord now
+    bracket them, and the chord tightens the tangent's upper end on some."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261105)
+    a = rng.uniform(1.0, 4.0, 200)
+    x = np.exp(rng.uniform(math.log(1e-4), math.log(60.0), a.size))
+    lo, hi = _full_bracket(a, x)
+    _, right, tan = kernels._tangent_terms(a, x)
+    assert np.any(hi < np.clip(np.where(right, 1.0, tan), 0.0, 1.0))
     assert np.all(lo <= hi)
     with mpmath.workdps(50):
         for ai, xi, li, ui in zip(a, x, lo, hi):

@@ -1081,32 +1081,47 @@ def test_prescan_low_rho_exact_lane_gate(monkeypatch, scenario, zenith_budget,
     assert counts["cdf_lanes"] <= 1.5 * exact_lanes
 
 
-def test_prescan_exact_lane_gate_below_shape_one(monkeypatch,
-                                                 own_gt_nano_wide, nano,
-                                                 zenith_budget):
-    """With cv 0.9 and image_sigma 1 the pooled shapes fall below 1. At
-    n_img 1 the tangent bracket and the chord bound nothing, so a cold
-    plan runs the exact CDF on every pre-scan lane; at n_img 2 and 3 the
-    batch shapes lie between 1 and 4, and the tangent and the chord leave
-    21 and 23 lanes to it. A second plan at the same t_proc reads every
-    flag off the key's bounds and screens no lane."""
-    assert own_gt_nano_wide.grid_values.shapes.max() < 1.0
+def _check_cold_then_warm_exact_lanes(monkeypatch, gt, platform, budget,
+                                     n_img, exact_lanes):
+    # a cold plan screens every pre-scan lane and runs the exact CDF on
+    # exact_lanes of them; a second plan at the same t_proc reads every
+    # flag off the key's bounds and screens no lane
     grid = ss.scheduler.GRID_POINTS_DEFAULT
     counts = _count_plan_work(monkeypatch)
     screens = _count_screens(monkeypatch)
-    for n_img, exact_lanes in ((1, grid), (2, 21), (3, 23)):
-        batch = n_img * own_gt_nano_wide.grid_values.shapes
-        assert (batch.max() < 1.0) == (n_img == 1) and batch.max() < 4.0
-        counts["cdf_lanes"] = screens["lanes"] = 0
-        first = ss.select_and_price("gamma", own_gt_nano_wide, zenith_budget,
-                                    n_img, RHO, nano)
-        assert first.frequency_hz > nano.f_min_hz
-        assert screens["lanes"] == grid
-        assert counts["cdf_lanes"] == exact_lanes, n_img
-        screens["lanes"] = 0
-        again = ss.select_and_price("gamma", own_gt_nano_wide, zenith_budget,
-                                    n_img, RHO, nano)
-        assert again == first and screens["lanes"] == 0
+    first = ss.select_and_price("gamma", gt, budget, n_img, RHO, platform)
+    assert first.frequency_hz > platform.f_min_hz
+    assert screens["lanes"] == grid
+    assert counts["cdf_lanes"] == exact_lanes, n_img
+    screens["lanes"] = 0
+    again = ss.select_and_price("gamma", gt, budget, n_img, RHO, platform)
+    assert again == first and screens["lanes"] == 0
+
+
+def test_prescan_exact_lane_gate_below_shape_one(monkeypatch,
+                                                 own_gt_nano_wide, nano,
+                                                 zenith_budget):
+    """With cv 0.9 and image_sigma 1 the pooled shapes fall below 1, where
+    the tangent bracket and the chord bound nothing, so a cold n_img 1 plan
+    runs the exact CDF on every pre-scan lane."""
+    assert own_gt_nano_wide.grid_values.shapes.max() < 1.0
+    _check_cold_then_warm_exact_lanes(monkeypatch, own_gt_nano_wide, nano,
+                                      zenith_budget, 1,
+                                      ss.scheduler.GRID_POINTS_DEFAULT)
+
+
+@pytest.mark.parametrize("n_img", [2, 3])
+def test_prescan_series_bracket_settles_shapes_below_the_cutoff(
+        monkeypatch, own_gt_nano_wide, nano, zenith_budget, n_img):
+    """The batch shapes of these cv 0.9 plans lie between 1 and 4, where a
+    series bracket once settled every lane the tangent left in doubt; the
+    tangent and the upper chord now leave 21 and 23 lanes to the exact
+    CDF."""
+    batch = n_img * own_gt_nano_wide.grid_values.shapes
+    assert 1.0 <= batch.min() and batch.max() < 4.0
+    _check_cold_then_warm_exact_lanes(monkeypatch, own_gt_nano_wide, nano,
+                                      zenith_budget, n_img,
+                                      {2: 21, 3: 23}[n_img])
 
 
 @pytest.mark.parametrize("method", ["gamma", "cantelli"])
